@@ -16,11 +16,10 @@ params = SystemParams()  # chi_a = chi_b = 1, alpha = 1/25, epsilon = 1/100, T =
 n_kicks = 2000
 
 print(f"evolving {n_kicks} kicks at alpha = {params.alpha}, epsilon = {params.epsilon} ...")
-traj = annotate_trajectory(evolve(params, n_kicks))
+obs = annotate_trajectory(evolve(params, n_kicks), params.dims)
 
-k = np.array([rec.k for rec in traj.records])
-probs = np.array([rec.probs for rec in traj.records])
-leakage = np.array([rec.leakage for rec in traj.records])
+k = np.arange(n_kicks + 1)
+probs, leakage = obs.probs, obs.leakage
 
 print(f"max leakage out of the qubit subspace: {leakage.max():.2e}")
 print("the dynamics is effectively a qubit-qubit system")

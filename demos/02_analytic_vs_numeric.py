@@ -15,10 +15,11 @@ shows three comparisons:
 import numpy as np
 
 from kicked_coupler import (
+    Ordering,
     SystemParams,
+    annotate_trajectory,
     calibrate_sampling,
-    evolve_midpulse,
-    joint_index,
+    evolve,
     kick_frequencies,
     truncated_amplitudes,
 )
@@ -34,15 +35,13 @@ print(f"beat period ~ {beat:.0f} kicks")
 
 best, deviations = calibrate_sampling(params)
 print("\nsampling calibration against the closed forms (max amplitude deviation):")
-for sampling, dev in deviations.items():
-    marker = "  <-- calibrated choice" if sampling is best else ""
-    print(f"  {sampling.value:10s} {dev:.3e}{marker}")
+for ordering, dev in deviations.items():
+    marker = "  <-- calibrated choice" if ordering is best else ""
+    print(f"  {ordering.value:14s} {dev:.3e}{marker}")
 
 n_kicks = 1000
-states = evolve_midpulse(params, n_kicks)
-dims = params.dims
-idx = [joint_index(m, n, dims) for m in (0, 1) for n in (0, 1)]
-numeric = np.array([np.abs(psi[idx]) ** 2 for psi in states])
+states = evolve(params, n_kicks, ordering=Ordering.MID_PULSE)
+numeric = annotate_trajectory(states, params.dims).probs
 analytic = np.array(
     [truncated_amplitudes(k, params).probabilities() for k in range(n_kicks + 1)]
 )

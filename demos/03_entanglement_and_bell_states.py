@@ -15,10 +15,8 @@ params = SystemParams()
 n_kicks = 5000
 
 print(f"evolving {n_kicks} kicks ...")
-traj = annotate_trajectory(evolve(params, n_kicks))
-
-conc = np.array([rec.concurrence for rec in traj.records])
-fids = np.array([rec.bell_fidelities for rec in traj.records])
+obs = annotate_trajectory(evolve(params, n_kicks), params.dims)
+conc, fids = obs.concurrence, obs.bell_fidelities
 
 above = np.flatnonzero(conc >= 0.98)
 clusters = np.split(above, np.flatnonzero(np.diff(above) > 1) + 1)

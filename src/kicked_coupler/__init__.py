@@ -4,7 +4,6 @@ maximally entangled Bell states."""
 
 from .analytic import (
     KickFrequencies,
-    MapSampling,
     TruncatedState,
     calibrate_sampling,
     kick_frequencies,
@@ -14,6 +13,7 @@ from .analytic import (
 )
 from .entanglement import (
     BellState,
+    QubitObservables,
     annotate_trajectory,
     bell_fidelities,
     bell_states,
@@ -38,8 +38,6 @@ from .fock import (
     embed_mode_b,
     joint_index,
     number_op,
-    split_index,
-    tensor_product,
 )
 from .hamiltonians import (
     SystemParams,
@@ -49,7 +47,6 @@ from .hamiltonians import (
 )
 from .numerics import (
     EigenDecomposition,
-    apply_operator,
     hermitian_eigendecomposition,
     hermiticity_defect,
     unitary_from_generator,
@@ -58,13 +55,9 @@ from .propagation import (
     DEFAULT_ORDERING,
     Ordering,
     StepOperators,
-    Trajectory,
-    TrajectoryRecord,
     build_half_kick,
     build_step_operators,
     evolve,
-    evolve_midpulse,
-    map_step,
     vacuum_state,
 )
 
@@ -77,18 +70,15 @@ __all__ = [
     "DimensionMismatchError",
     "EigenDecomposition",
     "KickFrequencies",
-    "MapSampling",
     "ModeDims",
     "Ordering",
+    "QubitObservables",
     "SingularCouplingError",
     "StepOperators",
     "SystemParams",
-    "Trajectory",
-    "TrajectoryRecord",
     "TruncatedState",
     "annihilation_op",
     "annotate_trajectory",
-    "apply_operator",
     "basis_state",
     "bell_fidelities",
     "bell_states",
@@ -104,16 +94,12 @@ __all__ = [
     "embed_mode_a",
     "embed_mode_b",
     "evolve",
-    "evolve_midpulse",
     "hermitian_eigendecomposition",
     "hermiticity_defect",
     "joint_index",
     "kick_frequencies",
-    "map_step",
     "number_op",
     "project_to_qubits",
-    "split_index",
-    "tensor_product",
     "total_number_op",
     "truncated_amplitudes",
     "truncated_map_states",

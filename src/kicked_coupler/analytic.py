@@ -4,7 +4,8 @@ For weak driving the dynamics stays inside the four states |00>, |01>,
 |10>, |11> and admits closed-form amplitudes after k pulses, built from
 three frequencies (Omega, Omega1, Omega2).  The formulas are exact for
 the effective four-level dynamics with the pulse train replaced by its
-zero-frequency component; against the discrete four-level kicked map they
+zero-frequency component; against the discrete four-level kicked map
+(truncated_map_states, which is propagation.evolve at cutoffs (2, 2)) they
 agree to the stated tolerance under mid-pulse sampling (see
 calibrate_sampling).
 
@@ -14,21 +15,14 @@ inputs are mapped to their magnitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SingularCouplingError
 from .fock import ModeDims
 from .hamiltonians import SystemParams
-from .propagation import (
-    Ordering,
-    build_half_kick,
-    build_step_operators,
-    map_step,
-    vacuum_state,
-)
+from .propagation import Ordering, evolve
 
 SINGULAR_COUPLING_THRESHOLD = 1e-12
 
@@ -127,14 +121,9 @@ def truncated_amplitudes(k: int, params: SystemParams) -> TruncatedState:
     return TruncatedState(complex(c00), complex(c01), complex(c10), complex(c11))
 
 
-def uncoupled_amplitudes(k: int, alpha: float, T: float = 1.0) -> TruncatedState:
+def uncoupled_amplitudes(k: int, alpha: float) -> TruncatedState:
     """Amplitudes for zero inter-mode coupling: mode b stays in vacuum and
-    mode a Rabi-oscillates between |0> and |1> with angle k*alpha.
-
-    T does not enter the uncoupled formulas; it is accepted so the call
-    signature mirrors truncated_amplitudes.
-    """
-    del T
+    mode a Rabi-oscillates between |0> and |1> with angle k*alpha."""
     if k < 0:
         raise ValueError(f"kick count must be nonnegative, got {k}")
     alpha = abs(alpha)
@@ -146,75 +135,36 @@ def uncoupled_amplitudes(k: int, alpha: float, T: float = 1.0) -> TruncatedState
     )
 
 
-class MapSampling(Enum):
-    """Sampling conventions for the discrete four-level reference map."""
-
-    POST_KICK = "post_kick"  # record after kick then free flight
-    POST_FREE = "post_free"  # record after free flight then kick
-    MID_PULSE = "mid_pulse"  # record halfway through each pulse
-
-
-def _four_level_params(params: SystemParams) -> SystemParams:
-    return SystemParams(
-        chi_a=params.chi_a,
-        chi_b=params.chi_b,
-        epsilon=params.epsilon,
-        alpha=params.alpha,
-        T=params.T,
-        dims=ModeDims(2, 2),
-    )
-
-
 def truncated_map_states(
     n_kicks: int,
     params: SystemParams,
-    sampling: MapSampling = MapSampling.MID_PULSE,
+    ordering: Ordering = Ordering.MID_PULSE,
 ) -> np.ndarray:
     """Numerically exact four-level kicked map, the independent reference for
     the closed-form amplitudes.
 
-    Uses the same U_NL and U_K construction as the full simulation but on
-    2x2-per-mode cutoffs.  Returns an (n_kicks + 1, 4) array of amplitudes,
-    row k being the state after k periods under the requested sampling.
+    This is `evolve` on 2x2-per-mode cutoffs.  Returns an (n_kicks + 1, 4)
+    array of amplitudes, row k being the state after k periods under the
+    requested ordering.
     """
-    p4 = _four_level_params(params)
-    ops = build_step_operators(p4)
-    psi = vacuum_state(p4)
-    if sampling is MapSampling.MID_PULSE:
-        half = build_half_kick(p4)
-        step = half @ ops.u_free @ half
-        out = [psi.copy()]
-        for _ in range(n_kicks):
-            psi = step @ psi
-            out.append(psi.copy())
-        return np.array(out)
-    ordering = (
-        Ordering.KICK_THEN_FREE
-        if sampling is MapSampling.POST_KICK
-        else Ordering.FREE_THEN_KICK
-    )
-    out = [psi.copy()]
-    for _ in range(n_kicks):
-        psi = map_step(psi, ops, ordering)
-        out.append(psi.copy())
-    return np.array(out)
+    return evolve(replace(params, dims=ModeDims(2, 2)), n_kicks, ordering=ordering)
 
 
 def calibrate_sampling(
     params: SystemParams, n_kicks: int = 50
-) -> tuple[MapSampling, dict[MapSampling, float]]:
+) -> tuple[Ordering, dict[Ordering, float]]:
     """Pick the sampling convention that best matches the closed forms.
 
-    Compares the four-level map under every sampling against
+    Compares the four-level map under every ordering against
     truncated_amplitudes over k <= n_kicks and returns the winner together
     with the per-convention maximal amplitude deviation.
     """
     analytic = np.array(
         [truncated_amplitudes(k, params).as_array() for k in range(n_kicks + 1)]
     )
-    deviations: dict[MapSampling, float] = {}
-    for sampling in MapSampling:
-        numeric = truncated_map_states(n_kicks, params, sampling)
-        deviations[sampling] = float(np.max(np.abs(numeric - analytic)))
+    deviations: dict[Ordering, float] = {}
+    for ordering in Ordering:
+        numeric = truncated_map_states(n_kicks, params, ordering)
+        deviations[ordering] = float(np.max(np.abs(numeric - analytic)))
     best = min(deviations, key=deviations.get)
     return best, deviations

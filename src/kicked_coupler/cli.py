@@ -28,18 +28,21 @@ from .analytic import (
     uncoupled_amplitudes,
 )
 from .entanglement import (
+    QubitObservables,
     annotate_trajectory,
     bell_fidelities,
     concurrence_pure,
-    project_to_qubits,
 )
 from .errors import ConfigError, ContractViolationError, SingularCouplingError
 from .fock import ModeDims
 from .hamiltonians import SystemParams
-from .propagation import DEFAULT_ORDERING, Ordering, evolve, evolve_midpulse
+from .propagation import DEFAULT_ORDERING, Ordering, evolve
 
 MODES = ("simulate", "analytic", "compare", "scan")
 SCAN_PARAMS = ("alpha", "epsilon", "T")
+# the full-basis runs record after each whole period; mid-pulse sampling is
+# reserved for compare mode
+ORDERINGS = (Ordering.KICK_THEN_FREE.value, Ordering.FREE_THEN_KICK.value)
 
 CSV_HEADER = "k,P00,P01,P10,P11,leakage,concurrence,F_B1,F_B2,F_B3,F_B4"
 COMPARE_EXTRA = "A00,A01,A10,A11,dP_max"
@@ -96,6 +99,8 @@ def _parse_value(key: str, raw: str, line_no: int):
                 raise ValueError(f"mode must be one of {MODES}")
             return raw
         if key == "ordering":
+            if raw not in ORDERINGS:
+                raise ValueError(f"ordering must be one of {ORDERINGS}")
             return Ordering(raw)
         if key == "scan_param":
             if raw not in SCAN_PARAMS:
@@ -142,6 +147,13 @@ def _config_from_items(items: dict) -> RunConfig:
             raise ConfigError(
                 f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}"
             )
+        # every scanned value lies between the endpoints, so checking those
+        # rejects a non-finite or nonpositive-period scan before it runs
+        try:
+            for value in (scan.start, scan.stop):
+                replace(params, **{scan.param: value})
+        except ValueError as exc:
+            raise ConfigError(f"scan endpoint: {exc}")
     else:
         if scan_keys:
             raise ConfigError(
@@ -215,7 +227,7 @@ def echo_config(config: RunConfig) -> str:
 def _analytic_state(k: int, params: SystemParams) -> TruncatedState:
     eps_t = abs(params.epsilon) * params.T
     if eps_t <= SINGULAR_COUPLING_THRESHOLD:
-        return uncoupled_amplitudes(k, abs(params.alpha), params.T)
+        return uncoupled_amplitudes(k, abs(params.alpha))
     return truncated_amplitudes(k, params)
 
 
@@ -237,18 +249,27 @@ def _row_from_amplitudes(k: int, state: TruncatedState) -> str:
     return ",".join(cells)
 
 
-def _run_simulate(config: RunConfig) -> list[str]:
-    traj = annotate_trajectory(
-        evolve(config.params, config.n_kicks, ordering=config.ordering)
+def _observable_columns(obs: QubitObservables) -> np.ndarray:
+    """The CSV_HEADER columns after k, one row per kick."""
+    return np.column_stack(
+        (obs.probs, obs.leakage, obs.concurrence, obs.bell_fidelities)
     )
-    rows = [CSV_HEADER]
-    for rec in traj.records:
-        cells = [str(rec.k)] + [
-            _fmt(v)
-            for v in (*rec.probs, rec.leakage, rec.concurrence, *rec.bell_fidelities)
-        ]
-        rows.append(",".join(cells))
-    return rows
+
+
+def _csv_rows(table: np.ndarray) -> list[str]:
+    """One CSV row per table row, prefixed with its kick number."""
+    return [
+        ",".join([str(k)] + [_fmt(v) for v in row.tolist()])
+        for k, row in enumerate(table)
+    ]
+
+
+def _run_simulate(config: RunConfig) -> list[str]:
+    obs = annotate_trajectory(
+        evolve(config.params, config.n_kicks, ordering=config.ordering),
+        config.params.dims,
+    )
+    return [CSV_HEADER] + _csv_rows(_observable_columns(obs))
 
 
 def _run_analytic(config: RunConfig) -> list[str]:
@@ -270,23 +291,19 @@ def _run_compare(config: RunConfig) -> list[str]:
     _warn_complex_phases(config.params)
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
-    states = evolve_midpulse(config.params, config.n_kicks)
-    rows = [CSV_HEADER + "," + COMPARE_EXTRA]
-    dims = config.params.dims
-    for k, psi in enumerate(states):
-        qubit_state, leakage = project_to_qubits(psi, dims)
-        raw = np.array(
-            [np.abs(psi[m * dims.dim_b + n]) ** 2 for m in (0, 1) for n in (0, 1)]
-        )
-        conc = concurrence_pure(qubit_state)
-        fids = bell_fidelities(qubit_state)
-        ana = _analytic_state(k, config.params).probabilities()
-        dp_max = float(np.max(np.abs(raw - ana)))
-        cells = [str(k)] + [
-            _fmt(v) for v in (*raw, leakage, conc, *fids, *ana, dp_max)
+    obs = annotate_trajectory(
+        evolve(config.params, config.n_kicks, ordering=Ordering.MID_PULSE),
+        config.params.dims,
+    )
+    ana = np.array(
+        [
+            _analytic_state(k, config.params).probabilities()
+            for k in range(config.n_kicks + 1)
         ]
-        rows.append(",".join(cells))
-    return rows
+    )
+    dp_max = np.max(np.abs(obs.probs - ana), axis=1)
+    table = np.column_stack((_observable_columns(obs), ana, dp_max))
+    return [CSV_HEADER + "," + COMPARE_EXTRA] + _csv_rows(table)
 
 
 def _run_scan(config: RunConfig) -> list[str]:
@@ -294,20 +311,18 @@ def _run_scan(config: RunConfig) -> list[str]:
     rows = [SCAN_HEADER]
     for value in np.linspace(scan.start, scan.stop, scan.steps):
         params = replace(config.params, **{scan.param: float(value)})
-        traj = annotate_trajectory(
-            evolve(params, config.n_kicks, ordering=config.ordering)
+        obs = annotate_trajectory(
+            evolve(params, config.n_kicks, ordering=config.ordering), params.dims
         )
-        concs = np.array([rec.concurrence for rec in traj.records])
-        leaks = np.array([rec.leakage for rec in traj.records])
-        k_at_max = int(np.argmax(concs))
+        k_at_max = int(np.argmax(obs.concurrence))
         rows.append(
             ",".join(
                 [
                     scan.param,
                     _fmt(value),
-                    _fmt(concs[k_at_max]),
+                    _fmt(obs.concurrence[k_at_max]),
                     str(k_at_max),
-                    _fmt(float(leaks.max())),
+                    _fmt(obs.leakage.max()),
                 ]
             )
         )
@@ -348,7 +363,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cutoff-a", dest="cutoff_a", help="Fock levels in mode a")
     parser.add_argument("--cutoff-b", dest="cutoff_b", help="Fock levels in mode b")
     parser.add_argument(
-        "--ordering", choices=[o.value for o in Ordering], help="step ordering"
+        "--ordering", choices=ORDERINGS, help="step ordering"
     )
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
     parser.add_argument(

@@ -7,10 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TruncatedState
-from .errors import ContractViolationError, DegenerateProjectionError
+from .errors import (
+    ContractViolationError,
+    DegenerateProjectionError,
+    DimensionMismatchError,
+)
 from .fock import ModeDims, joint_index
 from .numerics import hermitian_eigendecomposition, hermiticity_defect
-from .propagation import Trajectory
 
 # sigma_y (x) sigma_y in basis order (|00>, |01>, |10>, |11>); real
 _SY_SY = np.array(
@@ -49,6 +52,27 @@ def bell_states() -> tuple[BellState, BellState, BellState, BellState]:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class QubitObservables:
+    """Per-kick observables of a trajectory, one row per recorded state.
+
+    probs           : (K+1, 4) populations of |00>, |01>, |10>, |11>.
+    leakage         : (K+1,) probability mass outside the qubit subspace.
+    concurrence     : (K+1,) concurrence of the renormalized qubit state.
+    bell_fidelities : (K+1, 4) fidelities of that state with B1..B4.
+    """
+
+    probs: np.ndarray
+    leakage: np.ndarray
+    concurrence: np.ndarray
+    bell_fidelities: np.ndarray
+
+
+def _qubit_columns(dims: ModeDims) -> list[int]:
+    """Joint indices of |00>, |01>, |10>, |11>."""
+    return [joint_index(m, n, dims) for m in (0, 1) for n in (0, 1)]
+
+
 def project_to_qubits(psi: np.ndarray, dims: ModeDims) -> tuple[TruncatedState, float]:
     """Project a joint-basis state onto the two-qubit subspace.
 
@@ -56,7 +80,7 @@ def project_to_qubits(psi: np.ndarray, dims: ModeDims) -> tuple[TruncatedState, 
     probability mass outside the qubit subspace before renormalization.
     """
     psi = np.asarray(psi, dtype=complex)
-    raw = np.array([psi[joint_index(m, n, dims)] for m in (0, 1) for n in (0, 1)])
+    raw = psi[_qubit_columns(dims)]
     weight = float(np.sum(np.abs(raw) ** 2))
     if np.all(np.abs(raw) < _PROJECTION_FLOOR):
         raise DegenerateProjectionError(
@@ -127,21 +151,38 @@ def bell_fidelities(state: TruncatedState) -> tuple[float, float, float, float]:
     )
 
 
-def annotate_trajectory(traj: Trajectory) -> Trajectory:
-    """Fill every record with probabilities, leakage, concurrence, and
-    Bell fidelities of the projected (renormalized) qubit state."""
-    dims = traj.params.dims
-    for rec in traj.records:
-        qubit_state, leakage = project_to_qubits(rec.state, dims)
-        raw_probs = np.array(
-            [
-                np.abs(rec.state[joint_index(m, n, dims)]) ** 2
-                for m in (0, 1)
-                for n in (0, 1)
-            ]
+def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
+    """Probabilities, leakage, concurrence and Bell fidelities of every row
+    of an (K+1, D) trajectory, as project_to_qubits, concurrence_pure and
+    bell_fidelities give them row by row."""
+    if states.ndim != 2 or states.shape[1] != dims.joint:
+        raise DimensionMismatchError(
+            f"states have shape {states.shape}, expected (K+1, {dims.joint})"
         )
-        rec.probs = tuple(float(p) for p in raw_probs)
-        rec.leakage = leakage
-        rec.concurrence = concurrence_pure(qubit_state)
-        rec.bell_fidelities = bell_fidelities(qubit_state)
-    return traj
+    raw = states[:, _qubit_columns(dims)]
+    if np.any(np.all(np.abs(raw) < _PROJECTION_FLOOR, axis=1)):
+        raise DegenerateProjectionError(
+            "a state has no numerical support on the qubit subspace"
+        )
+    probs = np.abs(raw) ** 2
+    weight = np.sum(probs, axis=1)
+    # one vdot per row: the same norms as project_to_qubits, without a
+    # temporary the size of the trajectory
+    norms = np.array([np.vdot(psi, psi).real for psi in states])
+    q = raw / np.sqrt(weight)[:, None]
+    c00, c01, c10, c11 = q.T
+    # c00 c11 - c01 c10 in real arithmetic, in the order of Python's complex
+    # product, so the concurrence equals concurrence_pure's bit for bit
+    det_re = c00.real * c11.real - c00.imag * c11.imag - (
+        c01.real * c10.real - c01.imag * c10.imag
+    )
+    det_im = c00.real * c11.imag + c00.imag * c11.real - (
+        c01.real * c10.imag + c01.imag * c10.real
+    )
+    bell = np.array([b.amplitudes.as_array() for b in bell_states()])
+    return QubitObservables(
+        probs=probs,
+        leakage=np.maximum(norms - weight, 0.0),
+        concurrence=2.0 * np.hypot(det_re, det_im),
+        bell_fidelities=np.abs(q @ bell.conj().T) ** 2,
+    )

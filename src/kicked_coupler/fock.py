@@ -62,11 +62,6 @@ def number_op(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product consistent with the mode-a-major joint index."""
-    return np.kron(a, b)
-
-
 def embed_mode_a(op: np.ndarray, dims: ModeDims) -> np.ndarray:
     """Lift a single-mode operator on mode a to the joint space: op (x) I_b."""
     if op.shape != (dims.dim_a, dims.dim_a):
@@ -90,13 +85,6 @@ def joint_index(m: int, n: int, dims: ModeDims) -> int:
     if not (0 <= m < dims.dim_a and 0 <= n < dims.dim_b):
         raise IndexError(f"occupation ({m}, {n}) outside cutoffs {dims}")
     return m * dims.dim_b + n
-
-
-def split_index(index: int, dims: ModeDims) -> tuple[int, int]:
-    """Inverse of :func:`joint_index`."""
-    if not 0 <= index < dims.joint:
-        raise IndexError(f"joint index {index} outside dimension {dims.joint}")
-    return divmod(index, dims.dim_b)
 
 
 def basis_state(m: int, n: int, dims: ModeDims) -> np.ndarray:

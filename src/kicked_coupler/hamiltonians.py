@@ -9,6 +9,7 @@ take part in the dynamics.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ class SystemParams:
     dims: ModeDims = field(default_factory=lambda: ModeDims(15, 15))
 
     def __post_init__(self) -> None:
+        for name in ("chi_a", "chi_b", "epsilon", "alpha", "T"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.T <= 0:
             raise ValueError(f"pulse period T must be positive, got {self.T}")
 

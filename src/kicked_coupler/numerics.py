@@ -59,13 +59,3 @@ def unitary_from_generator(h: np.ndarray, t: float) -> np.ndarray:
     phases = np.exp(-1j * dec.eigenvalues * t)
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 
-
-def apply_operator(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check."""
-    u = np.asarray(u)
-    psi = np.asarray(psi)
-    if u.ndim != 2 or psi.ndim != 1 or u.shape[1] != psi.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot apply operator of shape {u.shape} to vector of shape {psi.shape}"
-        )
-    return u @ psi

@@ -1,31 +1,32 @@
 """Stroboscopic propagation of the kicked coupler.
 
 One drive period combines the single-pulse kick unitary U_K = exp(-i G)
-with the free-evolution unitary U_NL = exp(-i H_NL T).  Which of the two
-acts first within a recorded step is an explicit choice (`Ordering`); a
-third, mid-pulse sampling (half kick - free flight - half kick) is
-provided because it is the convention under which the closed-form
-four-state amplitudes are reproduced most accurately (see
-analytic.calibrate_sampling).
+with the free-evolution unitary U_NL = exp(-i H_NL T).  Where the state is
+recorded within a period is an explicit choice (`Ordering`): after the
+kick and the free flight in either order, or halfway through each pulse
+(half kick - free flight - half kick), the convention under which the
+closed-form four-state amplitudes are reproduced most accurately (see
+analytic.calibrate_sampling).  `evolve` is the one map loop for all three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .hamiltonians import SystemParams, build_coupler_hamiltonian, build_kick_generator
-from .numerics import apply_operator, unitary_from_generator
+from .numerics import unitary_from_generator
 
 
 class Ordering(Enum):
-    """Order of the two unitaries within one recorded period."""
+    """Where within one drive period the state is recorded."""
 
     KICK_THEN_FREE = "kick_then_free"
     FREE_THEN_KICK = "free_then_kick"
+    MID_PULSE = "mid_pulse"
 
 
 DEFAULT_ORDERING = Ordering.FREE_THEN_KICK
@@ -43,34 +44,6 @@ class StepOperators:
     u_kick: np.ndarray
 
 
-@dataclass
-class TrajectoryRecord:
-    """State after k periods plus derived observables.
-
-    The observable fields are filled in by entanglement.annotate_trajectory;
-    they stay None on a freshly evolved trajectory.
-    """
-
-    k: int
-    state: np.ndarray
-    probs: tuple[float, float, float, float] | None = None
-    leakage: float | None = None
-    concurrence: float | None = None
-    bell_fidelities: tuple[float, float, float, float] | None = None
-
-
-@dataclass
-class Trajectory:
-    """Stroboscopic record of an evolution; records[0] is the initial state.
-
-    The repr leaves out the records, which can hold thousands of states.
-    """
-
-    params: SystemParams
-    ordering: Ordering
-    records: list[TrajectoryRecord] = field(default_factory=list, repr=False)
-
-
 def build_step_operators(params: SystemParams) -> StepOperators:
     """Construct U_NL and U_K for the given parameters."""
     u_free = unitary_from_generator(build_coupler_hamiltonian(params), params.T)
@@ -83,11 +56,16 @@ def build_half_kick(params: SystemParams) -> np.ndarray:
     return unitary_from_generator(build_kick_generator(params), 0.5)
 
 
-def map_step(psi: np.ndarray, ops: StepOperators, ordering: Ordering) -> np.ndarray:
-    """Advance the state by one drive period."""
+def _period_factors(params: SystemParams, ordering: Ordering) -> tuple[np.ndarray, ...]:
+    """The matrices one period applies to the state, first factor first."""
+    if ordering is Ordering.MID_PULSE:
+        u_free = unitary_from_generator(build_coupler_hamiltonian(params), params.T)
+        u_half = build_half_kick(params)
+        return (u_half @ u_free @ u_half,)
+    ops = build_step_operators(params)
     if ordering is Ordering.KICK_THEN_FREE:
-        return apply_operator(ops.u_free, apply_operator(ops.u_kick, psi))
-    return apply_operator(ops.u_kick, apply_operator(ops.u_free, psi))
+        return (ops.u_kick, ops.u_free)
+    return (ops.u_free, ops.u_kick)
 
 
 def vacuum_state(params: SystemParams) -> np.ndarray:
@@ -105,7 +83,7 @@ def _check_initial(params: SystemParams, initial: np.ndarray | None) -> np.ndarr
         raise DimensionMismatchError(
             f"initial state has shape {initial.shape}, expected ({params.dims.joint},)"
         )
-    return initial.copy()
+    return initial
 
 
 def evolve(
@@ -113,44 +91,24 @@ def evolve(
     n_kicks: int,
     initial: np.ndarray | None = None,
     ordering: Ordering = DEFAULT_ORDERING,
-) -> Trajectory:
+) -> np.ndarray:
     """Iterate the stroboscopic map and record the state after every period.
 
-    Returns a trajectory with n_kicks + 1 records; record k holds the state
-    after k applications of the one-period map.  The default initial state
-    is the two-mode vacuum.
+    Returns an (n_kicks + 1, D) complex array whose row k is the state after
+    k applications of the one-period map under the given ordering.  The
+    default initial state is the two-mode vacuum.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
     psi = _check_initial(params, initial)
-    ops = build_step_operators(params)
-    traj = Trajectory(params=params, ordering=ordering)
-    traj.records.append(TrajectoryRecord(k=0, state=psi.copy()))
+    # the operators are built before the trajectory is allocated, so their
+    # construction temporaries are freed before the largest array exists
+    factors = _period_factors(params, ordering)
+    states = np.empty((n_kicks + 1, psi.size), dtype=complex)
+    states[0] = psi
     for k in range(1, n_kicks + 1):
-        psi = map_step(psi, ops, ordering)
-        traj.records.append(TrajectoryRecord(k=k, state=psi.copy()))
-    return traj
-
-
-def evolve_midpulse(
-    params: SystemParams,
-    n_kicks: int,
-    initial: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Evolve with the symmetric step U_K^(1/2) U_NL U_K^(1/2).
-
-    Equivalent to sampling the kicked dynamics halfway through each pulse.
-    This is the sampling under which the closed-form amplitudes agree with
-    the numerics to highest order; used by the analytic comparison path.
-    """
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
-    psi = _check_initial(params, initial)
-    u_free = unitary_from_generator(build_coupler_hamiltonian(params), params.T)
-    u_half = build_half_kick(params)
-    step = u_half @ u_free @ u_half
-    states = [psi.copy()]
-    for _ in range(n_kicks):
-        psi = step @ psi
-        states.append(psi.copy())
+        psi = states[k - 1]
+        for u in factors:
+            psi = u @ psi
+        states[k] = psi
     return states

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from kicked_coupler import (
-    MapSampling,
     ModeDims,
+    Ordering,
     SystemParams,
     TruncatedState,
     annotate_trajectory,
@@ -29,7 +29,6 @@ from kicked_coupler import (
     concurrence_pure,
     density_from_pure,
     evolve,
-    evolve_midpulse,
     joint_index,
     truncated_amplitudes,
     truncated_map_states,
@@ -44,10 +43,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def qubit_probs(state, dims):
-    return np.array(
-        [abs(state[joint_index(m, n, dims)]) ** 2 for m, n in QUBIT_STATES]
-    )
+def qubit_probs(states, dims):
+    return np.abs(states[:, [joint_index(m, n, dims) for m, n in QUBIT_STATES]]) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +53,13 @@ def reference_params():
 
 
 @pytest.fixture(scope="module")
-def long_trajectory(reference_params):
-    return annotate_trajectory(evolve(reference_params, 5000))
+def long_states(reference_params):
+    return evolve(reference_params, 5000)
+
+
+@pytest.fixture(scope="module")
+def long_observables(reference_params, long_states):
+    return annotate_trajectory(long_states, reference_params.dims)
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +74,12 @@ def analytic_probs_1000(reference_params):
 
 def test_criterion_1_analytic_numeric_agreement(reference_params, analytic_probs_1000):
     # mid-pulse sampling is the calibrated offset (see calibrate_sampling)
-    states = evolve_midpulse(reference_params, 1000)
-    dims = reference_params.dims
-    numeric = np.array([qubit_probs(psi, dims) for psi in states])
+    states = evolve(reference_params, 1000, ordering=Ordering.MID_PULSE)
+    numeric = qubit_probs(states, reference_params.dims)
     max_dp = float(np.max(np.abs(numeric - analytic_probs_1000)))
     # the same comparison without the levels above |1>: the closed forms
     # against the exact four-level map
-    four_level = truncated_map_states(1000, reference_params, MapSampling.MID_PULSE)
+    four_level = truncated_map_states(1000, reference_params, Ordering.MID_PULSE)
     four_level_dp = float(
         np.max(np.abs(np.abs(four_level) ** 2 - analytic_probs_1000))
     )
@@ -90,17 +91,13 @@ def test_criterion_1_analytic_numeric_agreement(reference_params, analytic_probs
     )
 
 
-def test_criterion_2_truncation_leakage(long_trajectory):
-    leak = max(rec.leakage for rec in long_trajectory.records[:1001])
+def test_criterion_2_truncation_leakage(long_observables):
+    leak = float(np.max(long_observables.leakage[:1001]))
     report(
         "criterion 2: truncation leakage in [1e-4, 1e-2], k <= 1000",
         1e-4 <= leak <= 1e-2,
         f"max leakage = {leak:.3e}",
     )
-
-
-def concurrence_series(traj):
-    return np.array([rec.concurrence for rec in traj.records])
 
 
 def first_concurrence_maximum(conc, threshold=0.98):
@@ -112,8 +109,8 @@ def first_concurrence_maximum(conc, threshold=0.98):
     return int(first_cluster[np.argmax(conc[first_cluster])])
 
 
-def test_criterion_3_entanglement_maxima(long_trajectory):
-    conc = concurrence_series(long_trajectory)
+def test_criterion_3_entanglement_maxima(long_observables):
+    conc = long_observables.concurrence
     above = np.flatnonzero(conc >= 0.98)
     separated = 0
     last = -10**9
@@ -128,19 +125,19 @@ def test_criterion_3_entanglement_maxima(long_trajectory):
     )
 
 
-def test_criterion_4_bell_state_generation(long_trajectory, reference_params):
+def test_criterion_4_bell_state_generation(long_observables, reference_params):
     # The first maximum is (|00> - i|11>)/sqrt2, which is B2 in the
     # convention of entanglement.bell_states; B1 first appears at the second
     # maximum.  The closed forms set the label: their own first maximum must
     # be the same Bell state.
-    k_star = first_concurrence_maximum(concurrence_series(long_trajectory))
+    k_star = first_concurrence_maximum(long_observables.concurrence)
     assert k_star is not None, "no concurrence maximum found"
-    rec = long_trajectory.records[k_star]
-    f_b2 = rec.bell_fidelities[1]
-    p00, p11 = rec.probs[0], rec.probs[3]
+    fids = long_observables.bell_fidelities[k_star]
+    f_b2 = fids[1]
+    p00, p11 = long_observables.probs[k_star, 0], long_observables.probs[k_star, 3]
     closed_forms = [
         truncated_amplitudes(k, reference_params)
-        for k in range(len(long_trajectory.records))
+        for k in range(len(long_observables.concurrence))
     ]
     k_closed = first_concurrence_maximum(
         np.array([concurrence_pure(state) for state in closed_forms])
@@ -156,7 +153,7 @@ def test_criterion_4_bell_state_generation(long_trajectory, reference_params):
     report(
         "criterion 4: F(B2) >= 0.95 at first concurrence maximum",
         ok,
-        f"k = {k_star}, F(B2) = {f_b2:.4f}, F(B1) = {rec.bell_fidelities[0]:.4f}, "
+        f"k = {k_star}, F(B2) = {f_b2:.4f}, F(B1) = {fids[0]:.4f}, "
         f"P00 = {p00:.4f}, P11 = {p11:.4f}; closed forms: k = {k_closed}, "
         f"F(B2) = {f_b2_closed:.4f}",
     )
@@ -164,24 +161,24 @@ def test_criterion_4_bell_state_generation(long_trajectory, reference_params):
 
 def test_criterion_5_uncoupled_special_case():
     params = SystemParams(epsilon=0.0)
-    traj = evolve(params, 1000)
+    states = evolve(params, 1000)
     dims = params.dims
     alpha = abs(params.alpha)
     max_dp = 0.0
     max_mode_b = 0.0
-    for rec in traj.records:
-        grid = rec.state.reshape(dims.dim_a, dims.dim_b)
+    for k, psi in enumerate(states):
+        grid = psi.reshape(dims.dim_a, dims.dim_b)
         p0 = float(np.sum(np.abs(grid[0, :]) ** 2))
         p1 = float(np.sum(np.abs(grid[1, :]) ** 2))
         max_dp = max(
             max_dp,
-            abs(p0 - np.cos(rec.k * alpha) ** 2),
-            abs(p1 - np.sin(rec.k * alpha) ** 2),
+            abs(p0 - np.cos(k * alpha) ** 2),
+            abs(p1 - np.sin(k * alpha) ** 2),
         )
         max_mode_b = max(max_mode_b, float(np.sum(np.abs(grid[:, 1:]) ** 2)))
     ok = max_dp <= 5e-3 and max_mode_b <= 1e-10
     # the same map (evolve's default ordering) without the levels above |1>
-    four_level = truncated_map_states(1000, params, MapSampling.POST_FREE)
+    four_level = truncated_map_states(1000, params, Ordering.FREE_THEN_KICK)
     p_mode_a = np.sum(np.abs(four_level.reshape(-1, 2, 2)) ** 2, axis=2)
     angle = np.arange(1001) * alpha
     rabi = np.stack([np.cos(angle) ** 2, np.sin(angle) ** 2], axis=1)
@@ -194,18 +191,16 @@ def test_criterion_5_uncoupled_special_case():
     )
 
 
-def test_criterion_6_property_suite(reference_params, long_trajectory, rng):
+def test_criterion_6_property_suite(reference_params, long_states, rng):
     ops = build_step_operators(reference_params)
     dim = reference_params.dims.joint
     unit_defect = max(
         float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
         for u in (ops.u_free, ops.u_kick)
     )
-    norm_defect = max(
-        abs(np.linalg.norm(rec.state) - 1.0) for rec in long_trajectory.records
-    )
+    norm_defect = max(abs(np.linalg.norm(psi) - 1.0) for psi in long_states)
     h = build_coupler_hamiltonian(reference_params)
-    psi = long_trajectory.records[137].state
+    psi = long_states[137]
     energy_defect = abs(
         np.vdot(ops.u_free @ psi, h @ (ops.u_free @ psi)).real
         - np.vdot(psi, h @ psi).real
@@ -264,7 +259,7 @@ def test_criterion_8_closed_form_self_consistency(reference_params):
         f"[acceptance] criterion 8 note: closed-form normalization defect over "
         f"k <= 5000 is {norm_defect:.3e}"
     )
-    reference = truncated_map_states(50, reference_params, MapSampling.MID_PULSE)
+    reference = truncated_map_states(50, reference_params, Ordering.MID_PULSE)
     analytic = np.array(
         [truncated_amplitudes(k, reference_params).as_array() for k in range(51)]
     )
@@ -279,10 +274,7 @@ def test_criterion_8_closed_form_self_consistency(reference_params):
 def test_criterion_9_cutoff_convergence(analytic_probs_1000):
     def probs_at_cutoff(cut):
         params = SystemParams(dims=ModeDims(cut, cut))
-        traj = evolve(params, 1000)
-        return np.array(
-            [qubit_probs(rec.state, params.dims) for rec in traj.records]
-        )
+        return qubit_probs(evolve(params, 1000), params.dims)
 
     diff = float(np.max(np.abs(probs_at_cutoff(10) - probs_at_cutoff(15))))
     report(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kicked_coupler import (
-    MapSampling,
+    Ordering,
     SystemParams,
     SingularCouplingError,
     calibrate_sampling,
@@ -59,7 +59,7 @@ class TestTruncatedAmplitudes:
     def test_matches_four_level_map(self, default_params):
         # the four-level kicked map under mid-pulse sampling is the
         # independent reference for the closed forms
-        numeric = truncated_map_states(50, default_params, MapSampling.MID_PULSE)
+        numeric = truncated_map_states(50, default_params, Ordering.MID_PULSE)
         for k in range(51):
             analytic = truncated_amplitudes(k, default_params).as_array()
             assert np.max(np.abs(numeric[k] - analytic)) < 1e-3
@@ -119,11 +119,11 @@ class TestUncoupledAmplitudes:
 class TestCalibration:
     def test_mid_pulse_sampling_wins(self, default_params):
         best, deviations = calibrate_sampling(default_params)
-        assert best is MapSampling.MID_PULSE
-        assert deviations[MapSampling.MID_PULSE] < 1e-3
+        assert best is Ordering.MID_PULSE
+        assert deviations[Ordering.MID_PULSE] < 1e-3
         # the post-step conventions carry a visible half-kick offset
-        assert deviations[MapSampling.POST_KICK] > deviations[MapSampling.MID_PULSE]
-        assert deviations[MapSampling.POST_FREE] > deviations[MapSampling.MID_PULSE]
+        assert deviations[Ordering.KICK_THEN_FREE] > deviations[Ordering.MID_PULSE]
+        assert deviations[Ordering.FREE_THEN_KICK] > deviations[Ordering.MID_PULSE]
 
     def test_truncated_map_norms(self, default_params):
         states = truncated_map_states(100, default_params)

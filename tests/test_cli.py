@@ -64,6 +64,23 @@ class TestParseConfig:
     def test_ordering_values(self):
         config = parse_config("ordering = kick_then_free")
         assert config.ordering is Ordering.KICK_THEN_FREE
+        config = parse_config("ordering = free_then_kick")
+        assert config.ordering is Ordering.FREE_THEN_KICK
+
+    def test_ordering_rejects_mid_pulse(self):
+        # mid-pulse sampling is what compare mode uses; it is not selectable
+        with pytest.raises(ConfigError, match="ordering"):
+            parse_config("ordering = mid_pulse")
+        with pytest.raises(SystemExit) as exc:
+            main(["--ordering", "mid_pulse", "--echo-config"])
+        assert exc.value.code == 2
+
+    def test_scan_endpoints_must_give_valid_parameters(self):
+        base = "mode = scan\nscan_steps = 3\n"
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(base + "scan_param = alpha\nscan_start = 0.01\nscan_stop = inf")
+        with pytest.raises(ConfigError, match="positive"):
+            parse_config(base + "scan_param = T\nscan_start = -1\nscan_stop = 1")
 
     def test_round_trip(self):
         text = (
@@ -151,6 +168,15 @@ class TestMain:
 
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "nan"), ("--epsilon", "inf"), ("--T", "inf")]
+    )
+    def test_non_finite_parameter_exit_code(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run.csv"
+        assert main([flag, value, "--kicks", "3", "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"

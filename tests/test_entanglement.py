@@ -4,6 +4,7 @@ import pytest
 from kicked_coupler import (
     ContractViolationError,
     DegenerateProjectionError,
+    DimensionMismatchError,
     ModeDims,
     SystemParams,
     TruncatedState,
@@ -15,6 +16,7 @@ from kicked_coupler import (
     concurrence_pure,
     density_from_pure,
     evolve,
+    joint_index,
     project_to_qubits,
 )
 from conftest import random_unit_vector
@@ -145,15 +147,53 @@ class TestBellFidelities:
 class TestAnnotateTrajectory:
     def test_initial_record(self):
         params = SystemParams(dims=ModeDims(4, 4))
-        traj = annotate_trajectory(evolve(params, 3))
-        rec = traj.records[0]
-        np.testing.assert_allclose(rec.probs, [1, 0, 0, 0], atol=0)
-        assert rec.leakage == 0.0
-        assert rec.concurrence == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(rec.bell_fidelities, [0.5, 0.5, 0, 0], atol=1e-14)
+        obs = annotate_trajectory(evolve(params, 3), params.dims)
+        np.testing.assert_allclose(obs.probs[0], [1, 0, 0, 0], atol=0)
+        assert obs.leakage[0] == 0.0
+        assert obs.concurrence[0] == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(obs.bell_fidelities[0], [0.5, 0.5, 0, 0], atol=1e-14)
+
+    def test_shapes(self):
+        params = SystemParams(dims=ModeDims(4, 3))
+        obs = annotate_trajectory(evolve(params, 9), params.dims)
+        assert obs.probs.shape == obs.bell_fidelities.shape == (10, 4)
+        assert obs.leakage.shape == obs.concurrence.shape == (10,)
 
     def test_partition_of_unity(self):
         params = SystemParams(dims=ModeDims(6, 6))
-        traj = annotate_trajectory(evolve(params, 100))
-        for rec in traj.records:
-            assert sum(rec.probs) + rec.leakage == pytest.approx(1.0, abs=1e-9)
+        obs = annotate_trajectory(evolve(params, 100), params.dims)
+        np.testing.assert_allclose(
+            obs.probs.sum(axis=1) + obs.leakage, 1.0, rtol=0, atol=1e-9
+        )
+
+    def test_matches_per_row_reference(self):
+        # float64 roundoff on four-component sums stays far below 1e-14
+        params = SystemParams(alpha=0.3, epsilon=0.05 + 0.02j, dims=ModeDims(5, 4))
+        states = evolve(params, 200)
+        obs = annotate_trajectory(states, params.dims)
+        for k, psi in enumerate(states):
+            state, leakage = project_to_qubits(psi, params.dims)
+            raw = np.array(
+                [psi[joint_index(m, n, params.dims)] for m in (0, 1) for n in (0, 1)]
+            )
+            np.testing.assert_allclose(obs.probs[k], np.abs(raw) ** 2, rtol=0, atol=1e-14)
+            assert abs(obs.leakage[k] - leakage) <= 1e-14
+            assert abs(obs.concurrence[k] - concurrence_pure(state)) <= 1e-14
+            np.testing.assert_allclose(
+                obs.bell_fidelities[k], bell_fidelities(state), rtol=0, atol=1e-14
+            )
+        # the trajectory leaves the qubit subspace, so leakage is exercised
+        assert obs.leakage.max() > 1e-3
+
+    def test_rejects_states_of_other_dimension(self):
+        params = SystemParams(dims=ModeDims(4, 4))
+        with pytest.raises(DimensionMismatchError):
+            annotate_trajectory(evolve(params, 2), ModeDims(4, 3))
+
+    def test_degenerate_row(self):
+        dims = ModeDims(4, 4)
+        states = np.array(
+            [basis_state(0, 0, dims), basis_state(3, 3, dims), basis_state(1, 1, dims)]
+        )
+        with pytest.raises(DegenerateProjectionError):
+            annotate_trajectory(states, dims)

@@ -11,8 +11,6 @@ from kicked_coupler import (
     embed_mode_b,
     joint_index,
     number_op,
-    split_index,
-    tensor_product,
 )
 
 
@@ -69,10 +67,12 @@ class TestAnnihilation:
 
 
 class TestTensorProduct:
+    """The joint space is the Kronecker product of the modes, mode a major."""
+
     def test_identity_kron_identity(self):
-        np.testing.assert_allclose(
-            tensor_product(np.eye(2), np.eye(3)), np.eye(6), atol=0
-        )
+        dims = ModeDims(2, 3)
+        np.testing.assert_allclose(embed_mode_a(np.eye(2), dims), np.eye(6), atol=0)
+        np.testing.assert_allclose(embed_mode_b(np.eye(3), dims), np.eye(6), atol=0)
 
     def test_acts_per_factor(self):
         dims = ModeDims(3, 3)
@@ -83,14 +83,16 @@ class TestTensorProduct:
         )
 
     def test_mixed_product_property(self, rng):
-        # (A x B)(C x D) = (AC) x (BD), checked against dense multiplication
-        mats = [
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)
-        ]
-        a, b, c, d = mats
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+        # (A x B)(C x D) = (AC) x (BD), with A x B = (A x I)(I x B)
+        dims = ModeDims(2, 3)
+        a, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        b, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+
+        def kron(x, y):
+            return embed_mode_a(x, dims) @ embed_mode_b(y, dims)
+
+        np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=1e-13)
+        np.testing.assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-13)
 
 
 class TestEmbedding:
@@ -130,7 +132,7 @@ class TestJointIndex:
         dims = ModeDims(4, 7)
         for m in range(4):
             for n in range(7):
-                assert split_index(joint_index(m, n, dims), dims) == (m, n)
+                assert joint_index(m, n, dims) == m * dims.dim_b + n
 
     def test_mode_a_major_ordering(self):
         dims = ModeDims(3, 5)
@@ -141,4 +143,4 @@ class TestJointIndex:
         with pytest.raises(IndexError):
             joint_index(2, 0, dims)
         with pytest.raises(IndexError):
-            split_index(4, dims)
+            joint_index(0, 2, dims)

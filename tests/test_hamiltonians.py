@@ -75,6 +75,22 @@ class TestCouplerHamiltonian:
         with pytest.raises(ValueError):
             SystemParams(T=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chi_a", float("nan")),
+            ("chi_b", float("inf")),
+            ("T", float("inf")),
+            ("alpha", complex("nan")),
+            ("alpha", complex(0.04, float("inf"))),
+            ("epsilon", complex(float("-inf"), 0.0)),
+            ("epsilon", complex(0.01, float("nan"))),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemParams(**{field: value})
+
 
 class TestKickGenerator:
     def test_drive_matrix_elements(self):

@@ -4,7 +4,6 @@ import pytest
 from kicked_coupler import (
     ContractViolationError,
     DimensionMismatchError,
-    apply_operator,
     hermitian_eigendecomposition,
     unitary_from_generator,
 )
@@ -72,25 +71,3 @@ class TestUnitaryFromGenerator:
         psi = random_unit_vector(rng, 20)
         assert abs(np.linalg.norm(u @ psi) - 1.0) <= 1e-10
 
-
-class TestApplyOperator:
-    def test_identity(self, rng):
-        psi = random_unit_vector(rng, 8)
-        np.testing.assert_allclose(apply_operator(np.eye(8), psi), psi, atol=0)
-
-    def test_permutation(self):
-        perm = np.eye(4)[[2, 0, 3, 1]]
-        e1 = np.eye(4)[:, 0]
-        np.testing.assert_allclose(apply_operator(perm, e1), np.eye(4)[:, 1], atol=0)
-
-    def test_matches_naive_summation(self, rng):
-        u = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        psi = random_unit_vector(rng, 9)
-        naive = np.array(
-            [sum(u[i, j] * psi[j] for j in range(9)) for i in range(9)]
-        )
-        assert np.max(np.abs(apply_operator(u, psi) - naive)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_operator(np.eye(3), np.zeros(4))

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from kicked_coupler import (
+    DimensionMismatchError,
     ModeDims,
     Ordering,
     SystemParams,
     basis_state,
     build_coupler_hamiltonian,
+    build_half_kick,
     build_step_operators,
     evolve,
-    evolve_midpulse,
     joint_index,
-    map_step,
     truncated_amplitudes,
     vacuum_state,
 )
@@ -52,44 +52,56 @@ class TestStepOperators:
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-10
 
 
+def loop_reference(params, n_kicks, ordering):
+    """The map loop written out step by step: the reference for evolve."""
+    ops = build_step_operators(params)
+    if ordering is Ordering.MID_PULSE:
+        half = build_half_kick(params)
+        factors = [half @ ops.u_free @ half]
+    elif ordering is Ordering.KICK_THEN_FREE:
+        factors = [ops.u_kick, ops.u_free]
+    else:
+        factors = [ops.u_free, ops.u_kick]
+    psi = vacuum_state(params)
+    states = [psi]
+    for _ in range(n_kicks):
+        for u in factors:
+            psi = u @ psi
+        states.append(psi)
+    return np.array(states)
+
+
 class TestMapStep:
     def test_vacuum_stationary_without_drive(self):
         params = SystemParams(alpha=0.0)
-        ops = build_step_operators(params)
         psi = vacuum_state(params)
         for ordering in Ordering:
-            out = psi.copy()
-            for _ in range(20):
-                out = map_step(out, ops, ordering)
-            np.testing.assert_allclose(out, psi, atol=1e-12)
+            states = evolve(params, 20, ordering=ordering)
+            np.testing.assert_allclose(states[-1], psi, atol=1e-12)
 
     def test_uncoupled_rabi_oscillation(self):
         # with epsilon = 0 mode b stays empty and mode a rotates by alpha
         # per kick, up to truncation corrections from higher Fock levels
         params = SystemParams(epsilon=0.0)
-        ops = build_step_operators(params)
         dims = params.dims
         alpha = abs(params.alpha)
-        psi = vacuum_state(params)
-        psi = map_step(psi, ops, Ordering.KICK_THEN_FREE)
-        grid = psi.reshape(dims.dim_a, dims.dim_b)
+        states = evolve(params, 50, ordering=Ordering.KICK_THEN_FREE)
+        grids = states.reshape(-1, dims.dim_a, dims.dim_b)
         # exact phase convention visible at k = 1
-        assert abs(grid[0, 0] - np.cos(alpha)) < 1e-3
-        assert abs(grid[1, 0] - (-1j) * np.sin(alpha)) < 1e-3
+        assert abs(grids[1, 0, 0] - np.cos(alpha)) < 1e-3
+        assert abs(grids[1, 1, 0] - (-1j) * np.sin(alpha)) < 1e-3
         # over longer windows second-order corrections from the virtual |2>
         # excursions accumulate; the occupation probabilities still follow
         # the two-level rotation closely
         for k in range(2, 51):
-            psi = map_step(psi, ops, Ordering.KICK_THEN_FREE)
-            grid = psi.reshape(dims.dim_a, dims.dim_b)
+            grid = grids[k]
             assert abs(abs(grid[0, 0]) ** 2 - np.cos(k * alpha) ** 2) < 1e-2
             assert abs(abs(grid[1, 0]) ** 2 - np.sin(k * alpha) ** 2) < 1e-2
             assert np.sum(np.abs(grid[:, 1:]) ** 2) < 1e-20
 
     def test_single_step_matches_closed_form(self):
         params = SystemParams()
-        ops = build_step_operators(params)
-        psi = map_step(vacuum_state(params), ops, Ordering.KICK_THEN_FREE)
+        psi = evolve(params, 1, ordering=Ordering.KICK_THEN_FREE)[1]
         dims = params.dims
         numeric = np.array(
             [psi[joint_index(m, n, dims)] for m in (0, 1) for n in (0, 1)]
@@ -101,41 +113,42 @@ class TestMapStep:
 class TestEvolve:
     def test_zero_kicks(self):
         params = SystemParams(dims=ModeDims(4, 4))
-        traj = evolve(params, 0)
-        assert len(traj.records) == 1
-        np.testing.assert_allclose(traj.records[0].state, vacuum_state(params), atol=0)
+        states = evolve(params, 0)
+        assert states.shape == (1, 16)
+        np.testing.assert_allclose(states[0], vacuum_state(params), atol=0)
 
     def test_record_count_and_norms(self):
         params = SystemParams(dims=ModeDims(6, 6))
-        traj = evolve(params, 200)
-        assert len(traj.records) == 201
-        for rec in traj.records:
-            assert abs(np.linalg.norm(rec.state) - 1.0) <= 1e-9
+        states = evolve(params, 200)
+        assert states.shape == (201, 36)
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_matches_loop_reference(self, ordering):
+        # the same arithmetic as the written-out loop, so equal bit for bit
+        params = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(5, 4))
+        assert np.array_equal(
+            evolve(params, 60, ordering=ordering),
+            loop_reference(params, 60, ordering),
+        )
 
     def test_stroboscopic_composition(self):
         params = SystemParams(dims=ModeDims(5, 5))
         full = evolve(params, 30)
         first = evolve(params, 12)
-        second = evolve(params, 18, initial=first.records[-1].state)
-        np.testing.assert_allclose(
-            second.records[-1].state, full.records[-1].state, atol=1e-10
-        )
+        second = evolve(params, 18, initial=first[-1])
+        np.testing.assert_allclose(second[-1], full[-1], atol=1e-10)
 
     def test_determinism(self):
         params = SystemParams(dims=ModeDims(5, 5))
-        t1 = evolve(params, 40)
-        t2 = evolve(params, 40)
-        for r1, r2 in zip(t1.records, t2.records):
-            assert np.array_equal(r1.state, r2.state)
+        assert np.array_equal(evolve(params, 40), evolve(params, 40))
 
     def test_energy_conserved_between_kicks(self):
         params = SystemParams(dims=ModeDims(8, 8))
         h = build_coupler_hamiltonian(params)
         ops = build_step_operators(params)
-        psi = vacuum_state(params)
         # put some excitation in first
-        for _ in range(10):
-            psi = map_step(psi, ops, Ordering.KICK_THEN_FREE)
+        psi = evolve(params, 10, ordering=Ordering.KICK_THEN_FREE)[-1]
         before = np.vdot(psi, h @ psi).real
         after = np.vdot(ops.u_free @ psi, h @ (ops.u_free @ psi)).real
         assert abs(after - before) <= 1e-9 * np.max(np.abs(h))
@@ -144,8 +157,11 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(SystemParams(dims=ModeDims(3, 3)), -1)
 
+    def test_rejects_wrong_initial_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            evolve(SystemParams(dims=ModeDims(3, 3)), 2, initial=np.zeros(8))
+
     def test_midpulse_record_count(self):
-        states = evolve_midpulse(SystemParams(dims=ModeDims(4, 4)), 7)
-        assert len(states) == 8
-        for psi in states:
-            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+        states = evolve(SystemParams(dims=ModeDims(4, 4)), 7, ordering=Ordering.MID_PULSE)
+        assert states.shape == (8, 16)
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-10
