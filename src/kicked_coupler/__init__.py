@@ -46,7 +46,6 @@ from .hamiltonians import (
     total_number_op,
 )
 from .numerics import (
-    EigenDecomposition,
     hermitian_eigendecomposition,
     hermiticity_defect,
     unitary_from_generator,
@@ -68,7 +67,6 @@ __all__ = [
     "DEFAULT_ORDERING",
     "DegenerateProjectionError",
     "DimensionMismatchError",
-    "EigenDecomposition",
     "KickFrequencies",
     "ModeDims",
     "Ordering",

@@ -15,11 +15,13 @@ inputs are mapped to their magnitudes.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularCouplingError
+from .errors import ContractViolationError, SingularCouplingError
 from .fock import ModeDims
 from .hamiltonians import SystemParams
 from .propagation import Ordering, evolve
@@ -72,14 +74,27 @@ class TruncatedState:
 
 
 def kick_frequencies(params: SystemParams) -> KickFrequencies:
-    """Evaluate the three characteristic frequencies at |epsilon|, |alpha|."""
+    """Evaluate the three characteristic frequencies at |epsilon|, |alpha|.
+
+    Raises ContractViolationError if a frequency is not finite, which
+    happens when |epsilon T| or |alpha| is so large that its square
+    overflows.
+    """
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
-    omega = np.sqrt(eps_t**2 + 4 * alpha**2)
-    omega1 = np.sqrt(eps_t**2 + 2 * alpha**2 + eps_t * omega)
-    # radicand equals 4 alpha^4 / (eps_t^2 + 2 alpha^2 + eps_t * omega) >= 0;
-    # clip to guard against roundoff at alpha = 0
-    omega2 = np.sqrt(max(eps_t**2 + 2 * alpha**2 - eps_t * omega, 0.0))
+    try:
+        omega = np.sqrt(eps_t**2 + 4 * alpha**2)
+        omega1 = np.sqrt(eps_t**2 + 2 * alpha**2 + eps_t * omega)
+        # radicand equals 4 alpha^4 / (eps_t^2 + 2 alpha^2 + eps_t * omega) >= 0;
+        # clip to guard against roundoff at alpha = 0
+        omega2 = np.sqrt(max(eps_t**2 + 2 * alpha**2 - eps_t * omega, 0.0))
+    except OverflowError:  # Python float ** overflows by raising
+        omega = omega1 = omega2 = np.inf
+    if not all(map(math.isfinite, (omega, omega1, omega2))):
+        raise ContractViolationError(
+            f"kick frequencies are not finite at |epsilon T| = {eps_t:g}, "
+            f"|alpha| = {alpha:g}"
+        )
     return KickFrequencies(omega=float(omega), omega1=float(omega1), omega2=float(omega2))
 
 
@@ -88,7 +103,8 @@ def truncated_amplitudes(k: int, params: SystemParams) -> TruncatedState:
 
     Raises SingularCouplingError when |epsilon T| is below the threshold at
     which the 1/(eps T) prefactors lose all precision; callers should use
-    uncoupled_amplitudes in that regime.
+    uncoupled_amplitudes in that regime.  Raises ContractViolationError
+    when the frequencies or the amplitudes are not finite.
     """
     if k < 0:
         raise ValueError(f"kick count must be nonnegative, got {k}")
@@ -118,7 +134,13 @@ def truncated_amplitudes(k: int, params: SystemParams) -> TruncatedState:
         + eps_t * (eps_t - om) * om1 * sin2
     )
     c11 = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
-    return TruncatedState(complex(c00), complex(c01), complex(c10), complex(c11))
+    amps = (complex(c00), complex(c01), complex(c10), complex(c11))
+    if not all(map(cmath.isfinite, amps)):
+        raise ContractViolationError(
+            f"closed-form amplitudes are not finite at k = {k}, "
+            f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
+        )
+    return TruncatedState(*amps)
 
 
 def uncoupled_amplitudes(k: int, alpha: float) -> TruncatedState:

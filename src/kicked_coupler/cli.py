@@ -309,10 +309,14 @@ def _run_compare(config: RunConfig) -> list[str]:
 def _run_scan(config: RunConfig) -> list[str]:
     scan = config.scan
     rows = [SCAN_HEADER]
+    # the scanned parameter enters one generator only, so the other step
+    # unitary is built once and reused at every point
+    cache: dict = {}
     for value in np.linspace(scan.start, scan.stop, scan.steps):
         params = replace(config.params, **{scan.param: float(value)})
         obs = annotate_trajectory(
-            evolve(params, config.n_kicks, ordering=config.ordering), params.dims
+            evolve(params, config.n_kicks, ordering=config.ordering, cache=cache),
+            params.dims,
         )
         k_at_max = int(np.argmax(obs.concurrence))
         rows.append(

@@ -104,7 +104,7 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
         raise ContractViolationError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
         raise ContractViolationError("density matrix trace differs from 1 beyond 1e-12")
-    eigenvalues = hermitian_eigendecomposition(rho).eigenvalues
+    eigenvalues, _ = hermitian_eigendecomposition(rho)
     if np.min(eigenvalues) < -1e-10:
         raise ContractViolationError(
             f"density matrix has negative eigenvalue {np.min(eigenvalues):.3e}"
@@ -122,13 +122,13 @@ def concurrence(rho: np.ndarray) -> float:
     """
     rho = _validate_density(rho)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    dec = hermitian_eigendecomposition(rho)
-    sqrt_rho = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))) @ (
-        dec.eigenvectors.conj().T
+    rho_values, rho_vectors = hermitian_eigendecomposition(rho)
+    sqrt_rho = (rho_vectors * np.sqrt(np.clip(rho_values, 0.0, None))) @ (
+        rho_vectors.conj().T
     )
     m = sqrt_rho @ rho_tilde @ sqrt_rho
     m = 0.5 * (m + m.conj().T)  # symmetrize roundoff
-    eigenvalues = np.clip(hermitian_eigendecomposition(m).eigenvalues, 0.0, None)
+    eigenvalues = np.clip(hermitian_eigendecomposition(m)[0], 0.0, None)
     # roundoff noise below the leading eigenvalue would be amplified by the
     # square root; anything that far down is numerically zero
     if eigenvalues.max() > 0:

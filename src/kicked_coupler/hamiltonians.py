@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import ModeDims, annihilation_op, embed_mode_a, embed_mode_b, number_op
+from .fock import ModeDims
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,20 @@ class SystemParams:
             raise ValueError(f"pulse period T must be positive, got {self.T}")
 
 
+def _occupations(dims: ModeDims) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers (m, n) of every joint basis state |m>_a |n>_b."""
+    return np.divmod(np.arange(dims.joint), dims.dim_b)
+
+
+def _kerr_diagonal(occupation: np.ndarray) -> np.ndarray:
+    """<m| a+^2 a^2 |m> = m (m - 1), as ((s_m s_{m-1}) s_{m-1}) s_m with
+    s_m = sqrt(m): the factors in the order the dense product a+ a+ a a
+    multiplies them, so the result equals that product bit for bit."""
+    s = np.sqrt(occupation)
+    s_below = np.sqrt(np.maximum(occupation - 1, 0))
+    return (((s * s_below) * s_below) * s).astype(complex)
+
+
 def build_coupler_hamiltonian(params: SystemParams) -> np.ndarray:
     """Free Hamiltonian of the coupler on the joint basis.
 
@@ -50,15 +64,33 @@ def build_coupler_hamiltonian(params: SystemParams) -> np.ndarray:
 
     The Kerr terms vanish on all 0- and 1-photon states, so the four
     qubit basis states are coupled only through the epsilon terms.
+
+    H is filled from its diagonal and its hopping entries: beyond writing
+    the D x D array the work is O(D).  Each entry comes from the elementwise
+    operations the dense operator products would apply to it, so H equals
+    that dense expression bit for bit (signed zeros included).
     """
     dims = params.dims
-    a = embed_mode_a(annihilation_op(dims.dim_a), dims)
-    b = embed_mode_b(annihilation_op(dims.dim_b), dims)
-    ad, bd = a.conj().T, b.conj().T
+    m, n = _occupations(dims)
+    half_chi_a, half_chi_b = 0.5 * params.chi_a, 0.5 * params.chi_b
     eps = complex(params.epsilon)
-    h = 0.5 * params.chi_a * (ad @ ad @ a @ a)
-    h += 0.5 * params.chi_b * (bd @ bd @ b @ b)
-    h += eps * (ad @ b) + np.conj(eps) * (a @ bd)
+
+    def entries(kerr_a, kerr_b, hop, hop_t):
+        # the entry of H given those of a+^2 a^2, b+^2 b^2, a+ b and a b+
+        return half_chi_a * kerr_a + half_chi_b * kerr_b + (
+            eps * hop + np.conj(eps) * hop_t
+        )
+
+    zero = np.zeros(1, dtype=complex)
+    h = np.full((dims.joint, dims.joint), entries(zero, zero, zero, zero)[0])
+    diag = np.arange(dims.joint)
+    h[diag, diag] = entries(_kerr_diagonal(m), _kerr_diagonal(n), zero, zero)
+    # a+ b takes |m, n> to sqrt(m+1) sqrt(n) |m+1, n-1>; a b+ is its transpose
+    src = np.flatnonzero((n > 0) & (m < dims.dim_a - 1))
+    dst = src + dims.dim_b - 1
+    hop = (np.sqrt(m[src] + 1.0) * np.sqrt(n[src])).astype(complex)
+    h[dst, src] = entries(zero, zero, hop, zero)
+    h[src, dst] = entries(zero, zero, zero, hop)
     return h
 
 
@@ -67,16 +99,30 @@ def build_kick_generator(params: SystemParams) -> np.ndarray:
 
     G = alpha a+ + alpha* a, lifted to the joint basis.  One pulse of the
     periodic drive acts as exp(-i G); the delta-shaped pulse train is
-    realized by applying that unitary once per period.
+    realized by applying that unitary once per period.  Like H, G is filled
+    entry by entry and equals the dense expression bit for bit.
     """
     dims = params.dims
-    a = embed_mode_a(annihilation_op(dims.dim_a), dims)
+    m, _ = _occupations(dims)
     alpha = complex(params.alpha)
-    return alpha * a.conj().T + np.conj(alpha) * a
+
+    def entries(a_ij, a_ji):
+        # the entry (i, j) of G given a[i, j] and a[j, i]; (a+)[i, j] is
+        # conj(a[j, i]), which carries a negative zero imaginary part
+        return alpha * np.conj(a_ji) + np.conj(alpha) * a_ij
+
+    zero = np.zeros(1, dtype=complex)
+    g = np.full((dims.joint, dims.joint), entries(zero, zero)[0])
+    # a+ takes |m, n> to sqrt(m+1) |m+1, n>
+    src = np.flatnonzero(m < dims.dim_a - 1)
+    dst = src + dims.dim_b
+    raise_amp = np.sqrt(m[src] + 1.0).astype(complex)
+    g[dst, src] = entries(zero, raise_amp)
+    g[src, dst] = entries(raise_amp, zero)
+    return g
 
 
 def total_number_op(dims: ModeDims) -> np.ndarray:
     """Total photon number N_a + N_b on the joint basis."""
-    return embed_mode_a(number_op(dims.dim_a), dims) + embed_mode_b(
-        number_op(dims.dim_b), dims
-    )
+    m, n = _occupations(dims)
+    return np.diag((m + n).astype(complex))

@@ -7,8 +7,6 @@ physics tests lean on the result being unitary to eigensolver accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError
@@ -16,25 +14,15 @@ from .errors import ContractViolationError, DimensionMismatchError
 HERMITICITY_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix.
-
-    eigenvalues  : real, ascending.
-    eigenvectors : unitary matrix whose columns are the eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def hermiticity_defect(h: np.ndarray) -> float:
     """max |H - H+|, the absolute deviation from Hermiticity."""
     return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
 
 
-def hermitian_eigendecomposition(h: np.ndarray) -> EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix.
+def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectral decomposition of a Hermitian matrix, as np.linalg.eigh
+    gives it: (eigenvalues, eigenvectors), the eigenvalues real and
+    ascending, the eigenvectors the columns of a unitary matrix.
 
     Raises ContractViolationError if the input fails the Hermiticity
     tolerance, and propagates LinAlgError if the eigensolver does not
@@ -49,13 +37,12 @@ def hermitian_eigendecomposition(h: np.ndarray) -> EigenDecomposition:
             f"matrix is not Hermitian within {HERMITICITY_RTOL:g} relative tolerance "
             f"(defect {hermiticity_defect(h):.3e}, scale {scale:.3e})"
         )
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return np.linalg.eigh(h)
 
 
 def unitary_from_generator(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H, via the spectral decomposition."""
-    dec = hermitian_eigendecomposition(h)
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    eigenvalues, eigenvectors = hermitian_eigendecomposition(h)
+    phases = np.exp(-1j * eigenvalues * t)
+    return (eigenvectors * phases) @ eigenvectors.conj().T
 

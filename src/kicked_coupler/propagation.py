@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ContractViolationError, DimensionMismatchError
 from .hamiltonians import SystemParams, build_coupler_hamiltonian, build_kick_generator
 from .numerics import unitary_from_generator
 
@@ -31,6 +31,10 @@ class Ordering(Enum):
 
 DEFAULT_ORDERING = Ordering.FREE_THEN_KICK
 
+# The step unitaries are exact to eigensolver accuracy; the norm drifts by
+# about 1e-13 over 10 000 periods at D = 225.
+NORM_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StepOperators:
@@ -44,28 +48,65 @@ class StepOperators:
     u_kick: np.ndarray
 
 
+# The parameters each step unitary's generator reads.  A cached unitary is
+# reused while these are unchanged; every other field of SystemParams must
+# leave its generator untouched.
+UNITARY_INPUTS = {
+    "free": ("chi_a", "chi_b", "epsilon", "T", "dims"),
+    "kick": ("alpha", "dims"),
+    "half": ("alpha", "dims"),
+}
+
+
+def _build_unitary(kind: str, params: SystemParams) -> np.ndarray:
+    """exp(-i H_NL T) for "free", exp(-i G) for "kick", exp(-i G / 2) for
+    "half"."""
+    if kind == "free":
+        return unitary_from_generator(build_coupler_hamiltonian(params), params.T)
+    return unitary_from_generator(
+        build_kick_generator(params), 1.0 if kind == "kick" else 0.5
+    )
+
+
+def _step_unitary(kind: str, params: SystemParams, cache: dict | None) -> np.ndarray:
+    """The unitary of the given kind, taken from the cache while the
+    parameters its generator reads are unchanged."""
+    if cache is None:
+        return _build_unitary(kind, params)
+    key = tuple(getattr(params, name) for name in UNITARY_INPUTS[kind])
+    if kind in cache and cache[kind][0] == key:
+        return cache[kind][1]
+    # drop the stale unitary first, so at most one per kind is alive
+    cache.pop(kind, None)
+    u = _build_unitary(kind, params)
+    cache[kind] = (key, u)
+    return u
+
+
 def build_step_operators(params: SystemParams) -> StepOperators:
     """Construct U_NL and U_K for the given parameters."""
-    u_free = unitary_from_generator(build_coupler_hamiltonian(params), params.T)
-    u_kick = unitary_from_generator(build_kick_generator(params), 1.0)
-    return StepOperators(u_free=u_free, u_kick=u_kick)
+    return StepOperators(
+        u_free=_build_unitary("free", params), u_kick=_build_unitary("kick", params)
+    )
 
 
 def build_half_kick(params: SystemParams) -> np.ndarray:
     """exp(-i G / 2), half of a pulse; used for mid-pulse sampling."""
-    return unitary_from_generator(build_kick_generator(params), 0.5)
+    return _build_unitary("half", params)
 
 
-def _period_factors(params: SystemParams, ordering: Ordering) -> tuple[np.ndarray, ...]:
+def _period_factors(
+    params: SystemParams, ordering: Ordering, cache: dict | None
+) -> tuple[np.ndarray, ...]:
     """The matrices one period applies to the state, first factor first."""
+    u_free = _step_unitary("free", params, cache)
     if ordering is Ordering.MID_PULSE:
-        u_free = unitary_from_generator(build_coupler_hamiltonian(params), params.T)
-        u_half = build_half_kick(params)
+        u_half = _step_unitary("half", params, cache)
         return (u_half @ u_free @ u_half,)
-    ops = build_step_operators(params)
+    u_kick = _step_unitary("kick", params, cache)
     if ordering is Ordering.KICK_THEN_FREE:
-        return (ops.u_kick, ops.u_free)
-    return (ops.u_free, ops.u_kick)
+        return (u_kick, u_free)
+    return (u_free, u_kick)
 
 
 def vacuum_state(params: SystemParams) -> np.ndarray:
@@ -91,19 +132,28 @@ def evolve(
     n_kicks: int,
     initial: np.ndarray | None = None,
     ordering: Ordering = DEFAULT_ORDERING,
+    cache: dict | None = None,
 ) -> np.ndarray:
     """Iterate the stroboscopic map and record the state after every period.
 
     Returns an (n_kicks + 1, D) complex array whose row k is the state after
     k applications of the one-period map under the given ordering.  The
     default initial state is the two-mode vacuum.
+
+    ``cache`` is an optional dict owned by the caller.  Across calls that
+    share it, each step unitary is rebuilt only when a parameter its
+    generator reads (UNITARY_INPUTS) has changed; a parameter scan thus
+    reuses the unitary its parameter does not enter.
+
+    Raises ContractViolationError if the squared norm of the last state
+    differs from that of the first by more than NORM_RTOL, relative.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
     psi = _check_initial(params, initial)
     # the operators are built before the trajectory is allocated, so their
     # construction temporaries are freed before the largest array exists
-    factors = _period_factors(params, ordering)
+    factors = _period_factors(params, ordering, cache)
     states = np.empty((n_kicks + 1, psi.size), dtype=complex)
     states[0] = psi
     for k in range(1, n_kicks + 1):
@@ -111,4 +161,11 @@ def evolve(
         for u in factors:
             psi = u @ psi
         states[k] = psi
+    initial_norm = np.vdot(states[0], states[0]).real
+    final_norm = np.vdot(states[-1], states[-1]).real
+    if abs(final_norm - initial_norm) > NORM_RTOL * initial_norm:
+        raise ContractViolationError(
+            f"squared norm drifted from {initial_norm:.17g} to {final_norm:.17g} "
+            f"over {n_kicks} periods (relative tolerance {NORM_RTOL:g})"
+        )
     return states

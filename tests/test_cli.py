@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kicked_coupler import ConfigError, Ordering
+from kicked_coupler import ConfigError, Ordering, annotate_trajectory, evolve
+from kicked_coupler import cli, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
     RunConfig,
+    _fmt,
     echo_config,
     main,
     parse_config,
     run,
 )
+from kicked_coupler.propagation import UNITARY_INPUTS
 
 
 def read_rows(path):
@@ -155,6 +160,64 @@ class TestRunModes:
         assert len(rows) == 3
         assert [row[0] for row in rows] == ["alpha"] * 3
 
+    @pytest.mark.parametrize(
+        "param, start, stop",
+        [("alpha", 0.02, 0.06), ("epsilon", -0.01, 0.03), ("T", 0.5, 1.5)],
+    )
+    def test_scan_rows_match_uncached_runs(self, tmp_path, monkeypatch, param, start, stop):
+        config = self.small_config(
+            tmp_path,
+            extra=(
+                f"mode = scan\nscan_param = {param}\nscan_start = {start}\n"
+                f"scan_stop = {stop}\nscan_steps = 4\nalpha = 0.03+0.01j\n"
+            ),
+        )
+        calls = []
+
+        def recording_evolve(params, n_kicks, **kwargs):
+            states = evolve(params, n_kicks, **kwargs)
+            calls.append((params, states, kwargs["cache"]))
+            return states
+
+        monkeypatch.setattr(cli, "evolve", recording_evolve)
+        assert run(config) == 0
+        _, rows = read_rows(tmp_path / "o.csv")
+        assert len(calls) == len(rows) == 4
+        for (params, states, _), row in zip(calls, rows):
+            fresh = evolve(params, config.n_kicks, ordering=config.ordering)
+            assert np.array_equal(states, fresh)
+            obs = annotate_trajectory(fresh, params.dims)
+            k = int(np.argmax(obs.concurrence))
+            value = getattr(params, param)
+            assert row == [
+                param, _fmt(value), _fmt(obs.concurrence[k]), str(k), _fmt(obs.leakage.max())
+            ]
+        # one cache for the whole scan, holding one unitary per kind
+        caches = {id(cache) for _, _, cache in calls}
+        assert len(caches) == 1
+        cache, last = calls[-1][2], calls[-1][0]
+        assert set(cache) == {"free", "kick"}
+        for kind, (key, _) in cache.items():
+            assert key == tuple(getattr(last, f) for f in UNITARY_INPUTS[kind])
+
+    def test_each_scan_has_its_own_cache(self, tmp_path, monkeypatch):
+        config = self.small_config(
+            tmp_path,
+            extra="mode = scan\nscan_param = alpha\nscan_start = 0.02\n"
+            "scan_stop = 0.04\nscan_steps = 2\n",
+        )
+        caches = []
+
+        def recording_evolve(params, n_kicks, **kwargs):
+            caches.append(kwargs["cache"])
+            return evolve(params, n_kicks, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", recording_evolve)
+        run(config)
+        run(replace(config, params=replace(config.params, epsilon=0.02)))
+        assert caches[0] is caches[1] and caches[2] is caches[3]
+        assert caches[0] is not caches[2]
+
 
 class TestMain:
     def test_success_exit_code(self, tmp_path):
@@ -176,6 +239,34 @@ class TestMain:
         out = tmp_path / "run.csv"
         assert main([flag, value, "--kicks", "3", "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "analytic", "--alpha", "1e200"],
+            ["--mode", "analytic", "--alpha", "1e160"],
+            ["--mode", "compare", "--epsilon", "1e200"],
+            ["--mode", "analytic", "--epsilon", "1e150"],
+        ],
+    )
+    def test_overflowing_closed_forms_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "run.csv"
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--kicks", "3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical contract violation" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):
+        original = propagation.unitary_from_generator
+        monkeypatch.setattr(
+            propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+        )
+        out = tmp_path / "run.csv"
+        assert main(["--kicks", "5", "--cutoff-a", "4", "--cutoff-b", "4", "--out", str(out)]) == 3
+        assert "norm" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_overrides_file(self, tmp_path):

@@ -4,17 +4,86 @@ import pytest
 from kicked_coupler import (
     ModeDims,
     SystemParams,
-    basis_state,
+    annihilation_op,
     build_coupler_hamiltonian,
     build_kick_generator,
+    embed_mode_a,
+    embed_mode_b,
     hermiticity_defect,
     joint_index,
+    number_op,
     total_number_op,
 )
 
 
 def elem(h, bra, ket, dims):
     return h[joint_index(*bra, dims), joint_index(*ket, dims)]
+
+
+# The operators as dense products of the embedded ladder operators: the
+# reference the entrywise builders must reproduce byte for byte.
+def dense_coupler_hamiltonian(params):
+    dims = params.dims
+    a = embed_mode_a(annihilation_op(dims.dim_a), dims)
+    b = embed_mode_b(annihilation_op(dims.dim_b), dims)
+    ad, bd = a.conj().T, b.conj().T
+    eps = complex(params.epsilon)
+    h = 0.5 * params.chi_a * (ad @ ad @ a @ a)
+    h += 0.5 * params.chi_b * (bd @ bd @ b @ b)
+    h += eps * (ad @ b) + np.conj(eps) * (a @ bd)
+    return h
+
+
+def dense_kick_generator(params):
+    dims = params.dims
+    a = embed_mode_a(annihilation_op(dims.dim_a), dims)
+    alpha = complex(params.alpha)
+    return alpha * a.conj().T + np.conj(alpha) * a
+
+
+CUTOFFS = [(15, 15), (15, 12), (6, 9), (2, 2)]
+
+
+class TestMatchesDenseProducts:
+    @pytest.mark.parametrize("cutoffs", CUTOFFS)
+    @pytest.mark.parametrize(
+        "chi_a, chi_b, epsilon",
+        [
+            (1.0, 1.0, 0.01),
+            (1.7, 0.4, 0.03 + 0.01j),
+            (-1.3, 0.0, -0.02 - 0.005j),
+            (0.5, -0.0, 0.0),
+            (1.0, 2.0, complex(-0.0, 0.04)),
+        ],
+    )
+    def test_coupler_hamiltonian(self, cutoffs, chi_a, chi_b, epsilon):
+        params = SystemParams(
+            chi_a=chi_a, chi_b=chi_b, epsilon=epsilon, dims=ModeDims(*cutoffs)
+        )
+        # tobytes: equal values and equal signs of every zero
+        assert (
+            build_coupler_hamiltonian(params).tobytes()
+            == dense_coupler_hamiltonian(params).tobytes()
+        )
+
+    @pytest.mark.parametrize("cutoffs", CUTOFFS)
+    @pytest.mark.parametrize(
+        "alpha", [0.04, 0.0, -0.0, 0.03 - 0.02j, complex(-0.01, 0.05), 0.05j]
+    )
+    def test_kick_generator(self, cutoffs, alpha):
+        params = SystemParams(alpha=alpha, dims=ModeDims(*cutoffs))
+        assert (
+            build_kick_generator(params).tobytes()
+            == dense_kick_generator(params).tobytes()
+        )
+
+    @pytest.mark.parametrize("cutoffs", CUTOFFS)
+    def test_total_number_op(self, cutoffs):
+        dims = ModeDims(*cutoffs)
+        dense = embed_mode_a(number_op(dims.dim_a), dims) + embed_mode_b(
+            number_op(dims.dim_b), dims
+        )
+        assert total_number_op(dims).tobytes() == dense.tobytes()
 
 
 class TestCouplerHamiltonian:

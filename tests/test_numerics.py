@@ -12,26 +12,29 @@ from conftest import random_hermitian, random_unit_vector
 
 class TestEigendecomposition:
     def test_diagonal_matrix(self):
-        dec = hermitian_eigendecomposition(np.diag([0.0, 1.0, 3.0]).astype(complex))
-        np.testing.assert_allclose(dec.eigenvalues, [0, 1, 3], atol=1e-14)
+        values, vectors = hermitian_eigendecomposition(
+            np.diag([0.0, 1.0, 3.0]).astype(complex)
+        )
+        np.testing.assert_allclose(values, [0, 1, 3], atol=1e-14)
         # eigenvectors are a permutation of identity columns up to phase
-        np.testing.assert_allclose(np.abs(dec.eigenvectors), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(np.abs(vectors), np.eye(3), atol=1e-12)
 
     def test_pauli_x_scaling(self):
         alpha = 0.7
-        dec = hermitian_eigendecomposition(np.array([[0, alpha], [alpha, 0]], dtype=complex))
-        np.testing.assert_allclose(dec.eigenvalues, [-alpha, alpha], atol=1e-14)
+        values, _ = hermitian_eigendecomposition(
+            np.array([[0, alpha], [alpha, 0]], dtype=complex)
+        )
+        np.testing.assert_allclose(values, [-alpha, alpha], atol=1e-14)
 
     def test_reconstruction_oracle(self, rng):
         h = random_hermitian(rng, 50)
-        dec = hermitian_eigendecomposition(h)
-        rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+        values, vectors = hermitian_eigendecomposition(h)
+        rebuilt = (vectors * values) @ vectors.conj().T
         scale = np.max(np.abs(h))
         assert np.max(np.abs(rebuilt - h)) <= 1e-10 * scale
 
     def test_orthonormality_invariant(self, rng):
-        dec = hermitian_eigendecomposition(random_hermitian(rng, 30))
-        v = dec.eigenvectors
+        _, v = hermitian_eigendecomposition(random_hermitian(rng, 30))
         assert np.max(np.abs(v.conj().T @ v - np.eye(30))) <= 1e-10
 
     def test_rejects_non_hermitian(self, rng):

@@ -1,7 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from kicked_coupler import (
+    ContractViolationError,
     DimensionMismatchError,
     ModeDims,
     Ordering,
@@ -9,12 +12,15 @@ from kicked_coupler import (
     basis_state,
     build_coupler_hamiltonian,
     build_half_kick,
+    build_kick_generator,
     build_step_operators,
     evolve,
     joint_index,
     truncated_amplitudes,
     vacuum_state,
 )
+from kicked_coupler import propagation
+from kicked_coupler.propagation import UNITARY_INPUTS
 
 
 class TestStepOperators:
@@ -165,3 +171,93 @@ class TestEvolve:
         states = evolve(SystemParams(dims=ModeDims(4, 4)), 7, ordering=Ordering.MID_PULSE)
         assert states.shape == (8, 16)
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-10
+
+
+class TestUnitaryCache:
+    BASE = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(5, 4))
+    # a scan of each parameter, then a change of both generators at once
+    SEQUENCE = [
+        BASE,
+        replace(BASE, alpha=0.03),
+        replace(BASE, alpha=0.07),
+        replace(BASE, alpha=0.07, epsilon=0.01),
+        replace(BASE, alpha=0.07, epsilon=-0.015j),
+        replace(BASE, alpha=0.07, epsilon=-0.015j, T=1.7),
+        replace(BASE, chi_a=0.3),
+        replace(BASE, dims=ModeDims(4, 4)),
+        BASE,
+    ]
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_shared_cache_gives_the_uncached_states(self, ordering):
+        cache = {}
+        for params in self.SEQUENCE:
+            assert np.array_equal(
+                evolve(params, 30, ordering=ordering, cache=cache),
+                evolve(params, 30, ordering=ordering),
+            )
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_at_most_one_unitary_per_kind(self, ordering):
+        cache = {}
+        for params in self.SEQUENCE:
+            evolve(params, 3, ordering=ordering, cache=cache)
+            assert set(cache) <= set(UNITARY_INPUTS)
+            for kind, (key, u) in cache.items():
+                assert key == tuple(getattr(params, f) for f in UNITARY_INPUTS[kind])
+                assert u.shape == (params.dims.joint, params.dims.joint)
+
+    def test_rebuilds_only_the_generator_a_change_enters(self, monkeypatch):
+        built = []
+        for name in ("build_coupler_hamiltonian", "build_kick_generator"):
+            original = getattr(propagation, name)
+
+            def counted(params, _name=name, _original=original):
+                built.append(_name)
+                return _original(params)
+
+            monkeypatch.setattr(propagation, name, counted)
+        cache = {}
+        evolve(self.BASE, 2, cache=cache)
+        assert sorted(built) == ["build_coupler_hamiltonian", "build_kick_generator"]
+        for change, rebuilt in [
+            ({"alpha": 0.02}, ["build_kick_generator"]),
+            ({"epsilon": 0.03}, ["build_coupler_hamiltonian"]),
+            ({"T": 0.8}, ["build_coupler_hamiltonian"]),
+            ({}, []),
+        ]:
+            built.clear()
+            evolve(replace(self.BASE, **change), 2, cache=cache)
+            assert built == rebuilt
+            evolve(self.BASE, 2, cache=cache)
+
+    @pytest.mark.parametrize(
+        "kind, build",
+        [("free", build_coupler_hamiltonian), ("kick", build_kick_generator)],
+    )
+    def test_fields_outside_the_key_leave_the_generator_unchanged(self, kind, build):
+        # every field of SystemParams, so that a new field must either enter
+        # the key or leave the generator alone
+        params = SystemParams(dims=ModeDims(4, 3))
+        reference = build(params).tobytes()
+        outside = [f.name for f in fields(SystemParams) if f.name not in UNITARY_INPUTS[kind]]
+        assert outside
+        for name in outside:
+            changed = replace(params, **{name: 2 * getattr(params, name) + 0.5})
+            assert build(changed).tobytes() == reference, name
+
+
+class TestNormContract:
+    def test_drifting_norm_raises(self, monkeypatch):
+        original = propagation.unitary_from_generator
+        monkeypatch.setattr(
+            propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+        )
+        for ordering in Ordering:
+            with pytest.raises(ContractViolationError, match="norm"):
+                evolve(SystemParams(dims=ModeDims(3, 3)), 5, ordering=ordering)
+
+    def test_unnormalized_initial_state(self):
+        params = SystemParams(dims=ModeDims(3, 3))
+        states = evolve(params, 10, initial=3.0 * vacuum_state(params))
+        assert np.linalg.norm(states[-1]) == pytest.approx(3.0, rel=1e-12)

@@ -1,0 +1,36 @@
+"""The benchmark workloads at their reference sizes, checked as the benchmark
+checks them: every CSV invariant, and the sampled reference rows within
+1e-12 (bench/csvcheck.py, bench/reference.json).  The configurations come
+from bench/run.py, so these runs are exactly the benchmark's seed-0 runs."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from kicked_coupler.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.append(str(BENCH))
+
+import csvcheck  # noqa: E402
+import run as bench_run  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return csvcheck.load_reference()
+
+
+@pytest.mark.parametrize("name", sorted(bench_run.WORKLOADS))
+def test_workload_matches_reference(name, reference, tmp_path):
+    cfg = bench_run.workload_config(name, 0)
+    # the reference applies to this configuration, so the row check below
+    # is not skipped
+    assert reference[name]["config"] == cfg
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    bench_run.write_config(cfg, cfg_path)
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert csvcheck.check_invariants(cfg, lines) == []
+    assert csvcheck.check_reference(name, cfg, lines, reference) == []
