@@ -25,12 +25,12 @@ from kicked_coupler import (
 )
 
 params = SystemParams()
-fr = kick_frequencies(params)
+omega, omega1, omega2 = kick_frequencies(params)
 print(
-    f"frequencies: Omega = {fr.omega:.6f}, Omega1 = {fr.omega1:.6f}, "
-    f"Omega2 = {fr.omega2:.6f}"
+    f"frequencies: Omega = {omega:.6f}, Omega1 = {omega1:.6f}, "
+    f"Omega2 = {omega2:.6f}"
 )
-beat = 2 * np.pi * np.sqrt(2) / (fr.omega1 - fr.omega2)
+beat = 2 * np.pi * np.sqrt(2) / (omega1 - omega2)
 print(f"beat period ~ {beat:.0f} kicks")
 
 best, deviations = calibrate_sampling(params)
@@ -42,9 +42,7 @@ for ordering, dev in deviations.items():
 n_kicks = 1000
 states = evolve(params, n_kicks, ordering=Ordering.MID_PULSE)
 numeric = annotate_trajectory(states, params.dims).probs
-analytic = np.array(
-    [truncated_amplitudes(k, params).probabilities() for k in range(n_kicks + 1)]
-)
+analytic = np.abs(truncated_amplitudes(n_kicks, params)) ** 2
 diff = np.max(np.abs(numeric - analytic), axis=1)
 
 print("\nfull numerics vs closed forms, max per-state probability difference:")

@@ -3,13 +3,10 @@ pulses, evolving as an effective qubit-qubit system that repeatedly visits
 maximally entangled Bell states."""
 
 from .analytic import (
-    KickFrequencies,
-    TruncatedState,
     calibrate_sampling,
     kick_frequencies,
     truncated_amplitudes,
     truncated_map_states,
-    uncoupled_amplitudes,
 )
 from .entanglement import (
     BellState,
@@ -27,7 +24,6 @@ from .errors import (
     ContractViolationError,
     DegenerateProjectionError,
     DimensionMismatchError,
-    SingularCouplingError,
 )
 from .fock import (
     ModeDims,
@@ -67,14 +63,11 @@ __all__ = [
     "DEFAULT_ORDERING",
     "DegenerateProjectionError",
     "DimensionMismatchError",
-    "KickFrequencies",
     "ModeDims",
     "Ordering",
     "QubitObservables",
-    "SingularCouplingError",
     "StepOperators",
     "SystemParams",
-    "TruncatedState",
     "annihilation_op",
     "annotate_trajectory",
     "basis_state",
@@ -102,7 +95,6 @@ __all__ = [
     "truncated_amplitudes",
     "truncated_map_states",
     "unitary_from_generator",
-    "uncoupled_amplitudes",
     "vacuum_state",
 ]
 

@@ -15,25 +15,27 @@ inputs are mapped to their magnitudes.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ContractViolationError, SingularCouplingError
+from .errors import ContractViolationError
 from .fock import ModeDims
 from .hamiltonians import SystemParams
 from .propagation import Ordering, evolve
 
 SINGULAR_COUPLING_THRESHOLD = 1e-12
+# Largest allowed |P00 + P01 + P10 + P11 - 1| of the closed forms.  Where
+# they are valid the defect is roundoff (2e-15 at the reference point, 8e-9
+# at epsilon = 1e-9); past it they are finite but wrong.
+CLOSED_FORM_NORM_TOL = 1e-6
 
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class KickFrequencies:
-    """The three frequencies governing the four-state amplitudes.
+def kick_frequencies(params: SystemParams) -> tuple[float, float, float]:
+    """The three frequencies (omega, omega1, omega2) at |epsilon|, |alpha|.
 
     omega  = sqrt(eps^2 T^2 + 4 alpha^2)
     omega1 = sqrt(eps^2 T^2 + 2 alpha^2 + eps T omega)
@@ -41,40 +43,6 @@ class KickFrequencies:
 
     The radicand of omega2 equals (eps^2 T^2 + 2 alpha^2)^2 - eps^2 T^2 omega^2
     = 4 alpha^4 >= 0 after squaring, so omega2 is always real.
-    """
-
-    omega: float
-    omega1: float
-    omega2: float
-
-
-@dataclass(frozen=True)
-class TruncatedState:
-    """Amplitudes on the four-state (two-qubit) subspace."""
-
-    c00: complex
-    c01: complex
-    c10: complex
-    c11: complex
-
-    def as_array(self) -> np.ndarray:
-        """Amplitudes in basis order (|00>, |01>, |10>, |11>)."""
-        return np.array([self.c00, self.c01, self.c10, self.c11], dtype=complex)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.as_array()) ** 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    @classmethod
-    def from_array(cls, amps: np.ndarray) -> "TruncatedState":
-        c00, c01, c10, c11 = (complex(x) for x in np.asarray(amps).ravel())
-        return cls(c00, c01, c10, c11)
-
-
-def kick_frequencies(params: SystemParams) -> KickFrequencies:
-    """Evaluate the three characteristic frequencies at |epsilon|, |alpha|.
 
     Raises ContractViolationError if a frequency is not finite, which
     happens when |epsilon T| or |alpha| is so large that its square
@@ -95,66 +63,71 @@ def kick_frequencies(params: SystemParams) -> KickFrequencies:
             f"kick frequencies are not finite at |epsilon T| = {eps_t:g}, "
             f"|alpha| = {alpha:g}"
         )
-    return KickFrequencies(omega=float(omega), omega1=float(omega1), omega2=float(omega2))
+    return float(omega), float(omega1), float(omega2)
 
 
-def truncated_amplitudes(k: int, params: SystemParams) -> TruncatedState:
-    """Four-state amplitudes after k pulses, starting from the vacuum.
+def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
+    """Four-state amplitudes after 0..n_kicks pulses, starting from the vacuum.
 
-    Raises SingularCouplingError when |epsilon T| is below the threshold at
-    which the 1/(eps T) prefactors lose all precision; callers should use
-    uncoupled_amplitudes in that regime.  Raises ContractViolationError
-    when the frequencies or the amplitudes are not finite.
+    Returns an (n_kicks + 1, 4) complex array, row k in basis order
+    (|00>, |01>, |10>, |11>).  When |epsilon T| is at most
+    SINGULAR_COUPLING_THRESHOLD, where the 1/(eps T) prefactors lose all
+    precision, the uncoupled amplitudes are returned: mode b stays in vacuum
+    and mode a Rabi-oscillates between |0> and |1> with angle k |alpha|.
+    With no drive the vacuum is stationary.
+
+    Raises ContractViolationError when a frequency or an amplitude is not
+    finite, when omega2 cancels to 0 at nonzero drive, or when the
+    probabilities of a row sum to 1 only within more than
+    CLOSED_FORM_NORM_TOL.
     """
-    if k < 0:
-        raise ValueError(f"kick count must be nonnegative, got {k}")
+    if n_kicks < 0:
+        raise ValueError(f"kick count must be nonnegative, got {n_kicks}")
+    ks = np.arange(n_kicks + 1.0)
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
+    amps = np.zeros((n_kicks + 1, 4), dtype=complex)
     if eps_t <= SINGULAR_COUPLING_THRESHOLD:
-        raise SingularCouplingError(
-            f"|epsilon*T| = {eps_t:.3e} is below {SINGULAR_COUPLING_THRESHOLD:g}; "
-            "use uncoupled_amplitudes for the uncoupled regime"
-        )
+        amps[:, 0] = np.cos(ks * alpha)
+        amps[:, 2] = -1j * np.sin(ks * alpha)
+        return amps
     if alpha < 1e-300:
         # no drive: the vacuum is stationary (the formulas hit 0/0 here)
-        return TruncatedState(1.0 + 0j, 0j, 0j, 0j)
-    fr = kick_frequencies(params)
-    om, om1, om2 = fr.omega, fr.omega1, fr.omega2
-    cos1 = np.cos(k * om1 / _SQRT2)
-    cos2 = np.cos(k * om2 / _SQRT2)
-    sin1 = np.sin(k * om1 / _SQRT2)
-    sin2 = np.sin(k * om2 / _SQRT2)
+        amps[:, 0] = 1.0
+        return amps
+    om, om1, om2 = kick_frequencies(params)
+    if om2 <= 0.0:
+        raise ContractViolationError(
+            f"omega2 cancels to 0 at |epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
+        )
+    cos1 = np.cos(ks * om1 / _SQRT2)
+    cos2 = np.cos(ks * om2 / _SQRT2)
+    sin1 = np.sin(ks * om1 / _SQRT2)
+    sin2 = np.sin(ks * om2 / _SQRT2)
 
-    c00 = ((2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2) / (
+    amps[:, 0] = ((2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2) / (
         2 * eps_t * om
     )
-    c01 = (alpha / om) * (cos1 - cos2)
-    c10 = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
+    amps[:, 1] = (alpha / om) * (cos1 - cos2)
+    amps[:, 2] = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
         (om2**2 - 2 * (eps_t**2 + alpha**2)) * om2 * sin1
         + eps_t * (eps_t - om) * om1 * sin2
     )
-    c11 = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
-    amps = (complex(c00), complex(c01), complex(c10), complex(c11))
-    if not all(map(cmath.isfinite, amps)):
+    amps[:, 3] = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
+    finite = np.isfinite(amps).all(axis=1)
+    if not finite.all():
         raise ContractViolationError(
-            f"closed-form amplitudes are not finite at k = {k}, "
+            f"closed-form amplitudes are not finite at k = {np.argmin(finite)}, "
             f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
         )
-    return TruncatedState(*amps)
-
-
-def uncoupled_amplitudes(k: int, alpha: float) -> TruncatedState:
-    """Amplitudes for zero inter-mode coupling: mode b stays in vacuum and
-    mode a Rabi-oscillates between |0> and |1> with angle k*alpha."""
-    if k < 0:
-        raise ValueError(f"kick count must be nonnegative, got {k}")
-    alpha = abs(alpha)
-    return TruncatedState(
-        c00=complex(np.cos(k * alpha)),
-        c01=0j,
-        c10=-1j * np.sin(k * alpha),
-        c11=0j,
-    )
+    defect = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)
+    if defect.max() > CLOSED_FORM_NORM_TOL:
+        raise ContractViolationError(
+            f"closed-form probabilities sum to 1 only within {defect.max():.3e} "
+            f"(tolerance {CLOSED_FORM_NORM_TOL:g}) at k = {np.argmax(defect)}, "
+            f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
+        )
+    return amps
 
 
 def truncated_map_states(
@@ -181,9 +154,7 @@ def calibrate_sampling(
     truncated_amplitudes over k <= n_kicks and returns the winner together
     with the per-convention maximal amplitude deviation.
     """
-    analytic = np.array(
-        [truncated_amplitudes(k, params).as_array() for k in range(n_kicks + 1)]
-    )
+    analytic = truncated_amplitudes(n_kicks, params)
     deviations: dict[Ordering, float] = {}
     for ordering in Ordering:
         numeric = truncated_map_states(n_kicks, params, ordering)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import TruncatedState
 from .errors import (
     ContractViolationError,
     DegenerateProjectionError,
@@ -29,12 +28,12 @@ _SY_SY = np.array(
 _PROJECTION_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellState:
     """One of the four maximally entangled two-qubit states."""
 
     label: str
-    amplitudes: TruncatedState
+    amplitudes: np.ndarray  # (4,) in basis order (|00>, |01>, |10>, |11>)
 
 
 def bell_states() -> tuple[BellState, BellState, BellState, BellState]:
@@ -45,10 +44,10 @@ def bell_states() -> tuple[BellState, BellState, BellState, BellState]:
     """
     s = 1.0 / np.sqrt(2.0)
     return (
-        BellState("B1", TruncatedState(s, 0j, 0j, 1j * s)),
-        BellState("B2", TruncatedState(s, 0j, 0j, -1j * s)),
-        BellState("B3", TruncatedState(0j, s, 1j * s, 0j)),
-        BellState("B4", TruncatedState(0j, s, -1j * s, 0j)),
+        BellState("B1", np.array([s, 0j, 0j, 1j * s])),
+        BellState("B2", np.array([s, 0j, 0j, -1j * s])),
+        BellState("B3", np.array([0j, s, 1j * s, 0j])),
+        BellState("B4", np.array([0j, s, -1j * s, 0j])),
     )
 
 
@@ -73,7 +72,7 @@ def _qubit_columns(dims: ModeDims) -> list[int]:
     return [joint_index(m, n, dims) for m in (0, 1) for n in (0, 1)]
 
 
-def project_to_qubits(psi: np.ndarray, dims: ModeDims) -> tuple[TruncatedState, float]:
+def project_to_qubits(psi: np.ndarray, dims: ModeDims) -> tuple[np.ndarray, float]:
     """Project a joint-basis state onto the two-qubit subspace.
 
     Returns the renormalized four amplitudes and the leakage, the
@@ -87,12 +86,12 @@ def project_to_qubits(psi: np.ndarray, dims: ModeDims) -> tuple[TruncatedState, 
             "state has no numerical support on the qubit subspace"
         )
     leakage = float(np.vdot(psi, psi).real) - weight
-    return TruncatedState.from_array(raw / np.sqrt(weight)), max(leakage, 0.0)
+    return raw / np.sqrt(weight), max(leakage, 0.0)
 
 
-def density_from_pure(state: TruncatedState) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| on the qubit subspace."""
-    amps = state.as_array()
+def density_from_pure(amps: np.ndarray) -> np.ndarray:
+    """Rank-one density matrix |psi><psi| of four qubit amplitudes."""
+    amps = np.asarray(amps, dtype=complex)
     return np.outer(amps, amps.conj())
 
 
@@ -137,24 +136,31 @@ def concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def concurrence_pure(state: TruncatedState) -> float:
-    """Closed form for pure states: 2 |c00 c11 - c01 c10|."""
-    return float(2.0 * abs(state.c00 * state.c11 - state.c01 * state.c10))
-
-
-def bell_fidelities(state: TruncatedState) -> tuple[float, float, float, float]:
-    """Squared overlaps |<Bi|psi>|^2 with the four Bell states."""
-    amps = state.as_array()
-    return tuple(
-        float(np.abs(np.vdot(b.amplitudes.as_array(), amps)) ** 2)
-        for b in bell_states()
+def concurrence_pure(amps: np.ndarray) -> np.ndarray:
+    """Closed form for pure states, 2 |c00 c11 - c01 c10|, over the last
+    axis of a (..., 4) amplitude array."""
+    c00, c01, c10, c11 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
+    # the determinant in real arithmetic, in the order of Python's complex
+    # product, so each entry equals 2 * abs(c00 * c11 - c01 * c10) bit for bit
+    det_re = c00.real * c11.real - c00.imag * c11.imag - (
+        c01.real * c10.real - c01.imag * c10.imag
     )
+    det_im = c00.real * c11.imag + c00.imag * c11.real - (
+        c01.real * c10.imag + c01.imag * c10.real
+    )
+    return 2.0 * np.hypot(det_re, det_im)
+
+
+def bell_fidelities(amps: np.ndarray) -> np.ndarray:
+    """Squared overlaps |<Bi|psi>|^2 with B1..B4 over the last axis of a
+    (..., 4) amplitude array."""
+    bell = np.array([b.amplitudes for b in bell_states()])
+    return np.abs(np.asarray(amps, dtype=complex) @ bell.conj().T) ** 2
 
 
 def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
     """Probabilities, leakage, concurrence and Bell fidelities of every row
-    of an (K+1, D) trajectory, as project_to_qubits, concurrence_pure and
-    bell_fidelities give them row by row."""
+    of an (K+1, D) trajectory, as project_to_qubits gives them row by row."""
     if states.ndim != 2 or states.shape[1] != dims.joint:
         raise DimensionMismatchError(
             f"states have shape {states.shape}, expected (K+1, {dims.joint})"
@@ -170,19 +176,9 @@ def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
     # temporary the size of the trajectory
     norms = np.array([np.vdot(psi, psi).real for psi in states])
     q = raw / np.sqrt(weight)[:, None]
-    c00, c01, c10, c11 = q.T
-    # c00 c11 - c01 c10 in real arithmetic, in the order of Python's complex
-    # product, so the concurrence equals concurrence_pure's bit for bit
-    det_re = c00.real * c11.real - c00.imag * c11.imag - (
-        c01.real * c10.real - c01.imag * c10.imag
-    )
-    det_im = c00.real * c11.imag + c00.imag * c11.real - (
-        c01.real * c10.imag + c01.imag * c10.real
-    )
-    bell = np.array([b.amplitudes.as_array() for b in bell_states()])
     return QubitObservables(
         probs=probs,
         leakage=np.maximum(norms - weight, 0.0),
-        concurrence=2.0 * np.hypot(det_re, det_im),
-        bell_fidelities=np.abs(q @ bell.conj().T) ** 2,
+        concurrence=concurrence_pure(q),
+        bell_fidelities=bell_fidelities(q),
     )

@@ -9,11 +9,6 @@ class ContractViolationError(RuntimeError):
     """A numerical precondition failed (non-Hermitian input, bad density matrix, ...)."""
 
 
-class SingularCouplingError(ValueError):
-    """|epsilon*T| too small for the coupled closed-form amplitudes; use the
-    uncoupled formulas instead."""
-
-
 class DegenerateProjectionError(RuntimeError):
     """State has (numerically) no support on the two-qubit subspace."""
 

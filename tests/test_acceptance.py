@@ -19,7 +19,6 @@ from kicked_coupler import (
     ModeDims,
     Ordering,
     SystemParams,
-    TruncatedState,
     annotate_trajectory,
     bell_fidelities,
     bell_states,
@@ -64,12 +63,7 @@ def long_observables(reference_params, long_states):
 
 @pytest.fixture(scope="module")
 def analytic_probs_1000(reference_params):
-    return np.array(
-        [
-            truncated_amplitudes(k, reference_params).probabilities()
-            for k in range(1001)
-        ]
-    )
+    return np.abs(truncated_amplitudes(1000, reference_params)) ** 2
 
 
 def test_criterion_1_analytic_numeric_agreement(reference_params, analytic_probs_1000):
@@ -135,13 +129,10 @@ def test_criterion_4_bell_state_generation(long_observables, reference_params):
     fids = long_observables.bell_fidelities[k_star]
     f_b2 = fids[1]
     p00, p11 = long_observables.probs[k_star, 0], long_observables.probs[k_star, 3]
-    closed_forms = [
-        truncated_amplitudes(k, reference_params)
-        for k in range(len(long_observables.concurrence))
-    ]
-    k_closed = first_concurrence_maximum(
-        np.array([concurrence_pure(state) for state in closed_forms])
+    closed_forms = truncated_amplitudes(
+        len(long_observables.concurrence) - 1, reference_params
     )
+    k_closed = first_concurrence_maximum(concurrence_pure(closed_forms))
     assert k_closed is not None, "no closed-form concurrence maximum found"
     f_b2_closed = bell_fidelities(closed_forms[k_closed])[1]
     ok = (
@@ -208,7 +199,7 @@ def test_criterion_6_property_suite(reference_params, long_states, rng):
     fid_defect = 0.0
     for _ in range(100):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = TruncatedState.from_array(v / np.linalg.norm(v))
+        state = v / np.linalg.norm(v)
         fid_defect = max(fid_defect, abs(sum(bell_fidelities(state)) - 1.0))
     ok = (
         unit_defect <= 1e-10
@@ -228,7 +219,7 @@ def test_criterion_7_concurrence_oracle_equivalence(rng):
     max_diff = 0.0
     for _ in range(100):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = TruncatedState.from_array(v / np.linalg.norm(v))
+        state = v / np.linalg.norm(v)
         diff = abs(concurrence(density_from_pure(state)) - concurrence_pure(state))
         max_diff = max(max_diff, diff)
     bell_ok = all(
@@ -239,7 +230,7 @@ def test_criterion_7_concurrence_oracle_equivalence(rng):
     for i in range(4):
         amps = np.zeros(4, dtype=complex)
         amps[i] = 1.0
-        c = concurrence(density_from_pure(TruncatedState.from_array(amps)))
+        c = concurrence(density_from_pure(amps))
         basis_ok = basis_ok and abs(c) <= 1e-10
     ok = max_diff <= 1e-10 and bell_ok and basis_ok
     report(
@@ -251,18 +242,14 @@ def test_criterion_7_concurrence_oracle_equivalence(rng):
 
 
 def test_criterion_8_closed_form_self_consistency(reference_params):
-    norm_defect = max(
-        abs(1.0 - truncated_amplitudes(k, reference_params).norm() ** 2)
-        for k in range(5001)
-    )
+    norms = np.linalg.norm(truncated_amplitudes(5000, reference_params), axis=1)
+    norm_defect = np.max(np.abs(1.0 - norms**2))
     print(
         f"[acceptance] criterion 8 note: closed-form normalization defect over "
         f"k <= 5000 is {norm_defect:.3e}"
     )
     reference = truncated_map_states(50, reference_params, Ordering.MID_PULSE)
-    analytic = np.array(
-        [truncated_amplitudes(k, reference_params).as_array() for k in range(51)]
-    )
+    analytic = truncated_amplitudes(50, reference_params)
     max_diff = float(np.max(np.abs(reference - analytic)))
     report(
         "criterion 8: closed forms vs exact four-level map, k <= 50",

@@ -137,6 +137,26 @@ class TestRunModes:
             assert float(row[3]) == pytest.approx(np.sin(k * 0.04) ** 2, abs=1e-12)
             assert float(row[2]) == 0.0 and float(row[4]) == 0.0
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["", "epsilon = 0\n", "alpha = 0.3\nepsilon = 0.05\nT = 1.7\n"],
+        ids=["reference", "uncoupled", "strong"],
+    )
+    def test_analytic_probabilities_equal_compare_columns(self, tmp_path, extra):
+        # both modes take their closed-form probabilities from
+        # truncated_amplitudes; the formatted cells agree byte for byte
+        tables = {}
+        for mode in ("analytic", "compare"):
+            config = self.small_config(
+                tmp_path, extra=f"mode = {mode}\nkicks = 300\n{extra}"
+            )
+            assert run(config) == 0
+            tables[mode] = read_rows(tmp_path / "o.csv")[1]
+        analytic = [row[1:5] for row in tables["analytic"]]
+        compare = [row[11:15] for row in tables["compare"]]
+        assert len(analytic) == 301
+        assert analytic == compare
+
     def test_compare_mode_columns(self, tmp_path):
         config = self.small_config(tmp_path, extra="mode = compare\ncutoff_a = 15\ncutoff_b = 15\n")
         assert run(config) == 0
@@ -248,6 +268,14 @@ class TestMain:
             ["--mode", "analytic", "--alpha", "1e160"],
             ["--mode", "compare", "--epsilon", "1e200"],
             ["--mode", "analytic", "--epsilon", "1e150"],
+            # omega2 cancels to 0 when |alpha| << |epsilon T|
+            ["--mode", "analytic", "--alpha", "1e-5", "--epsilon", "1"],
+            ["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1"],
+            # finite closed forms whose probabilities do not sum to 1
+            ["--mode", "analytic", "--alpha", "1e150"],
+            ["--mode", "analytic", "--alpha", "1e100"],
+            ["--mode", "compare", "--alpha", "1e100"],
+            ["--mode", "analytic", "--alpha", "17", "--epsilon", "1e-11"],
         ],
     )
     def test_overflowing_closed_forms_exit_code(self, tmp_path, capsys, argv):

@@ -7,7 +7,6 @@ from kicked_coupler import (
     DimensionMismatchError,
     ModeDims,
     SystemParams,
-    TruncatedState,
     annotate_trajectory,
     basis_state,
     bell_fidelities,
@@ -23,21 +22,21 @@ from conftest import random_unit_vector
 
 
 def random_qubit_state(rng):
-    return TruncatedState.from_array(random_unit_vector(rng, 4))
+    return random_unit_vector(rng, 4)
 
 
 class TestProjection:
     def test_vacuum(self):
         dims = ModeDims(4, 4)
         state, leakage = project_to_qubits(basis_state(0, 0, dims), dims)
-        np.testing.assert_allclose(state.as_array(), [1, 0, 0, 0], atol=0)
+        np.testing.assert_allclose(state, [1, 0, 0, 0], atol=0)
         assert leakage == 0.0
 
     def test_half_leaked_superposition(self):
         dims = ModeDims(4, 4)
         psi = (basis_state(0, 0, dims) + basis_state(2, 0, dims)) / np.sqrt(2)
         state, leakage = project_to_qubits(psi, dims)
-        np.testing.assert_allclose(state.as_array(), [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-15)
         assert leakage == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_projection(self):
@@ -49,10 +48,10 @@ class TestProjection:
 class TestBellStates:
     def test_unit_norm(self):
         for b in bell_states():
-            assert b.amplitudes.norm() == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(b.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
     def test_pairwise_orthogonal(self):
-        states = [b.amplitudes.as_array() for b in bell_states()]
+        states = [b.amplitudes for b in bell_states()]
         for i in range(4):
             for j in range(4):
                 overlap = abs(np.vdot(states[i], states[j]))
@@ -73,15 +72,13 @@ class TestConcurrence:
             assert concurrence(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state(self):
-        rho = density_from_pure(TruncatedState(1.0, 0j, 0j, 0j))
+        rho = density_from_pure(np.array([1.0, 0j, 0j, 0j]))
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_known_pure_state(self):
         # 2*sqrt(0.5*0.2) = 2*sqrt(0.1*0.6) ... direct closed form gives
         # 2|c00 c11 - c01 c10| = 2*sqrt(0.06)
-        state = TruncatedState(
-            np.sqrt(0.5), np.sqrt(0.3), 1j * np.sqrt(0.2), 0j
-        )
+        state = np.array([np.sqrt(0.5), np.sqrt(0.3), 1j * np.sqrt(0.2), 0j])
         expected = 2 * np.sqrt(0.06)
         assert concurrence_pure(state) == pytest.approx(expected, abs=1e-12)
         assert concurrence(density_from_pure(state)) == pytest.approx(
@@ -108,12 +105,7 @@ class TestConcurrence:
         for _ in range(20):
             state = random_qubit_state(rng)
             phi, chi = rng.uniform(0, 2 * np.pi, size=2)
-            rotated = TruncatedState(
-                state.c00,
-                np.exp(1j * phi) * state.c01,
-                np.exp(1j * chi) * state.c10,
-                np.exp(1j * (phi + chi)) * state.c11,
-            )
+            rotated = state * np.exp(1j * np.array([0, phi, chi, phi + chi]))
             assert abs(
                 concurrence_pure(rotated) - concurrence_pure(state)
             ) <= 1e-10
@@ -135,13 +127,38 @@ class TestBellFidelities:
         np.testing.assert_allclose(bell_fidelities(b1), [1, 0, 0, 0], atol=1e-14)
 
     def test_vacuum_splits_between_first_pair(self):
-        fids = bell_fidelities(TruncatedState(1.0, 0j, 0j, 0j))
+        fids = bell_fidelities(np.array([1.0, 0j, 0j, 0j]))
         np.testing.assert_allclose(fids, [0.5, 0.5, 0, 0], atol=1e-14)
 
     def test_fidelities_sum_to_one(self, rng):
         for _ in range(100):
             fids = bell_fidelities(random_qubit_state(rng))
             assert sum(fids) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBatchedAmplitudes:
+    """concurrence_pure and bell_fidelities act on the last axis of a
+    (..., 4) array, as on each of its rows."""
+
+    def test_rows_match_single_states(self, rng):
+        amps = np.array([random_qubit_state(rng) for _ in range(12)]).reshape(3, 4, 4)
+        conc = concurrence_pure(amps)
+        fids = bell_fidelities(amps)
+        assert conc.shape == (3, 4) and fids.shape == (3, 4, 4)
+        for index in np.ndindex(3, 4):
+            assert conc[index] == concurrence_pure(amps[index])
+            # one overlap per Bell state; the four-term sums differ from the
+            # matrix product only by float64 roundoff
+            overlaps = [
+                abs(np.vdot(b.amplitudes, amps[index])) ** 2 for b in bell_states()
+            ]
+            np.testing.assert_allclose(fids[index], overlaps, rtol=0, atol=1e-14)
+
+    def test_concurrence_matches_complex_arithmetic(self, rng):
+        for _ in range(100):
+            c00, c01, c10, c11 = (complex(c) for c in random_qubit_state(rng))
+            state = np.array([c00, c01, c10, c11])
+            assert concurrence_pure(state) == 2.0 * abs(c00 * c11 - c01 * c10)
 
 
 class TestAnnotateTrajectory:

@@ -112,7 +112,7 @@ class TestMapStep:
         numeric = np.array(
             [psi[joint_index(m, n, dims)] for m in (0, 1) for n in (0, 1)]
         )
-        analytic = truncated_amplitudes(1, params).as_array()
+        analytic = truncated_amplitudes(1, params)[1]
         assert np.max(np.abs(numeric - analytic)) < 1e-3
 
 
