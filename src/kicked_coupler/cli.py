@@ -1,7 +1,9 @@
 """Configuration, execution, and CSV export.
 
 Run configurations come from a flat ``key = value`` file (UTF-8, '#'
-comments), overridden by command-line flags.  Four modes:
+comments), overridden by command-line flags.  One table, ``_KEYS``, says
+for each key how it is parsed, where it lands in a RunConfig, how
+``echo_config`` writes it back and whether it has a flag.  Four modes:
 
 simulate : full-basis stroboscopic evolution, one CSV row per kick.
 analytic : closed-form four-state amplitudes, same CSV schema.
@@ -17,7 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +34,6 @@ from .entanglement import (
     concurrence_pure,
 )
 from .errors import ConfigError, ContractViolationError
-from .fock import ModeDims
 from .hamiltonians import SystemParams
 from .propagation import DEFAULT_ORDERING, Ordering, evolve
 
@@ -62,126 +66,6 @@ class RunConfig:
     out: str = "output.csv"
 
 
-_KEYS = (
-    "mode",
-    "alpha",
-    "epsilon",
-    "T",
-    "chi_a",
-    "chi_b",
-    "kicks",
-    "cutoff_a",
-    "cutoff_b",
-    "ordering",
-    "out",
-    "scan_param",
-    "scan_start",
-    "scan_stop",
-    "scan_steps",
-)
-
-
-def _parse_value(key: str, raw: str, line_no: int):
-    try:
-        if key in ("alpha", "epsilon"):
-            return complex(raw)
-        if key in ("T", "chi_a", "chi_b", "scan_start", "scan_stop"):
-            return float(raw)
-        if key in ("kicks", "cutoff_a", "cutoff_b", "scan_steps"):
-            return int(raw)
-        if key == "mode":
-            if raw not in MODES:
-                raise ValueError(f"mode must be one of {MODES}")
-            return raw
-        if key == "ordering":
-            if raw not in ORDERINGS:
-                raise ValueError(f"ordering must be one of {ORDERINGS}")
-            return Ordering(raw)
-        if key == "scan_param":
-            if raw not in SCAN_PARAMS:
-                raise ValueError(f"scan_param must be one of {SCAN_PARAMS}")
-            return raw
-        return raw  # out
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: bad value for '{key}': {raw!r} ({exc})")
-
-
-def _config_from_items(items: dict) -> RunConfig:
-    """Build and validate a RunConfig from parsed key/value pairs."""
-    try:
-        dims = ModeDims(items.get("cutoff_a", 15), items.get("cutoff_b", 15))
-        params = SystemParams(
-            chi_a=items.get("chi_a", 1.0),
-            chi_b=items.get("chi_b", 1.0),
-            epsilon=items.get("epsilon", 0.01),
-            alpha=items.get("alpha", 0.04),
-            T=items.get("T", 1.0),
-            dims=dims,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    mode = items.get("mode", "simulate")
-    n_kicks = items.get("kicks", 2000)
-    if n_kicks < 1:
-        raise ConfigError(f"kicks must be positive, got {n_kicks}")
-
-    scan_keys = {k for k in items if k.startswith("scan_")}
-    if mode == "scan":
-        missing = {"scan_param", "scan_start", "scan_stop", "scan_steps"} - scan_keys
-        if missing:
-            raise ConfigError(f"mode = scan requires keys: {', '.join(sorted(missing))}")
-        scan = ScanSpec(
-            param=items["scan_param"],
-            start=items["scan_start"],
-            stop=items["scan_stop"],
-            steps=items["scan_steps"],
-        )
-        if scan.steps < 2:
-            raise ConfigError(f"scan_steps must be >= 2, got {scan.steps}")
-        if not scan.start < scan.stop:
-            raise ConfigError(
-                f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}"
-            )
-        # every scanned value lies between the endpoints, so checking those
-        # rejects a non-finite or nonpositive-period scan before it runs
-        try:
-            for value in (scan.start, scan.stop):
-                replace(params, **{scan.param: value})
-        except ValueError as exc:
-            raise ConfigError(f"scan endpoint: {exc}")
-    else:
-        if scan_keys:
-            raise ConfigError(
-                f"scan keys {sorted(scan_keys)} are only valid with mode = scan"
-            )
-        scan = None
-
-    return RunConfig(
-        params=params,
-        n_kicks=n_kicks,
-        ordering=items.get("ordering", DEFAULT_ORDERING),
-        mode=mode,
-        scan=scan,
-        out=items.get("out", "output.csv"),
-    )
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document into a validated RunConfig."""
-    items: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"line {line_no}: unknown key '{key}'")
-        items[key] = _parse_value(key, raw, line_no)
-    return _config_from_items(items)
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -193,29 +77,137 @@ def _fmt_param(x) -> str:
     return str(x).strip("()")
 
 
+def _parse_out(raw: str) -> str:
+    # echo_config writes the path verbatim into a line-based document that
+    # cuts '#' comments and strips values; a path it cannot hold is refused
+    if "#" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
+        raise ValueError("a path may not contain '#', a line break, or edge whitespace")
+    return raw
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one config key is parsed, stored, written back and flagged."""
+
+    field: str  # attribute path from a RunConfig to the value
+    parse: Callable[[str], object]  # raw text -> value; ValueError if malformed
+    render: Callable[[object], str]  # value -> the text echo_config writes
+    help: str | None  # flag help; None keeps the key config-file only
+    choices: tuple[str, ...] | None = None  # the raw values accepted, if a closed set
+
+
+# echo_config writes the keys in this order
+_KEYS = {
+    "mode": _Key("mode", str, str, "what to compute", MODES),
+    "alpha": _Key(
+        "params.alpha", complex, _fmt_param, "kick strength (complex accepted)"
+    ),
+    "epsilon": _Key(
+        "params.epsilon", complex, _fmt_param, "inter-mode coupling (complex accepted)"
+    ),
+    "T": _Key("params.T", float, _fmt, "pulse period"),
+    "chi_a": _Key("params.chi_a", float, _fmt, "Kerr constant of mode a"),
+    "chi_b": _Key("params.chi_b", float, _fmt, "Kerr constant of mode b"),
+    "kicks": _Key("n_kicks", int, str, "number of kicks to simulate"),
+    "cutoff_a": _Key("params.dims.dim_a", int, str, "Fock levels in mode a"),
+    "cutoff_b": _Key("params.dims.dim_b", int, str, "Fock levels in mode b"),
+    "ordering": _Key(
+        "ordering", Ordering, attrgetter("value"), "step ordering", ORDERINGS
+    ),
+    "out": _Key("out", _parse_out, str, "output CSV path"),
+    "scan_param": _Key("scan.param", str, str, None, SCAN_PARAMS),
+    "scan_start": _Key("scan.start", float, _fmt, None),
+    "scan_stop": _Key("scan.stop", float, _fmt, None),
+    "scan_steps": _Key("scan.steps", int, str, None),
+}
+_SCAN_KEYS = frozenset(k for k, spec in _KEYS.items() if spec.field.startswith("scan."))
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse_value(key: str, raw: str, where: str):
+    spec = _KEYS[key]
+    try:
+        if spec.choices is not None and raw not in spec.choices:
+            raise ValueError(f"must be one of {spec.choices}")
+        return spec.parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for '{key}': {raw!r} ({exc})")
+
+
+def _config_from_items(items: dict) -> RunConfig:
+    """Build and validate a RunConfig from parsed key/value pairs.  A key
+    that is not given keeps the default its dataclass field declares."""
+    fields: dict[str, dict] = defaultdict(dict)
+    for key, value in items.items():
+        owner, _, name = _KEYS[key].field.rpartition(".")
+        fields[owner][name] = value
+    try:
+        dims = replace(SystemParams().dims, **fields["params.dims"])
+        params = SystemParams(dims=dims, **fields["params"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    config = RunConfig(params=params, **fields[""])
+    if config.n_kicks < 1:
+        raise ConfigError(f"kicks must be positive, got {config.n_kicks}")
+
+    scan_keys = _SCAN_KEYS & items.keys()
+    if config.mode != "scan":
+        if scan_keys:
+            raise ConfigError(
+                f"scan keys {sorted(scan_keys)} are only valid with mode = scan"
+            )
+        return config
+    missing = _SCAN_KEYS - scan_keys
+    if missing:
+        raise ConfigError(f"mode = scan requires keys: {', '.join(sorted(missing))}")
+    scan = ScanSpec(**fields["scan"])
+    if scan.steps < 2:
+        raise ConfigError(f"scan_steps must be >= 2, got {scan.steps}")
+    if not scan.start < scan.stop:
+        raise ConfigError(
+            f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}"
+        )
+    # every scanned value lies between the endpoints, so checking those
+    # rejects a non-finite or nonpositive-period scan before it runs
+    try:
+        for value in (scan.start, scan.stop):
+            replace(params, **{scan.param: value})
+    except ValueError as exc:
+        raise ConfigError(f"scan endpoint: {exc}")
+    return replace(config, scan=scan)
+
+
+def _parse_items(text: str) -> dict:
+    """The parsed values of a flat key = value document, by key."""
+    items: dict = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"line {line_no}: unknown key '{key}'")
+        items[key] = _parse_value(key, raw, f"line {line_no}")
+    return items
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a flat key = value document into a validated RunConfig."""
+    return _config_from_items(_parse_items(text))
+
+
 def echo_config(config: RunConfig) -> str:
     """Render a config as a document that re-parses to an equal RunConfig."""
-    p = config.params
     lines = [
-        f"mode = {config.mode}",
-        f"alpha = {_fmt_param(p.alpha)}",
-        f"epsilon = {_fmt_param(p.epsilon)}",
-        f"T = {_fmt(p.T)}",
-        f"chi_a = {_fmt(p.chi_a)}",
-        f"chi_b = {_fmt(p.chi_b)}",
-        f"kicks = {config.n_kicks}",
-        f"cutoff_a = {p.dims.dim_a}",
-        f"cutoff_b = {p.dims.dim_b}",
-        f"ordering = {config.ordering.value}",
-        f"out = {config.out}",
+        f"{key} = {spec.render(attrgetter(spec.field)(config))}"
+        for key, spec in _KEYS.items()
+        if config.scan is not None or key not in _SCAN_KEYS
     ]
-    if config.scan is not None:
-        lines += [
-            f"scan_param = {config.scan.param}",
-            f"scan_start = {_fmt(config.scan.start)}",
-            f"scan_stop = {_fmt(config.scan.stop)}",
-            f"scan_steps = {config.scan.steps}",
-        ]
     return "\n".join(lines) + "\n"
 
 
@@ -271,13 +263,14 @@ def _run_analytic(config: RunConfig) -> list[str]:
 
 def _run_compare(config: RunConfig) -> list[str]:
     _warn_complex_phases(config.params)
+    # the closed forms' contracts are checked before the full-basis run
+    ana = np.abs(truncated_amplitudes(config.n_kicks, config.params)) ** 2
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
     obs = annotate_trajectory(
         evolve(config.params, config.n_kicks, ordering=Ordering.MID_PULSE),
         config.params.dims,
     )
-    ana = np.abs(truncated_amplitudes(config.n_kicks, config.params)) ** 2
     dp_max = np.max(np.abs(obs.probs - ana), axis=1)
     table = np.column_stack((_observable_columns(obs), ana, dp_max))
     return [CSV_HEADER + "," + COMPARE_EXTRA] + _csv_rows(table)
@@ -331,19 +324,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         "per-kick observables as CSV.",
     )
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--alpha", help="kick strength (complex accepted)")
-    parser.add_argument("--epsilon", help="inter-mode coupling (complex accepted)")
-    parser.add_argument("--T", help="pulse period")
-    parser.add_argument("--chi-a", dest="chi_a", help="Kerr constant of mode a")
-    parser.add_argument("--chi-b", dest="chi_b", help="Kerr constant of mode b")
-    parser.add_argument("--kicks", help="number of kicks to simulate")
-    parser.add_argument("--cutoff-a", dest="cutoff_a", help="Fock levels in mode a")
-    parser.add_argument("--cutoff-b", dest="cutoff_b", help="Fock levels in mode b")
-    parser.add_argument(
-        "--ordering", choices=ORDERINGS, help="step ordering"
-    )
-    parser.add_argument("--out", metavar="PATH", help="output CSV path")
+    for key, spec in _KEYS.items():
+        if spec.help is not None:
+            parser.add_argument(_flag(key), choices=spec.choices, help=spec.help)
     parser.add_argument(
         "--echo-config",
         action="store_true",
@@ -355,33 +338,21 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig, bool]:
     """Resolve flags over config file over defaults into a RunConfig."""
     args = _build_arg_parser().parse_args(argv)
-    text = ""
+    items: dict = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-    # re-use the config-file parser for flag values: append overrides
-    overrides = []
-    for key in (
-        "mode",
-        "alpha",
-        "epsilon",
-        "T",
-        "chi_a",
-        "chi_b",
-        "kicks",
-        "cutoff_a",
-        "cutoff_b",
-        "ordering",
-        "out",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            overrides.append(f"{key} = {value}")
-    full = text + "\n" + "\n".join(overrides)
-    return parse_config(full), args.echo_config
+        items = _parse_items(text)
+    # a flag value goes through its key's parser as given, never through
+    # the document format
+    for key in _KEYS:
+        raw = getattr(args, key, None)
+        if raw is not None:
+            items[key] = _parse_value(key, raw, _flag(key))
+    return _config_from_items(items), args.echo_config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -68,11 +68,9 @@ def _build_unitary(kind: str, params: SystemParams) -> np.ndarray:
     )
 
 
-def _step_unitary(kind: str, params: SystemParams, cache: dict | None) -> np.ndarray:
+def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
     """The unitary of the given kind, taken from the cache while the
     parameters its generator reads are unchanged."""
-    if cache is None:
-        return _build_unitary(kind, params)
     key = tuple(getattr(params, name) for name in UNITARY_INPUTS[kind])
     if kind in cache and cache[kind][0] == key:
         return cache[kind][1]
@@ -96,7 +94,7 @@ def build_half_kick(params: SystemParams) -> np.ndarray:
 
 
 def _period_factors(
-    params: SystemParams, ordering: Ordering, cache: dict | None
+    params: SystemParams, ordering: Ordering, cache: dict
 ) -> tuple[np.ndarray, ...]:
     """The matrices one period applies to the state, first factor first."""
     u_free = _step_unitary("free", params, cache)
@@ -153,7 +151,7 @@ def evolve(
     psi = _check_initial(params, initial)
     # the operators are built before the trajectory is allocated, so their
     # construction temporaries are freed before the largest array exists
-    factors = _period_factors(params, ordering, cache)
+    factors = _period_factors(params, ordering, {} if cache is None else cache)
     states = np.empty((n_kicks + 1, psi.size), dtype=complex)
     states[0] = psi
     for k in range(1, n_kicks + 1):

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -20,6 +21,42 @@ from kicked_coupler.propagation import UNITARY_INPUTS
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+FLAGGED_KEYS = [key for key, spec in cli._KEYS.items() if spec.help is not None]
+SCAN_DOCUMENT = (
+    "mode = scan\nscan_param = alpha\nscan_start = 0.01\nscan_stop = 0.05\n"
+    "scan_steps = 3\n"
+)
+
+
+def value_of(config, key):
+    """The value a config holds for a key; None for a scan key of a config
+    without a scan."""
+    try:
+        return attrgetter(cli._KEYS[key].field)(config)
+    except AttributeError:
+        return None
+
+
+def field_paths(obj, prefix=""):
+    """Attribute paths of every non-dataclass field reachable from obj."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from field_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def other_raw(key, value):
+    """Raw text for a key that parses to a value other than ``value``."""
+    spec = cli._KEYS[key]
+    if spec.choices is not None:
+        return next(raw for raw in spec.choices if spec.parse(raw) != value)
+    if isinstance(value, str):
+        return "other-" + value
+    return spec.render(value * (3 + 1j if spec.parse is complex else 3))
 
 
 class TestParseConfig:
@@ -99,6 +136,24 @@ class TestParseConfig:
 
     def test_round_trip_defaults(self):
         config = parse_config("")
+        assert parse_config(echo_config(config)) == config
+
+    def test_keys_set_every_config_field_once(self):
+        paths = [spec.field for spec in cli._KEYS.values()]
+        assert sorted(paths) == sorted(field_paths(parse_config(SCAN_DOCUMENT)))
+
+    def test_round_trip_every_key_non_default(self):
+        default, base = parse_config(""), parse_config(SCAN_DOCUMENT)
+        document = ""
+        for key, spec in cli._KEYS.items():
+            value = value_of(base, key)
+            if value == value_of(default, key):
+                document += f"{key} = {other_raw(key, value)}\n"
+            else:
+                document += f"{key} = {spec.render(value)}\n"
+        config = parse_config(document)
+        for key in cli._KEYS:
+            assert value_of(config, key) != value_of(default, key), key
         assert parse_config(echo_config(config)) == config
 
 
@@ -251,6 +306,62 @@ class TestMain:
 
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
+
+    def test_bad_flag_value_names_the_flag(self, capsys):
+        assert main(["--kicks", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "--kicks" in err
+        assert "line" not in err
+
+    @pytest.mark.parametrize(
+        "out",
+        ["{dir}/run#1.csv", "{dir}/y.csv\nkicks = 7", " {dir}/y.csv", "{dir}/y.csv ",
+         "{dir}/y.csv\r"],
+        ids=["hash", "line-break", "leading-space", "trailing-space", "carriage-return"],
+    )
+    def test_out_the_config_format_cannot_hold(self, tmp_path, capsys, out):
+        # every flag value must survive --echo-config and re-parsing
+        argv = ["--kicks", "3", "--cutoff-a", "4", "--cutoff-b", "4"]
+        assert main(argv + ["--out", out.format(dir=tmp_path)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_values_are_not_parsed_as_documents(self, capsys):
+        assert main(["--alpha", "0.05\nkicks = 7", "--echo-config"]) == 2
+        assert "kicks = 7" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", FLAGGED_KEYS)
+    def test_every_flag_overrides_file(self, tmp_path, key):
+        spec = cli._KEYS[key]
+        file_raw = other_raw(key, value_of(parse_config(""), key))
+        flag_raw = other_raw(key, spec.parse(file_raw))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {file_raw}\n")
+        assert value_of(parse_config(cfg.read_text()), key) == spec.parse(file_raw)
+        config, _ = cli.config_from_args(["--config", str(cfg), cli._flag(key), flag_raw])
+        assert value_of(config, key) == spec.parse(flag_raw) != spec.parse(file_raw)
+
+    def test_flags_are_the_non_scan_keys(self):
+        options = {
+            option
+            for action in cli._build_arg_parser()._actions
+            for option in action.option_strings
+        }
+        assert options == {cli._flag(key) for key in FLAGGED_KEYS} | {
+            "-h", "--help", "--config", "--echo-config"
+        }
+        for key in cli._KEYS:
+            assert (key in FLAGGED_KEYS) == (not key.startswith("scan_")), key
+
+    def test_compare_checks_closed_forms_before_evolving(self, tmp_path, monkeypatch):
+        def failing_evolve(*args, **kwargs):
+            pytest.fail("evolve ran before the closed-form contracts were checked")
+
+        monkeypatch.setattr(cli, "evolve", failing_evolve)
+        out = tmp_path / "run.csv"
+        argv = ["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1", "--kicks", "3"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--alpha", "nan"), ("--epsilon", "inf"), ("--T", "inf")]
