@@ -53,6 +53,7 @@ from .propagation import (
     build_half_kick,
     build_step_operators,
     evolve,
+    evolve_blocks,
     vacuum_state,
 )
 
@@ -85,6 +86,7 @@ __all__ = [
     "embed_mode_a",
     "embed_mode_b",
     "evolve",
+    "evolve_blocks",
     "hermitian_eigendecomposition",
     "hermiticity_defect",
     "joint_index",

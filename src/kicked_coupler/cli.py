@@ -11,21 +11,31 @@ compare  : both, with per-kick analytic probabilities and the maximal
            per-state probability difference appended.
 scan     : sweep one parameter, one summary row per value.
 
+Every mode computes and writes its rows one block of kicks at a time
+(propagation.BLOCK_KICKS), through a temporary file that replaces the
+output only when the run succeeds.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation.
+violation, 1 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+import tempfile
 from collections import defaultdict
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable
+from typing import TextIO
 
 import numpy as np
 
+from . import propagation
 from .analytic import SINGULAR_COUPLING_THRESHOLD, truncated_amplitudes
 from .entanglement import (
     QubitObservables,
@@ -35,9 +45,8 @@ from .entanglement import (
 )
 from .errors import ConfigError, ContractViolationError
 from .hamiltonians import SystemParams
-from .propagation import DEFAULT_ORDERING, Ordering, evolve
+from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks
 
-MODES = ("simulate", "analytic", "compare", "scan")
 SCAN_PARAMS = ("alpha", "epsilon", "T")
 # the full-basis runs record after each whole period; mid-pulse sampling is
 # reserved for compare mode
@@ -75,6 +84,126 @@ def _fmt_param(x) -> str:
     if x.imag == 0:
         return format(x.real, ".12g")
     return str(x).strip("()")
+
+
+def _warn_complex_phases(params: SystemParams) -> None:
+    if complex(params.alpha).imag != 0 or complex(params.epsilon).imag != 0:
+        print(
+            "warning: closed-form amplitudes use |alpha| and |epsilon|; "
+            "complex phases are ignored on the analytic path",
+            file=sys.stderr,
+        )
+
+
+def _observable_columns(obs: QubitObservables) -> np.ndarray:
+    """The CSV_HEADER columns after k, one row per kick."""
+    return np.column_stack(
+        (obs.probs, obs.leakage, obs.concurrence, obs.bell_fidelities)
+    )
+
+
+def _csv_rows(table: np.ndarray, first_k: int) -> str:
+    """One CSV line per table row, prefixed with its kick number, counted
+    from first_k.  '%.12g' formats a float as _fmt does."""
+    line = "%d," + ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return "".join([line % (k, *row) for k, row in enumerate(table.tolist(), first_k)])
+
+
+# A runner yields the CSV text of a run piece by piece, header first, one
+# piece per block of kicks (per point for scan), so no mode holds more than
+# one block of states or formatted rows; only the closed-form arrays of
+# analytic and compare span the whole run.
+
+
+def _run_simulate(config: RunConfig) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
+    k = 0
+    for block in evolve_blocks(config.params, config.n_kicks, ordering=config.ordering):
+        obs = annotate_trajectory(block, config.params.dims)
+        yield _csv_rows(_observable_columns(obs), k)
+        k += len(block)
+
+
+def _run_analytic(config: RunConfig) -> Iterator[str]:
+    _warn_complex_phases(config.params)
+    eps_t = abs(config.params.epsilon) * config.params.T
+    if eps_t <= SINGULAR_COUPLING_THRESHOLD:
+        print(
+            "note: |epsilon*T| below the coupled-formula threshold; "
+            "using the uncoupled (epsilon = 0) amplitudes",
+            file=sys.stderr,
+        )
+    amps = truncated_amplitudes(config.n_kicks, config.params)
+    yield CSV_HEADER + "\n"
+    for k in range(0, len(amps), propagation.BLOCK_KICKS):
+        block = amps[k : k + propagation.BLOCK_KICKS]
+        probs = np.abs(block) ** 2
+        # the closed forms' own normalization defect stays visible as leakage
+        table = np.column_stack(
+            (
+                probs,
+                1.0 - probs.sum(axis=1),
+                concurrence_pure(block),
+                bell_fidelities(block),
+            )
+        )
+        yield _csv_rows(table, k)
+
+
+def _run_compare(config: RunConfig) -> Iterator[str]:
+    _warn_complex_phases(config.params)
+    # the closed forms' contracts are checked before the full-basis run
+    ana = np.abs(truncated_amplitudes(config.n_kicks, config.params)) ** 2
+    yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
+    k = 0
+    # mid-pulse sampling: the convention under which the closed forms match
+    # the kicked dynamics to highest order
+    for block in evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE):
+        obs = annotate_trajectory(block, config.params.dims)
+        probs = ana[k : k + len(block)]
+        dp_max = np.max(np.abs(obs.probs - probs), axis=1)
+        yield _csv_rows(np.column_stack((_observable_columns(obs), probs, dp_max)), k)
+        k += len(block)
+
+
+def _scan_point(
+    params: SystemParams, config: RunConfig, cache: dict
+) -> tuple[float, int, float]:
+    """The maximal concurrence, the first k that reaches it, and the maximal
+    leakage of one scan point's run, taken block by block."""
+    k = 0
+    for block in evolve_blocks(params, config.n_kicks, ordering=config.ordering, cache=cache):
+        obs = annotate_trajectory(block, params.dims)
+        i = int(np.argmax(obs.concurrence))
+        # strict '>': the first maximum wins across blocks, as in argmax
+        if k == 0 or obs.concurrence[i] > max_concurrence:
+            max_concurrence, k_at_max = obs.concurrence[i], k + i
+        leakage = obs.leakage.max()
+        max_leakage = leakage if k == 0 else max(max_leakage, leakage)
+        k += len(block)
+    return max_concurrence, k_at_max, max_leakage
+
+
+def _run_scan(config: RunConfig) -> Iterator[str]:
+    scan = config.scan
+    yield SCAN_HEADER + "\n"
+    # the scanned parameter enters one generator only, so the other step
+    # unitary is built once and reused at every point
+    cache: dict = {}
+    for value in np.linspace(scan.start, scan.stop, scan.steps):
+        params = replace(config.params, **{scan.param: float(value)})
+        max_concurrence, k_at_max, max_leakage = _scan_point(params, config, cache)
+        fields = [scan.param, _fmt(value), _fmt(max_concurrence), str(k_at_max)]
+        yield ",".join(fields + [_fmt(max_leakage)]) + "\n"
+
+
+_RUNNERS: dict[str, Callable[[RunConfig], Iterator[str]]] = {
+    "simulate": _run_simulate,
+    "analytic": _run_analytic,
+    "compare": _run_compare,
+    "scan": _run_scan,
+}
+MODES = tuple(_RUNNERS)
 
 
 def _parse_out(raw: str) -> str:
@@ -211,109 +340,60 @@ def echo_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _warn_complex_phases(params: SystemParams) -> None:
-    if complex(params.alpha).imag != 0 or complex(params.epsilon).imag != 0:
-        print(
-            "warning: closed-form amplitudes use |alpha| and |epsilon|; "
-            "complex phases are ignored on the analytic path",
-            file=sys.stderr,
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """A text stream for the CSV at path, opened before the run starts.
+
+    A new or regular file is written through a temporary file in the
+    directory of the resolved path, which os.replace moves onto it only when
+    the body completes; after an exception the temporary file is removed and
+    an existing file keeps its bytes.  A symbolic link is resolved, so the
+    link stays and its target gets the CSV.  A new file gets the mode that
+    open(path, "w") would give it; an existing one keeps its mode.  An
+    existing target that is not a regular file (a device, a pipe) is opened
+    and written directly, never replaced.
+    """
+    try:
+        st_mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        st_mode = None
+    # a path that names no file ("", or ending in a separator, "." or "..")
+    # is opened directly too, so that it fails as open() fails
+    names_no_file = os.path.basename(path) in ("", ".", "..")
+    if names_no_file or (st_mode is not None and not stat.S_ISREG(st_mode)):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    if st_mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        st_mode = 0o666 & ~umask
+    target = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
         )
-
-
-def _observable_columns(obs: QubitObservables) -> np.ndarray:
-    """The CSV_HEADER columns after k, one row per kick."""
-    return np.column_stack(
-        (obs.probs, obs.leakage, obs.concurrence, obs.bell_fidelities)
-    )
-
-
-def _csv_rows(table: np.ndarray) -> list[str]:
-    """One CSV row per table row, prefixed with its kick number."""
-    return [
-        ",".join([str(k)] + [_fmt(v) for v in row.tolist()])
-        for k, row in enumerate(table)
-    ]
-
-
-def _run_simulate(config: RunConfig) -> list[str]:
-    obs = annotate_trajectory(
-        evolve(config.params, config.n_kicks, ordering=config.ordering),
-        config.params.dims,
-    )
-    return [CSV_HEADER] + _csv_rows(_observable_columns(obs))
-
-
-def _run_analytic(config: RunConfig) -> list[str]:
-    _warn_complex_phases(config.params)
-    eps_t = abs(config.params.epsilon) * config.params.T
-    if eps_t <= SINGULAR_COUPLING_THRESHOLD:
-        print(
-            "note: |epsilon*T| below the coupled-formula threshold; "
-            "using the uncoupled (epsilon = 0) amplitudes",
-            file=sys.stderr,
-        )
-    amps = truncated_amplitudes(config.n_kicks, config.params)
-    probs = np.abs(amps) ** 2
-    # the closed forms' own normalization defect stays visible as leakage
-    table = np.column_stack(
-        (probs, 1.0 - probs.sum(axis=1), concurrence_pure(amps), bell_fidelities(amps))
-    )
-    return [CSV_HEADER] + _csv_rows(table)
-
-
-def _run_compare(config: RunConfig) -> list[str]:
-    _warn_complex_phases(config.params)
-    # the closed forms' contracts are checked before the full-basis run
-    ana = np.abs(truncated_amplitudes(config.n_kicks, config.params)) ** 2
-    # mid-pulse sampling: the convention under which the closed forms match
-    # the kicked dynamics to highest order
-    obs = annotate_trajectory(
-        evolve(config.params, config.n_kicks, ordering=Ordering.MID_PULSE),
-        config.params.dims,
-    )
-    dp_max = np.max(np.abs(obs.probs - ana), axis=1)
-    table = np.column_stack((_observable_columns(obs), ana, dp_max))
-    return [CSV_HEADER + "," + COMPARE_EXTRA] + _csv_rows(table)
-
-
-def _run_scan(config: RunConfig) -> list[str]:
-    scan = config.scan
-    rows = [SCAN_HEADER]
-    # the scanned parameter enters one generator only, so the other step
-    # unitary is built once and reused at every point
-    cache: dict = {}
-    for value in np.linspace(scan.start, scan.stop, scan.steps):
-        params = replace(config.params, **{scan.param: float(value)})
-        obs = annotate_trajectory(
-            evolve(params, config.n_kicks, ordering=config.ordering, cache=cache),
-            params.dims,
-        )
-        k_at_max = int(np.argmax(obs.concurrence))
-        rows.append(
-            ",".join(
-                [
-                    scan.param,
-                    _fmt(value),
-                    _fmt(obs.concurrence[k_at_max]),
-                    str(k_at_max),
-                    _fmt(obs.leakage.max()),
-                ]
-            )
-        )
-    return rows
+    except OSError as exc:
+        # report the path that was asked for, not the temporary name
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fd, stat.S_IMODE(st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated config and write its CSV. Returns the exit status."""
-    runners = {
-        "simulate": _run_simulate,
-        "analytic": _run_analytic,
-        "compare": _run_compare,
-        "scan": _run_scan,
-    }
-    rows = runners[config.mode](config)
-    with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    """Execute a validated config and write its CSV. Returns the exit status.
+
+    The output is opened first, so an unwritable path fails before any
+    computation, and each block of rows is written as it is computed.
+    """
+    with _output(config.out) as fh:
+        fh.writelines(_RUNNERS[config.mode](config))
     return 0
 
 

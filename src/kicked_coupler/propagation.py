@@ -6,11 +6,14 @@ recorded within a period is an explicit choice (`Ordering`): after the
 kick and the free flight in either order, or halfway through each pulse
 (half kick - free flight - half kick), the convention under which the
 closed-form four-state amplitudes are reproduced most accurately (see
-analytic.calibrate_sampling).  `evolve` is the one map loop for all three.
+analytic.calibrate_sampling).  `evolve_blocks` is the one map loop for all
+three; it yields the trajectory in fixed blocks of rows, and `evolve`
+collects them into one array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +37,10 @@ DEFAULT_ORDERING = Ordering.FREE_THEN_KICK
 # The step unitaries are exact to eigensolver accuracy; the norm drifts by
 # about 1e-13 over 10 000 periods at D = 225.
 NORM_RTOL = 1e-9
+
+# Rows per block of a streamed trajectory (evolve_blocks).  A block of 256
+# states at D = 225 is 0.9 MB; two are alive while the next one is built.
+BLOCK_KICKS = 256
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,59 @@ def _check_initial(params: SystemParams, initial: np.ndarray | None) -> np.ndarr
     return initial
 
 
+def evolve_blocks(
+    params: SystemParams,
+    n_kicks: int,
+    initial: np.ndarray | None = None,
+    ordering: Ordering = DEFAULT_ORDERING,
+    cache: dict | None = None,
+) -> Iterator[np.ndarray]:
+    """The trajectory of `evolve`, as consecutive blocks of rows.
+
+    The arguments are checked and the step operators built when this is
+    called.  The returned iterator yields (rows, D) complex arrays of
+    BLOCK_KICKS rows each, the last one possibly shorter, so a consumer
+    that handles one block at a time holds O(BLOCK_KICKS * D) states
+    whatever n_kicks is.  Each row is computed from the row before it
+    through the same products in the same order as in `evolve`, so the
+    concatenated blocks equal its array bit for bit.
+
+    The norm contract is checked against row 0 after the last block has
+    been yielded: ContractViolationError is raised where the iteration
+    would end.
+    """
+    if n_kicks < 0:
+        raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
+    psi = _check_initial(params, initial)
+    factors = _period_factors(params, ordering, {} if cache is None else cache)
+    return _blocks(psi, n_kicks, factors)
+
+
+def _blocks(
+    initial: np.ndarray, n_kicks: int, factors: tuple[np.ndarray, ...]
+) -> Iterator[np.ndarray]:
+    n_rows = n_kicks + 1
+    psi = np.array(initial)  # a contiguous copy, as row 0 of a trajectory
+    initial_norm = np.vdot(psi, psi).real
+    for start in range(0, n_rows, BLOCK_KICKS):
+        block = np.empty((min(BLOCK_KICKS, n_rows - start), psi.size), dtype=complex)
+        # row 0 of the trajectory is the initial state itself
+        first = 0 if start else 1
+        block[:first] = psi
+        for k in range(first, len(block)):
+            for u in factors:
+                psi = u @ psi
+            block[k] = psi
+        yield block
+    final_norm = np.vdot(psi, psi).real
+    # written so that a NaN norm fails too
+    if not abs(final_norm - initial_norm) <= NORM_RTOL * initial_norm:
+        raise ContractViolationError(
+            f"squared norm drifted from {initial_norm:.17g} to {final_norm:.17g} "
+            f"over {n_kicks} periods (relative tolerance {NORM_RTOL:g})"
+        )
+
+
 def evolve(
     params: SystemParams,
     n_kicks: int,
@@ -136,7 +196,9 @@ def evolve(
 
     Returns an (n_kicks + 1, D) complex array whose row k is the state after
     k applications of the one-period map under the given ordering.  The
-    default initial state is the two-mode vacuum.
+    default initial state is the two-mode vacuum.  The rows are collected
+    from `evolve_blocks`; a caller that needs one block at a time should
+    iterate that instead.
 
     ``cache`` is an optional dict owned by the caller.  Across calls that
     share it, each step unitary is rebuilt only when a parameter its
@@ -146,24 +208,12 @@ def evolve(
     Raises ContractViolationError if the squared norm of the last state
     differs from that of the first by more than NORM_RTOL, relative.
     """
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
-    psi = _check_initial(params, initial)
+    blocks = evolve_blocks(params, n_kicks, initial, ordering, cache)
     # the operators are built before the trajectory is allocated, so their
     # construction temporaries are freed before the largest array exists
-    factors = _period_factors(params, ordering, {} if cache is None else cache)
-    states = np.empty((n_kicks + 1, psi.size), dtype=complex)
-    states[0] = psi
-    for k in range(1, n_kicks + 1):
-        psi = states[k - 1]
-        for u in factors:
-            psi = u @ psi
-        states[k] = psi
-    initial_norm = np.vdot(states[0], states[0]).real
-    final_norm = np.vdot(states[-1], states[-1]).real
-    if abs(final_norm - initial_norm) > NORM_RTOL * initial_norm:
-        raise ContractViolationError(
-            f"squared norm drifted from {initial_norm:.17g} to {final_norm:.17g} "
-            f"over {n_kicks} periods (relative tolerance {NORM_RTOL:g})"
-        )
+    states = np.empty((n_kicks + 1, params.dims.joint), dtype=complex)
+    start = 0
+    for block in blocks:
+        states[start : start + len(block)] = block
+        start += len(block)
     return states

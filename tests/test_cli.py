@@ -1,10 +1,20 @@
+import os
+import stat
+import threading
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from kicked_coupler import ConfigError, Ordering, annotate_trajectory, evolve
+from kicked_coupler import (
+    ConfigError,
+    Ordering,
+    annotate_trajectory,
+    evolve,
+    evolve_blocks,
+)
 from kicked_coupler import cli, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
@@ -249,12 +259,12 @@ class TestRunModes:
         )
         calls = []
 
-        def recording_evolve(params, n_kicks, **kwargs):
-            states = evolve(params, n_kicks, **kwargs)
-            calls.append((params, states, kwargs["cache"]))
-            return states
+        def recording_evolve_blocks(params, n_kicks, **kwargs):
+            blocks = list(evolve_blocks(params, n_kicks, **kwargs))
+            calls.append((params, np.concatenate(blocks), kwargs["cache"]))
+            return iter(blocks)
 
-        monkeypatch.setattr(cli, "evolve", recording_evolve)
+        monkeypatch.setattr(cli, "evolve_blocks", recording_evolve_blocks)
         assert run(config) == 0
         _, rows = read_rows(tmp_path / "o.csv")
         assert len(calls) == len(rows) == 4
@@ -283,11 +293,11 @@ class TestRunModes:
         )
         caches = []
 
-        def recording_evolve(params, n_kicks, **kwargs):
+        def recording_evolve_blocks(params, n_kicks, **kwargs):
             caches.append(kwargs["cache"])
-            return evolve(params, n_kicks, **kwargs)
+            return evolve_blocks(params, n_kicks, **kwargs)
 
-        monkeypatch.setattr(cli, "evolve", recording_evolve)
+        monkeypatch.setattr(cli, "evolve_blocks", recording_evolve_blocks)
         run(config)
         run(replace(config, params=replace(config.params, epsilon=0.02)))
         assert caches[0] is caches[1] and caches[2] is caches[3]
@@ -354,10 +364,10 @@ class TestMain:
             assert (key in FLAGGED_KEYS) == (not key.startswith("scan_")), key
 
     def test_compare_checks_closed_forms_before_evolving(self, tmp_path, monkeypatch):
-        def failing_evolve(*args, **kwargs):
-            pytest.fail("evolve ran before the closed-form contracts were checked")
+        def failing_evolve_blocks(*args, **kwargs):
+            pytest.fail("evolve_blocks ran before the closed-form contracts were checked")
 
-        monkeypatch.setattr(cli, "evolve", failing_evolve)
+        monkeypatch.setattr(cli, "evolve_blocks", failing_evolve_blocks)
         out = tmp_path / "run.csv"
         argv = ["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1", "--kicks", "3"]
         assert main(argv + ["--out", str(out)]) == 3
@@ -430,3 +440,224 @@ class TestMain:
             assert main(["--alpha", "0.05", "--echo-config"]) == 0
         config = parse_config(buf.getvalue())
         assert config.params.alpha == 0.05
+
+
+SMALL = ["--cutoff-a", "4", "--cutoff-b", "4"]
+
+
+def csv_bytes(tmp_path, argv, name="run.csv"):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    out.unlink()
+    return data
+
+
+class TestRowFormatting:
+    def test_percent_format_equals_fmt(self, rng):
+        # _csv_rows formats with '%.12g', the scan rows and echo_config with
+        # _fmt; both must give the same text for every float
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+        values = bits.view(np.float64).tolist() + [
+            0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+            2.2250738585072009e-308, 1.7976931348623157e308, 1e-12, 0.1, 1 / 3,
+        ]
+        assert [("%.12g" % x) for x in values] == [_fmt(x) for x in values]
+
+    def test_rows_equal_the_per_cell_format(self, rng):
+        table = rng.normal(size=(9, 10))
+        table[2, 3], table[4, 5] = -0.0, np.nan
+        expected = "".join(
+            ",".join([str(k)] + [_fmt(v) for v in row]) + "\n"
+            for k, row in enumerate(table.tolist(), 5)
+        )
+        assert cli._csv_rows(table, 5) == expected
+
+
+class TestStreamedRuns:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "simulate"],
+            ["--mode", "simulate", "--ordering", "kick_then_free"],
+            ["--mode", "analytic"],
+            ["--mode", "compare"],
+        ],
+        ids=["simulate", "simulate-kick-then-free", "analytic", "compare"],
+    )
+    @pytest.mark.parametrize("kicks", [1, 6, 7, 8, 20, 300])
+    def test_block_size_leaves_the_csv_unchanged(self, tmp_path, monkeypatch, argv, kicks):
+        argv = argv + SMALL + ["--kicks", str(kicks)]
+        default = csv_bytes(tmp_path, argv)
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        assert csv_bytes(tmp_path, argv) == default
+        assert default.count(b"\n") == kicks + 2
+
+    @pytest.mark.parametrize("kicks", [6, 7, 8, 20, 300])
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            "scan_param = alpha\nscan_start = 0.02\nscan_stop = 0.3\nscan_steps = 3\n",
+            # epsilon = 0 at the middle point: the concurrence is 0 at every
+            # kick, so each block edge is a tie and k_at_max must stay 0
+            "scan_param = epsilon\nscan_start = -0.05\nscan_stop = 0.05\nscan_steps = 3\n",
+        ],
+        ids=["alpha", "epsilon-tie"],
+    )
+    def test_block_size_leaves_the_scan_unchanged(self, tmp_path, monkeypatch, kicks, scan):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"mode = scan\nalpha = 0.3\n{scan}")
+        argv = ["--config", str(cfg), "--kicks", str(kicks)] + SMALL
+        default = csv_bytes(tmp_path, argv)
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        assert csv_bytes(tmp_path, argv) == default
+        rows = [line.split(",") for line in default.decode().splitlines()[1:]]
+        if "epsilon" in scan:
+            assert rows[1][1:4] == ["0", "0", "0"]
+
+    def test_scan_rows_match_whole_trajectories(self, tmp_path, monkeypatch):
+        # the running maxima over blocks of 7 equal argmax and max over the
+        # whole trajectory of each point
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        config = parse_config(
+            f"mode = scan\nkicks = 60\ncutoff_a = 4\ncutoff_b = 4\nout = {tmp_path / 'o.csv'}\n"
+            "alpha = 0.3\nepsilon = 0.2\n"
+            "scan_param = T\nscan_start = 0.5\nscan_stop = 1.5\nscan_steps = 4\n"
+        )
+        assert run(config) == 0
+        _, rows = read_rows(tmp_path / "o.csv")
+        for value, row in zip(np.linspace(0.5, 1.5, 4), rows):
+            params = replace(config.params, T=float(value))
+            obs = annotate_trajectory(evolve(params, 60), params.dims)
+            k = int(np.argmax(obs.concurrence))
+            assert row[2:] == [_fmt(obs.concurrence[k]), str(k), _fmt(obs.leakage.max())]
+
+    def test_peak_memory_does_not_grow_with_kicks(self, tmp_path):
+        # unstreamed, 18 000 more kicks at D = 64 hold 18 MB more states
+        peaks = []
+        for kicks in (2000, 20000):
+            out = tmp_path / f"{kicks}.csv"
+            tracemalloc.start()
+            try:
+                assert main(["--kicks", str(kicks), "--cutoff-a", "8", "--cutoff-b", "8",
+                             "--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+
+def drifting_norm(monkeypatch):
+    original = propagation.unitary_from_generator
+    monkeypatch.setattr(
+        propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+    )
+
+
+class TestOutputFile:
+    FAILING_RUNS = {
+        "norm-drift": (["--kicks", "30"] + SMALL, drifting_norm),
+        "closed-form": (["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1",
+                         "--kicks", "30"] + SMALL, None),
+    }
+
+    @pytest.mark.parametrize("failure", sorted(FAILING_RUNS))
+    def test_exit_3_leaves_no_file(self, tmp_path, monkeypatch, failure):
+        argv, patch = self.FAILING_RUNS[failure]
+        if patch:
+            patch(monkeypatch)
+        # several blocks are written before the norm contract fails
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failure", sorted(FAILING_RUNS))
+    def test_failed_run_keeps_the_existing_file(self, tmp_path, monkeypatch, failure):
+        argv, patch = self.FAILING_RUNS[failure]
+        if patch:
+            patch(monkeypatch)
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"earlier result\n")
+        assert main(argv + ["--out", str(out)]) == 3
+        assert out.read_bytes() == b"earlier result\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_missing_directory_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def failing_evolve_blocks(*args, **kwargs):
+            pytest.fail("the run started before the output was opened")
+
+        monkeypatch.setattr(cli, "evolve_blocks", failing_evolve_blocks)
+        out = tmp_path / "missing" / "run.csv"
+        assert main(["--kicks", "10000", "--out", str(out)]) == 1
+        # the message names the requested path, not a temporary one
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"earlier result\n")
+        expected = csv_bytes(tmp_path, ["--kicks", "9"] + SMALL, name="fresh.csv")
+        assert main(["--kicks", "9"] + SMALL + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "data" / "run.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"earlier result\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        expected = csv_bytes(tmp_path, ["--kicks", "9"] + SMALL, name="fresh.csv")
+        assert main(["--kicks", "9"] + SMALL + ["--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == expected
+        assert sorted(tmp_path.rglob("*")) == [target.parent, target, link]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        target = tmp_path / "run.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["--kicks", "3"] + SMALL + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes().startswith(CSV_HEADER.encode())
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        out = tmp_path / "run.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["--kicks", "3"] + SMALL + ["--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"earlier result\n")
+        out.chmod(0o640)
+        assert main(["--kicks", "3"] + SMALL + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_bytes().startswith(CSV_HEADER.encode())
+
+    def test_fifo_is_written_directly(self, tmp_path):
+        # a non-regular target is opened and written, never replaced
+        expected = csv_bytes(tmp_path, ["--kicks", "9"] + SMALL, name="fresh.csv")
+        fifo = tmp_path / "run.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        try:
+            assert main(["--kicks", "9"] + SMALL + ["--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=30)
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_every_mode_has_one_runner(self):
+        assert cli.MODES == tuple(cli._RUNNERS) == cli._KEYS["mode"].choices

@@ -15,6 +15,7 @@ from kicked_coupler import (
     build_kick_generator,
     build_step_operators,
     evolve,
+    evolve_blocks,
     joint_index,
     truncated_amplitudes,
     vacuum_state,
@@ -173,6 +174,54 @@ class TestEvolve:
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-10
 
 
+B = propagation.BLOCK_KICKS
+
+
+class TestEvolveBlocks:
+    PARAMS = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(4, 3))
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("shared_cache", [False, True])
+    def test_blocks_concatenate_to_evolve(self, ordering, shared_cache):
+        cache = {} if shared_cache else None
+        for n in (0, 1, B - 1, B, B + 1, 3 * B + 5):
+            blocks = list(evolve_blocks(self.PARAMS, n, ordering=ordering, cache=cache))
+            assert np.array_equal(
+                np.concatenate(blocks), evolve(self.PARAMS, n, ordering=ordering)
+            ), n
+
+    def test_block_shapes(self):
+        for n in (0, B - 1, B, 3 * B + 5):
+            sizes = [len(block) for block in evolve_blocks(self.PARAMS, n)]
+            assert sum(sizes) == n + 1
+            assert all(size == B for size in sizes[:-1])
+            assert 1 <= sizes[-1] <= B
+            assert len(sizes) == n // B + 1
+
+    def test_block_size_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        blocks = list(evolve_blocks(self.PARAMS, 20))
+        assert [len(block) for block in blocks] == [7, 7, 7]
+        assert np.array_equal(np.concatenate(blocks), evolve(self.PARAMS, 20))
+
+    def test_arguments_are_checked_at_call(self):
+        # before any block is requested
+        with pytest.raises(ValueError):
+            evolve_blocks(self.PARAMS, -1)
+        with pytest.raises(DimensionMismatchError):
+            evolve_blocks(self.PARAMS, 2, initial=np.zeros(5))
+
+    def test_norm_contract_after_the_last_block(self, monkeypatch):
+        original = propagation.unitary_from_generator
+        monkeypatch.setattr(
+            propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+        )
+        blocks = evolve_blocks(self.PARAMS, 2 * B + 3)
+        assert [len(next(blocks)) for _ in range(3)] == [B, B, 4]
+        with pytest.raises(ContractViolationError, match="norm"):
+            next(blocks)
+
+
 class TestUnitaryCache:
     BASE = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(5, 4))
     # a scan of each parameter, then a change of both generators at once
@@ -261,3 +310,10 @@ class TestNormContract:
         params = SystemParams(dims=ModeDims(3, 3))
         states = evolve(params, 10, initial=3.0 * vacuum_state(params))
         assert np.linalg.norm(states[-1]) == pytest.approx(3.0, rel=1e-12)
+
+    def test_nan_norm_raises(self):
+        params = SystemParams(dims=ModeDims(3, 3))
+        initial = vacuum_state(params)
+        initial[1] = np.nan
+        with pytest.raises(ContractViolationError, match="norm"):
+            evolve(params, 2, initial=initial)
