@@ -12,8 +12,8 @@ compare  : both, with per-kick analytic probabilities and the maximal
 scan     : sweep one parameter, one summary row per value.
 
 Every mode computes and writes its rows one block of kicks at a time
-(propagation.BLOCK_KICKS), through a temporary file that replaces the
-output only when the run succeeds.
+(propagation.BLOCK_KICKS); the output is opened before the run and takes
+the rows only when the run succeeds (see _output).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
 violation, 1 I/O error.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -75,14 +76,18 @@ class RunConfig:
     out: str = "output.csv"
 
 
+# every float in a CSV row or a rendered config value
+_FLOAT = "%.12g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return _FLOAT % float(x)
 
 
 def _fmt_param(x) -> str:
     x = complex(x)
     if x.imag == 0:
-        return format(x.real, ".12g")
+        return _fmt(x.real)
     return str(x).strip("()")
 
 
@@ -104,8 +109,8 @@ def _observable_columns(obs: QubitObservables) -> np.ndarray:
 
 def _csv_rows(table: np.ndarray, first_k: int) -> str:
     """One CSV line per table row, prefixed with its kick number, counted
-    from first_k.  '%.12g' formats a float as _fmt does."""
-    line = "%d," + ",".join(["%.12g"] * table.shape[1]) + "\n"
+    from first_k."""
+    line = "%d," + ",".join([_FLOAT] * table.shape[1]) + "\n"
     return "".join([line % (k, *row) for k, row in enumerate(table.tolist(), first_k)])
 
 
@@ -340,18 +345,40 @@ def echo_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _create_beside(target: str) -> tuple[int, str]:
+    """A new, empty file next to target, and its name.  os.open applies the
+    umask, so the file gets the mode open(target, "w") would give it."""
+    directory, name = os.path.split(target)
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
+def _spool(directory: str) -> TextIO:
+    """An unnamed scratch file in directory, else in the system's temporary
+    directory (when directory takes no new files)."""
+    try:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
+    except OSError:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
 @contextmanager
 def _output(path: str) -> Iterator[TextIO]:
     """A text stream for the CSV at path, opened before the run starts.
 
-    A new or regular file is written through a temporary file in the
-    directory of the resolved path, which os.replace moves onto it only when
-    the body completes; after an exception the temporary file is removed and
-    an existing file keeps its bytes.  A symbolic link is resolved, so the
-    link stays and its target gets the CSV.  A new file gets the mode that
-    open(path, "w") would give it; an existing one keeps its mode.  An
-    existing target that is not a regular file (a device, a pipe) is opened
-    and written directly, never replaced.
+    A new file is written as a temporary file next to the resolved path,
+    which os.replace moves onto it only when the body completes, and which
+    an exception removes.  An existing regular file is opened for writing
+    (not truncated) at once, so a write-protected one fails before the run;
+    the rows go to a scratch file and are copied into it only when the body
+    completes, so it keeps its bytes after an exception and, on success, its
+    inode, owner, mode and links, as open(path, "w") leaves them.  A symbolic
+    link is followed either way.  An existing target that is not a regular
+    file (a device, a pipe) is opened and written directly.
     """
     try:
         st_mode = os.stat(path).st_mode
@@ -364,21 +391,23 @@ def _output(path: str) -> Iterator[TextIO]:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         return
-    if st_mode is None:
-        umask = os.umask(0)
-        os.umask(umask)
-        st_mode = 0o666 & ~umask
     target = os.path.realpath(path)
+    if st_mode is not None:
+        with open(os.open(path, os.O_WRONLY), "wb") as dest, _spool(
+            os.path.dirname(target)
+        ) as spool:
+            yield spool
+            spool.seek(0)
+            dest.truncate()
+            shutil.copyfileobj(spool.buffer, dest)
+        return
     try:
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
-        )
+        fd, tmp = _create_beside(target)
     except OSError as exc:
         # report the path that was asked for, not the temporary name
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.fchmod(fd, stat.S_IMODE(st_mode))
             yield fh
         os.replace(tmp, target)
     except BaseException:

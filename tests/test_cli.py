@@ -1,3 +1,4 @@
+import errno
 import os
 import stat
 import threading
@@ -454,15 +455,16 @@ def csv_bytes(tmp_path, argv, name="run.csv"):
 
 
 class TestRowFormatting:
-    def test_percent_format_equals_fmt(self, rng):
-        # _csv_rows formats with '%.12g', the scan rows and echo_config with
-        # _fmt; both must give the same text for every float
+    def test_percent_format_equals_format(self, rng):
+        # _fmt and _csv_rows format with '%.12g'; the CSVs of earlier
+        # versions used format(x, '.12g'), so both must give the same text
+        # for every float
         bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
         values = bits.view(np.float64).tolist() + [
             0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
             2.2250738585072009e-308, 1.7976931348623157e308, 1e-12, 0.1, 1 / 3,
         ]
-        assert [("%.12g" % x) for x in values] == [_fmt(x) for x in values]
+        assert [format(x, ".12g") for x in values] == [_fmt(x) for x in values]
 
     def test_rows_equal_the_per_cell_format(self, rng):
         table = rng.normal(size=(9, 10))
@@ -547,6 +549,33 @@ class TestStreamedRuns:
         assert abs(peaks[1] - peaks[0]) < 1e6, peaks
 
 
+def deny_writes_without_permission(monkeypatch):
+    """As root, make os.open refuse what the kernel refuses to a file's
+    owner without root's privileges: writing a file, or creating a file in
+    a directory, whose mode has no owner write bit.  Other users need no
+    emulation."""
+    if os.geteuid() != 0:
+        return
+    real_open = os.open
+
+    def checked_open(path, flags, mode=0o777, *, dir_fd=None):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            try:
+                # an existing file, or the directory of an O_TMPFILE open
+                st = os.stat(path)
+            except FileNotFoundError:
+                st = os.stat(os.path.dirname(path) or ".")
+            if not st.st_mode & stat.S_IWUSR:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, mode, dir_fd=dir_fd)
+
+    monkeypatch.setattr(os, "open", checked_open)
+
+
+def failing_evolve_blocks(*args, **kwargs):
+    pytest.fail("the run started before the output was opened")
+
+
 def drifting_norm(monkeypatch):
     original = propagation.unitary_from_generator
     monkeypatch.setattr(
@@ -583,26 +612,71 @@ class TestOutputFile:
         assert out.read_bytes() == b"earlier result\n"
         assert list(tmp_path.iterdir()) == [out]
 
-    def test_missing_directory_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
-        def failing_evolve_blocks(*args, **kwargs):
-            pytest.fail("the run started before the output was opened")
-
+    @pytest.mark.parametrize(
+        "case", ["missing directory", "closed directory", "write-protected file"]
+    )
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, monkeypatch, capsys, case):
+        directory = tmp_path / "d"
+        out = directory / "run.csv"
+        if case != "missing directory":
+            directory.mkdir()
+        if case == "write-protected file":
+            out.write_bytes(b"earlier result\n")
+            out.chmod(0o444)
+        if case == "closed directory":
+            directory.chmod(0o555)
+        before = sorted(tmp_path.rglob("*"))
+        deny_writes_without_permission(monkeypatch)
         monkeypatch.setattr(cli, "evolve_blocks", failing_evolve_blocks)
-        out = tmp_path / "missing" / "run.csv"
-        assert main(["--kicks", "10000", "--out", str(out)]) == 1
+        try:
+            assert main(["--kicks", "10000", "--out", str(out)]) == 1
+        finally:
+            if directory.exists():
+                directory.chmod(0o755)
+        code = errno.ENOENT if case == "missing directory" else errno.EACCES
         # the message names the requested path, not a temporary one
         assert capsys.readouterr().err == (
-            f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+            f"i/o error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
         )
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.rglob("*")) == before
+        if case == "write-protected file":
+            assert out.read_bytes() == b"earlier result\n"
+            assert stat.S_IMODE(out.stat().st_mode) == 0o444
 
-    def test_success_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
-        out = tmp_path / "run.csv"
+    def test_writable_file_in_a_closed_directory(self, tmp_path, monkeypatch):
+        # the file is rewritten in place, as open(out, "w") would; a failed
+        # run leaves it as it was
+        expected = csv_bytes(tmp_path, ["--kicks", "9"] + SMALL, name="fresh.csv")
+        closed = tmp_path / "closed"
+        closed.mkdir()
+        out = closed / "run.csv"
         out.write_bytes(b"earlier result\n")
+        closed.chmod(0o555)
+        try:
+            deny_writes_without_permission(monkeypatch)
+            with monkeypatch.context() as m:
+                drifting_norm(m)
+                assert main(["--kicks", "9"] + SMALL + ["--out", str(out)]) == 3
+            assert out.read_bytes() == b"earlier result\n"
+            assert main(["--kicks", "9"] + SMALL + ["--out", str(out)]) == 0
+            assert out.read_bytes() == expected
+            assert list(closed.iterdir()) == [out]
+        finally:
+            closed.chmod(0o755)
+
+    def test_success_rewrites_the_file_in_place(self, tmp_path):
+        # the existing file keeps its inode, so its hard links see the CSV,
+        # and it is cut to the CSV's length
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"a longer earlier result\n" * 1000)
+        link = tmp_path / "link.csv"
+        link.hardlink_to(out)
+        inode = out.stat().st_ino
         expected = csv_bytes(tmp_path, ["--kicks", "9"] + SMALL, name="fresh.csv")
         assert main(["--kicks", "9"] + SMALL + ["--out", str(out)]) == 0
-        assert out.read_bytes() == expected
-        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == link.read_bytes() == expected
+        assert out.stat().st_ino == inode
+        assert sorted(tmp_path.iterdir()) == [link, out]
 
     def test_symlink_is_written_through(self, tmp_path):
         target = tmp_path / "data" / "run.csv"
