@@ -16,10 +16,12 @@ inputs are mapped to their magnitudes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
 
+from . import propagation
 from .errors import ContractViolationError
 from .fock import ModeDims
 from .hamiltonians import SystemParams
@@ -83,10 +85,37 @@ def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
     """
     if n_kicks < 0:
         raise ValueError(f"kick count must be nonnegative, got {n_kicks}")
-    ks = np.arange(n_kicks + 1.0)
+    return _amplitude_rows(0, n_kicks + 1, params)
+
+
+def amplitude_blocks(n_kicks: int, params: SystemParams) -> Iterator[np.ndarray]:
+    """The rows of truncated_amplitudes(n_kicks, params) as consecutive
+    blocks of propagation.BLOCK_KICKS rows, the last one possibly shorter:
+    the block sizes evolve_blocks yields for the same n_kicks.
+
+    Each block is evaluated when it is requested and checked against the
+    contracts of truncated_amplitudes on its own rows, so a consumer holds
+    O(BLOCK_KICKS) rows whatever n_kicks is, and a violation is raised at
+    the first block that holds one.  The concatenated blocks equal
+    truncated_amplitudes bit for bit.
+    """
+    if n_kicks < 0:
+        raise ValueError(f"kick count must be nonnegative, got {n_kicks}")
+    size, n_rows = propagation.BLOCK_KICKS, n_kicks + 1
+    return (
+        _amplitude_rows(start, min(start + size, n_rows), params)
+        for start in range(0, n_rows, size)
+    )
+
+
+def _amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
+    """Rows k = start..stop-1 of the closed-form amplitudes, with the
+    contracts of truncated_amplitudes checked on them.  Every entry depends
+    on its own k only, so any split of a k range gives the same bits."""
+    ks = np.arange(float(start), float(stop))
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
-    amps = np.zeros((n_kicks + 1, 4), dtype=complex)
+    amps = np.zeros((len(ks), 4), dtype=complex)
     if eps_t <= SINGULAR_COUPLING_THRESHOLD:
         amps[:, 0] = np.cos(ks * alpha)
         amps[:, 2] = -1j * np.sin(ks * alpha)
@@ -117,14 +146,15 @@ def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
     finite = np.isfinite(amps).all(axis=1)
     if not finite.all():
         raise ContractViolationError(
-            f"closed-form amplitudes are not finite at k = {np.argmin(finite)}, "
+            "closed-form amplitudes are not finite at "
+            f"k = {start + np.argmin(finite)}, "
             f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
         )
     defect = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)
     if defect.max() > CLOSED_FORM_NORM_TOL:
         raise ContractViolationError(
             f"closed-form probabilities sum to 1 only within {defect.max():.3e} "
-            f"(tolerance {CLOSED_FORM_NORM_TOL:g}) at k = {np.argmax(defect)}, "
+            f"(tolerance {CLOSED_FORM_NORM_TOL:g}) at k = {start + np.argmax(defect)}, "
             f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
         )
     return amps

@@ -36,8 +36,7 @@ from typing import TextIO
 
 import numpy as np
 
-from . import propagation
-from .analytic import SINGULAR_COUPLING_THRESHOLD, truncated_amplitudes
+from .analytic import SINGULAR_COUPLING_THRESHOLD, amplitude_blocks
 from .entanglement import (
     QubitObservables,
     annotate_trajectory,
@@ -116,8 +115,7 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
 
 # A runner yields the CSV text of a run piece by piece, header first, one
 # piece per block of kicks (per point for scan), so no mode holds more than
-# one block of states or formatted rows; only the closed-form arrays of
-# analytic and compare span the whole run.
+# one block of states, closed-form amplitudes or formatted rows.
 
 
 def _run_simulate(config: RunConfig) -> Iterator[str]:
@@ -138,10 +136,9 @@ def _run_analytic(config: RunConfig) -> Iterator[str]:
             "using the uncoupled (epsilon = 0) amplitudes",
             file=sys.stderr,
         )
-    amps = truncated_amplitudes(config.n_kicks, config.params)
     yield CSV_HEADER + "\n"
-    for k in range(0, len(amps), propagation.BLOCK_KICKS):
-        block = amps[k : k + propagation.BLOCK_KICKS]
+    k = 0
+    for block in amplitude_blocks(config.n_kicks, config.params):
         probs = np.abs(block) ** 2
         # the closed forms' own normalization defect stays visible as leakage
         table = np.column_stack(
@@ -153,19 +150,26 @@ def _run_analytic(config: RunConfig) -> Iterator[str]:
             )
         )
         yield _csv_rows(table, k)
+        k += len(block)
 
 
 def _run_compare(config: RunConfig) -> Iterator[str]:
     _warn_complex_phases(config.params)
-    # the closed forms' contracts are checked before the full-basis run
-    ana = np.abs(truncated_amplitudes(config.n_kicks, config.params)) ** 2
+    # the closed forms' contracts are checked, block by block, before the
+    # full-basis run; the rows are evaluated again alongside it
+    for _ in amplitude_blocks(config.n_kicks, config.params):
+        pass
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
     k = 0
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
-    for block in evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE):
+    for block, amps in zip(
+        evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE),
+        amplitude_blocks(config.n_kicks, config.params),
+        strict=True,
+    ):
         obs = annotate_trajectory(block, config.params.dims)
-        probs = ana[k : k + len(block)]
+        probs = np.abs(amps) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
         yield _csv_rows(np.column_stack((_observable_columns(obs), probs, dp_max)), k)
         k += len(block)

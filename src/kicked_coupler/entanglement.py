@@ -172,9 +172,9 @@ def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
         )
     probs = np.abs(raw) ** 2
     weight = np.sum(probs, axis=1)
-    # one vdot per row: the same norms as project_to_qubits, without a
-    # temporary the size of the trajectory
-    norms = np.array([np.vdot(psi, psi).real for psi in states])
+    # one batched <psi|psi> per row, equal bit for bit to the np.vdot of
+    # project_to_qubits (tests/test_entanglement.py checks it)
+    norms = (states.conj()[:, None, :] @ states[:, :, None])[:, 0, 0].real
     q = raw / np.sqrt(weight)[:, None]
     return QubitObservables(
         probs=probs,

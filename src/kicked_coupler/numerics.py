@@ -12,6 +12,11 @@ import numpy as np
 from .errors import ContractViolationError, DimensionMismatchError
 
 HERMITICITY_RTOL = 1e-10
+# Largest allowed max|lambda t| * 2^-52, the phase error that rounding the
+# eigenvalues alone puts into exp(-i lambda t).  At the reference point it
+# is 4e-14 (max|lambda T| = 182); past the bound the phases keep few or no
+# significant digits, although the result is still unitary.
+PHASE_ROUNDOFF_TOL = 1e-6
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
@@ -41,8 +46,25 @@ def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def unitary_from_generator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via the spectral decomposition."""
+    """exp(-i H t) for Hermitian H, via the spectral decomposition.
+
+    Raises ContractViolationError, besides the cases of
+    hermitian_eigendecomposition, when max|lambda t| * 2^-52 exceeds
+    PHASE_ROUNDOFF_TOL (or is not a number).
+    """
     eigenvalues, eigenvectors = hermitian_eigendecomposition(h)
+    max_phase = float(np.max(np.abs(eigenvalues), initial=0.0)) * abs(t)
+    roundoff = max_phase * np.finfo(float).eps
+    # written so that a NaN phase fails too
+    if not roundoff <= PHASE_ROUNDOFF_TOL:
+        raise ContractViolationError(
+            f"phase roundoff max|lambda t| * 2^-52 = {roundoff:.3e} exceeds "
+            f"{PHASE_ROUNDOFF_TOL:g} (max|lambda t| = {max_phase:.3e})"
+        )
     phases = np.exp(-1j * eigenvalues * t)
-    return (eigenvectors * phases) @ eigenvectors.conj().T
+    scaled = eigenvectors * phases
+    # V V+ without a conjugated copy of V: conjugate it in place, then take
+    # the transposed view, the operands and layout of V.conj().T
+    np.conjugate(eigenvectors, out=eigenvectors)
+    return scaled @ eigenvectors.T
 

@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kicked_coupler import (
     ContractViolationError,
+    ModeDims,
     Ordering,
     SystemParams,
     calibrate_sampling,
+    evolve_blocks,
     kick_frequencies,
     truncated_amplitudes,
     truncated_map_states,
 )
-from kicked_coupler.analytic import SINGULAR_COUPLING_THRESHOLD
+from kicked_coupler import propagation
+from kicked_coupler.analytic import SINGULAR_COUPLING_THRESHOLD, amplitude_blocks
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -206,6 +211,54 @@ class TestMatchesScalarFormulas:
         assert np.array_equal(
             truncated_amplitudes(50, params), scalar_reference(50, params)
         )
+
+
+BLOCK_CASES = {
+    "reference": SystemParams(),
+    "strong": SystemParams(alpha=0.3 - 0.1j, epsilon=0.05, T=1.7),
+    "uncoupled": SystemParams(epsilon=0.0),
+    "zero-drive": SystemParams(alpha=0.0),
+}
+
+
+class TestAmplitudeBlocks:
+    """The streamed closed forms are the rows of truncated_amplitudes, in
+    the blocks that evolve_blocks yields."""
+
+    @pytest.mark.parametrize("block", [7, None], ids=["block-7", "block-default"])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_blocks_concatenate_to_the_whole_array(self, monkeypatch, block, case):
+        if block is not None:
+            monkeypatch.setattr(propagation, "BLOCK_KICKS", block)
+        b = propagation.BLOCK_KICKS
+        params = BLOCK_CASES[case]
+        for n_kicks in (0, 1, b - 1, b, b + 1, 3 * b + 5):
+            blocks = list(amplitude_blocks(n_kicks, params))
+            states = evolve_blocks(replace(params, dims=ModeDims(2, 2)), n_kicks)
+            assert [len(x) for x in blocks] == [len(x) for x in states]
+            assert np.array_equal(
+                np.concatenate(blocks), truncated_amplitudes(n_kicks, params)
+            )
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            (SystemParams(alpha=1e-5, epsilon=1.0), "omega2"),
+            (SystemParams(alpha=1e100), "sum to 1"),
+            (SystemParams(alpha=17.0, epsilon=1e-11), "sum to 1"),
+        ],
+        ids=["omega2-cancels", "alpha-1e100", "alpha-17-epsilon-1e-11"],
+    )
+    def test_first_block_checks_the_contracts(self, monkeypatch, params, match):
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        blocks = amplitude_blocks(30, params)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ContractViolationError, match=match):
+                next(blocks)
+
+    def test_rejects_negative_kick_count(self, default_params):
+        with pytest.raises(ValueError):
+            amplitude_blocks(-1, default_params)
 
 
 class TestCalibration:

@@ -203,25 +203,33 @@ class TestRunModes:
             assert float(row[3]) == pytest.approx(np.sin(k * 0.04) ** 2, abs=1e-12)
             assert float(row[2]) == 0.0 and float(row[4]) == 0.0
 
+    @pytest.mark.parametrize("block", [7, None], ids=["block-7", "block-default"])
     @pytest.mark.parametrize(
         "extra",
         ["", "epsilon = 0\n", "alpha = 0.3\nepsilon = 0.05\nT = 1.7\n"],
         ids=["reference", "uncoupled", "strong"],
     )
-    def test_analytic_probabilities_equal_compare_columns(self, tmp_path, extra):
+    def test_analytic_probabilities_equal_compare_columns(
+        self, tmp_path, monkeypatch, extra, block
+    ):
         # both modes take their closed-form probabilities from
-        # truncated_amplitudes; the formatted cells agree byte for byte
-        tables = {}
-        for mode in ("analytic", "compare"):
-            config = self.small_config(
-                tmp_path, extra=f"mode = {mode}\nkicks = 300\n{extra}"
-            )
-            assert run(config) == 0
-            tables[mode] = read_rows(tmp_path / "o.csv")[1]
-        analytic = [row[1:5] for row in tables["analytic"]]
-        compare = [row[11:15] for row in tables["compare"]]
-        assert len(analytic) == 301
-        assert analytic == compare
+        # analytic.amplitude_blocks; the formatted cells agree byte for byte,
+        # also at the block edges
+        if block is not None:
+            monkeypatch.setattr(propagation, "BLOCK_KICKS", block)
+        b = propagation.BLOCK_KICKS
+        for kicks in (1, b - 1, b, b + 1, 3 * b + 5):
+            tables = {}
+            for mode in ("analytic", "compare"):
+                config = self.small_config(
+                    tmp_path, extra=f"mode = {mode}\nkicks = {kicks}\n{extra}"
+                )
+                assert run(config) == 0
+                tables[mode] = read_rows(tmp_path / "o.csv")[1]
+            analytic = [row[1:5] for row in tables["analytic"]]
+            compare = [row[11:15] for row in tables["compare"]]
+            assert len(analytic) == kicks + 1
+            assert analytic == compare
 
     def test_compare_mode_columns(self, tmp_path):
         config = self.small_config(tmp_path, extra="mode = compare\ncutoff_a = 15\ncutoff_b = 15\n")
@@ -409,6 +417,25 @@ class TestMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--T", "1e300"),
+            ("--chi-a", "1e300"),
+            ("--epsilon", "1e300"),
+            ("--T", "1e17"),
+        ],
+    )
+    def test_phase_roundoff_exit_code(self, tmp_path, capsys, flag, value):
+        # the step unitary is still unitary, but its phases lambda t keep no
+        # significant digit
+        out = tmp_path / "run.csv"
+        argv = [flag, value, "--kicks", "3", "--cutoff-a", "4", "--cutoff-b", "4"]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical contract violation: phase roundoff" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):
         original = propagation.unitary_from_generator
         monkeypatch.setattr(
@@ -534,15 +561,17 @@ class TestStreamedRuns:
             k = int(np.argmax(obs.concurrence))
             assert row[2:] == [_fmt(obs.concurrence[k]), str(k), _fmt(obs.leakage.max())]
 
-    def test_peak_memory_does_not_grow_with_kicks(self, tmp_path):
-        # unstreamed, 18 000 more kicks at D = 64 hold 18 MB more states
+    @pytest.mark.parametrize("mode", ["simulate", "analytic", "compare"])
+    def test_peak_memory_does_not_grow_with_kicks(self, tmp_path, mode):
+        # unstreamed, 18 000 more kicks at D = 64 hold 18 MB more states, and
+        # 2.6 MB more closed-form amplitudes and probabilities
         peaks = []
         for kicks in (2000, 20000):
             out = tmp_path / f"{kicks}.csv"
             tracemalloc.start()
             try:
-                assert main(["--kicks", str(kicks), "--cutoff-a", "8", "--cutoff-b", "8",
-                             "--out", str(out)]) == 0
+                assert main(["--mode", mode, "--kicks", str(kicks), "--cutoff-a", "8",
+                             "--cutoff-b", "8", "--out", str(out)]) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

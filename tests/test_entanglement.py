@@ -202,6 +202,23 @@ class TestAnnotateTrajectory:
         # the trajectory leaves the qubit subspace, so leakage is exercised
         assert obs.leakage.max() > 1e-3
 
+    @pytest.mark.parametrize(
+        "params, kicks",
+        [
+            (SystemParams(), 600),
+            (SystemParams(alpha=0.3, epsilon=0.05 + 0.02j, dims=ModeDims(5, 4)), 200),
+        ],
+        ids=["D225", "D20"],
+    )
+    def test_norms_equal_per_row_vdot(self, params, kicks):
+        # the batched row norms equal one np.vdot per row bit for bit, so
+        # the leakage equals project_to_qubits' exactly
+        states = evolve(params, kicks)
+        obs = annotate_trajectory(states, params.dims)
+        leakage = [project_to_qubits(psi, params.dims)[1] for psi in states]
+        assert np.array_equal(obs.leakage, leakage)
+        assert obs.leakage.max() > 0.0
+
     def test_rejects_states_of_other_dimension(self):
         params = SystemParams(dims=ModeDims(4, 4))
         with pytest.raises(DimensionMismatchError):

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kicked_coupler import (
     ContractViolationError,
     DimensionMismatchError,
+    SystemParams,
+    build_coupler_hamiltonian,
+    build_kick_generator,
     hermitian_eigendecomposition,
     unitary_from_generator,
 )
+from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
 from conftest import random_hermitian, random_unit_vector
 
 
@@ -74,3 +80,40 @@ class TestUnitaryFromGenerator:
         psi = random_unit_vector(rng, 20)
         assert abs(np.linalg.norm(u @ psi) - 1.0) <= 1e-10
 
+
+    def test_equals_the_spectral_formula(self, rng):
+        # bit for bit V exp(-i lambda t) V+ with V+ taken as V.conj().T
+        params = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02)
+        cases = [
+            (random_hermitian(rng, 40), 0.9),
+            (build_coupler_hamiltonian(params), params.T),
+            (build_kick_generator(params), 1.0),
+            (build_kick_generator(params), 0.5),
+        ]
+        for h, t in cases:
+            values, vectors = hermitian_eigendecomposition(h)
+            expected = (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
+            assert np.array_equal(unitary_from_generator(h, t), expected)
+
+    def test_phase_roundoff_contract(self):
+        h = np.diag([0.0, -1.0, 2.0]).astype(complex)
+        # max|lambda t| at which the phase roundoff reaches the tolerance
+        limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / 2.0
+        unitary_from_generator(h, 0.99 * limit)
+        for t in (1.01 * limit, -1.01 * limit, 1e300, np.nan):
+            with pytest.raises(ContractViolationError, match="phase roundoff"):
+                unitary_from_generator(h, t)
+
+    def test_peak_memory_is_three_matrices(self):
+        # the eigenvectors, their scaled copy and the product; no
+        # conjugated copy of the eigenvectors
+        h = build_coupler_hamiltonian(SystemParams())
+        d = h.shape[0]
+        assert d == 225
+        tracemalloc.start()
+        try:
+            unitary_from_generator(h, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * d * d * 16 + 64 * 1024, peak / (d * d * 16)
