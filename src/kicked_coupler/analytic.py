@@ -25,6 +25,7 @@ from . import propagation
 from .errors import ContractViolationError
 from .fock import ModeDims
 from .hamiltonians import SystemParams
+from .numerics import check_phase_roundoff
 from .propagation import Ordering, evolve
 
 SINGULAR_COUPLING_THRESHOLD = 1e-12
@@ -117,6 +118,7 @@ def _amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
     alpha = abs(params.alpha)
     amps = np.zeros((len(ks), 4), dtype=complex)
     if eps_t <= SINGULAR_COUPLING_THRESHOLD:
+        check_phase_roundoff((stop - 1) * alpha, f"{stop - 1} * |alpha|")
         amps[:, 0] = np.cos(ks * alpha)
         amps[:, 2] = -1j * np.sin(ks * alpha)
         return amps
@@ -129,20 +131,25 @@ def _amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
         raise ContractViolationError(
             f"omega2 cancels to 0 at |epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
         )
-    cos1 = np.cos(ks * om1 / _SQRT2)
-    cos2 = np.cos(ks * om2 / _SQRT2)
-    sin1 = np.sin(ks * om1 / _SQRT2)
-    sin2 = np.sin(ks * om2 / _SQRT2)
+    # omega2 <= omega1: the largest phase is k * omega1 / sqrt2 at the last k
+    check_phase_roundoff((stop - 1) * om1 / _SQRT2, f"{stop - 1} * omega1 / sqrt2")
+    # an overflow or 0 * inf gives a non-finite entry, which the finiteness
+    # contract below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos1 = np.cos(ks * om1 / _SQRT2)
+        cos2 = np.cos(ks * om2 / _SQRT2)
+        sin1 = np.sin(ks * om1 / _SQRT2)
+        sin2 = np.sin(ks * om2 / _SQRT2)
 
-    amps[:, 0] = ((2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2) / (
-        2 * eps_t * om
-    )
-    amps[:, 1] = (alpha / om) * (cos1 - cos2)
-    amps[:, 2] = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
-        (om2**2 - 2 * (eps_t**2 + alpha**2)) * om2 * sin1
-        + eps_t * (eps_t - om) * om1 * sin2
-    )
-    amps[:, 3] = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
+        amps[:, 0] = (
+            (2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2
+        ) / (2 * eps_t * om)
+        amps[:, 1] = (alpha / om) * (cos1 - cos2)
+        amps[:, 2] = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
+            (om2**2 - 2 * (eps_t**2 + alpha**2)) * om2 * sin1
+            + eps_t * (eps_t - om) * om1 * sin2
+        )
+        amps[:, 3] = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
     finite = np.isfinite(amps).all(axis=1)
     if not finite.all():
         raise ContractViolationError(

@@ -19,9 +19,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import numerics
 from .errors import ContractViolationError, DimensionMismatchError
 from .hamiltonians import SystemParams, build_coupler_hamiltonian, build_kick_generator
-from .numerics import unitary_from_generator
 
 
 class Ordering(Enum):
@@ -38,9 +38,12 @@ DEFAULT_ORDERING = Ordering.FREE_THEN_KICK
 # about 1e-13 over 10 000 periods at D = 225.
 NORM_RTOL = 1e-9
 
-# Rows per block of a streamed trajectory (evolve_blocks).  A block of 256
-# states at D = 225 is 0.9 MB; two are alive while the next one is built.
-BLOCK_KICKS = 256
+# Rows per block of a streamed trajectory (evolve_blocks).  A consumer
+# still holds the previous block while the next one is filled, so a run
+# holds its step unitaries (at most two) and two blocks.  At D = 225 a
+# block of 128 states is 0.46 MB, 0.57 of a D x D complex matrix, so the
+# run stays below the four matrices that building a step unitary needs.
+BLOCK_KICKS = 128
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,13 @@ def _build_unitary(kind: str, params: SystemParams) -> np.ndarray:
     """exp(-i H_NL T) for "free", exp(-i G) for "kick", exp(-i G / 2) for
     "half"."""
     if kind == "free":
-        return unitary_from_generator(build_coupler_hamiltonian(params), params.T)
-    return unitary_from_generator(
-        build_kick_generator(params), 1.0 if kind == "kick" else 0.5
+        build, t = build_coupler_hamiltonian, params.T
+    else:
+        build, t = build_kick_generator, 1.0 if kind == "kick" else 0.5
+    # the generator is only an argument of the decomposition, so it is
+    # freed when eigh returns, before the product allocates its arrays
+    return numerics.unitary_from_spectrum(
+        *numerics.hermitian_eigendecomposition(build(params)), t
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,17 @@ def random_hermitian(rng, dim):
 def random_unit_vector(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+# one complex D x D matrix at the reference cutoffs 15/15 (D = 225), in bytes
+MATRIX_BYTES = 225 * 225 * 16
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of call(), counted from its start."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -16,6 +16,7 @@ from kicked_coupler import (
 )
 from kicked_coupler import propagation
 from kicked_coupler.analytic import SINGULAR_COUPLING_THRESHOLD, amplitude_blocks
+from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -138,9 +139,11 @@ class TestTruncatedAmplitudes:
         [
             # |alpha| << |epsilon T|: omega2 rounds to 0, 1/omega2 would blow up
             (SystemParams(alpha=1e-5, epsilon=1.0), "omega2"),
+            # phases k * omega1 / sqrt2 that keep no significant digit; the
+            # phase contract is checked before the amplitudes are evaluated
+            (SystemParams(alpha=1e150), "phase roundoff"),
+            (SystemParams(alpha=1e100), "phase roundoff"),
             # finite closed forms whose probabilities do not sum to 1
-            (SystemParams(alpha=1e150), "sum to 1"),
-            (SystemParams(alpha=1e100), "sum to 1"),
             (SystemParams(alpha=17.0, epsilon=1e-11), "sum to 1"),
         ],
         ids=["omega2-cancels", "alpha-1e150", "alpha-1e100", "alpha-17-epsilon-1e-11"],
@@ -149,6 +152,51 @@ class TestTruncatedAmplitudes:
         with np.errstate(all="ignore"):
             with pytest.raises(ContractViolationError, match=match):
                 truncated_amplitudes(3, params)
+
+    @pytest.mark.parametrize("alpha", [1e100, 1e150])
+    def test_normalization_contract_at_k0(self, alpha):
+        # k = 0 has no phase to lose, but om1^2 - om2^2 cancels all digits
+        with pytest.raises(ContractViolationError, match="sum to 1"):
+            truncated_amplitudes(0, SystemParams(alpha=alpha))
+
+    @pytest.mark.parametrize(
+        "params",
+        [SystemParams(alpha=1e6, epsilon=1.0, T=1e6), SystemParams(alpha=1e6, epsilon=0.0)],
+        ids=["coupled", "uncoupled"],
+    )
+    def test_phase_roundoff_contract(self, params):
+        # the largest phase of k kicks is k * omega1 / sqrt2 (k * |alpha|
+        # uncoupled); the bound is the full-basis unitaries' one
+        if params.epsilon:
+            frequency = kick_frequencies(params)[1] / _SQRT2
+        else:
+            frequency = abs(params.alpha)
+        limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / frequency
+        assert 1000 < limit < 5000
+        truncated_amplitudes(int(0.99 * limit), params)
+        with pytest.raises(ContractViolationError, match="phase roundoff"):
+            truncated_amplitudes(int(1.01 * limit), params)
+
+    def test_phase_roundoff_is_checked_per_block(self, monkeypatch):
+        # every block below the limit is yielded; the first past it raises
+        # and reports its last k
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
+        params = SystemParams(alpha=1e6, epsilon=0.0)
+        limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / 1e6
+        blocks = amplitude_blocks(int(limit) + 30, params)
+        rows = 0
+        with pytest.raises(ContractViolationError, match="phase roundoff") as info:
+            for block in blocks:
+                rows += len(block)
+        assert rows - 1 <= limit < rows + 6
+        assert f"phase roundoff {rows + 6} * |alpha| * 2^-52" in str(info.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_no_numpy_warning(self):
+        # at k = 0 the phases are 0, and _SQRT2 * eps_t * om * om1 * om2
+        # overflows; the finite row that results passes every contract
+        amps = truncated_amplitudes(0, SystemParams(T=1e100, alpha=1e98))
+        assert np.isfinite(amps).all()
 
     def test_normalization_passes_where_the_forms_hold(self):
         # measured defects over 2000 kicks: 2.8e-12 at epsilon = 1e-6 and
@@ -244,7 +292,7 @@ class TestAmplitudeBlocks:
         "params, match",
         [
             (SystemParams(alpha=1e-5, epsilon=1.0), "omega2"),
-            (SystemParams(alpha=1e100), "sum to 1"),
+            (SystemParams(alpha=1e100), "phase roundoff"),
             (SystemParams(alpha=17.0, epsilon=1e-11), "sum to 1"),
         ],
         ids=["omega2-cancels", "alpha-1e100", "alpha-17-epsilon-1e-11"],

@@ -16,7 +16,7 @@ from kicked_coupler import (
     evolve,
     evolve_blocks,
 )
-from kicked_coupler import cli, propagation
+from kicked_coupler import cli, numerics, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
     RunConfig,
@@ -27,6 +27,7 @@ from kicked_coupler.cli import (
     run,
 )
 from kicked_coupler.propagation import UNITARY_INPUTS
+from conftest import MATRIX_BYTES, traced_peak
 
 
 def read_rows(path):
@@ -401,7 +402,8 @@ class TestMain:
             # omega2 cancels to 0 when |alpha| << |epsilon T|
             ["--mode", "analytic", "--alpha", "1e-5", "--epsilon", "1"],
             ["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1"],
-            # finite closed forms whose probabilities do not sum to 1
+            # finite closed forms whose phases keep no digit (alpha 1e150 and
+            # 1e100 at k = 3) or whose probabilities do not sum to 1
             ["--mode", "analytic", "--alpha", "1e150"],
             ["--mode", "analytic", "--alpha", "1e100"],
             ["--mode", "compare", "--alpha", "1e100"],
@@ -436,10 +438,47 @@ class TestMain:
         assert "numerical contract violation: phase roundoff" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, phase",
+        [
+            (["--mode", "analytic", "--T", "1e17", "--alpha", "1e15", "--kicks", "3"],
+             "3 * omega1 / sqrt2"),
+            (["--mode", "analytic", "--T", "1e12", "--alpha", "1e10"],
+             f"{propagation.BLOCK_KICKS - 1} * omega1 / sqrt2"),
+            (["--mode", "analytic", "--epsilon", "0", "--alpha", "1e15", "--kicks", "3"],
+             "3 * |alpha|"),
+            (["--mode", "compare", "--T", "1e17", "--alpha", "1e15", "--kicks", "3"],
+             "3 * omega1 / sqrt2"),
+            (["--mode", "compare", "--T", "1e12", "--alpha", "1e10"],
+             f"{propagation.BLOCK_KICKS - 1} * omega1 / sqrt2"),
+        ],
+    )
+    def test_closed_form_phase_roundoff_exit_code(self, tmp_path, capsys, argv, phase):
+        # the closed forms stay finite and sum to 1, but their phases
+        # k * omega1 / sqrt2 (k * |alpha| uncoupled) keep no significant digit;
+        # compare refuses them before the full-basis run
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical contract violation: phase roundoff {phase} * 2^-52" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_closed_form_overflow_prints_one_line(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        argv = ["--mode", "analytic", "--T", "1e100", "--alpha", "1e98", "--kicks", "3"]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical contract violation: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):
-        original = propagation.unitary_from_generator
+        original = numerics.unitary_from_spectrum
         monkeypatch.setattr(
-            propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+            numerics,
+            "unitary_from_spectrum",
+            lambda values, vectors, t: 1.001 * original(values, vectors, t),
         )
         out = tmp_path / "run.csv"
         assert main(["--kicks", "5", "--cutoff-a", "4", "--cutoff-b", "4", "--out", str(out)]) == 3
@@ -577,6 +616,41 @@ class TestStreamedRuns:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 1e6, peaks
 
+    @pytest.mark.parametrize(
+        "document, kicks, rows",
+        [
+            ("mode = simulate\n", 600, 601),
+            ("mode = compare\n", 600, 601),
+            (SCAN_DOCUMENT.replace("scan_steps = 3", "scan_steps = 2"), 300, 2),
+        ],
+        ids=["simulate", "compare", "scan"],
+    )
+    def test_peak_memory_is_four_matrices(self, tmp_path, document, kicks, rows):
+        # at the reference cutoffs the peak is the build of a step unitary
+        # while the other one is alive; a run holds its unitaries and two
+        # blocks, which must stay below that (600 kicks: two full blocks)
+        cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+        cfg.write_text(document)
+        argv = ["--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--kicks", "1"]) == 0  # first-call imports and caches
+        peak = traced_peak(lambda: main(argv + ["--kicks", str(kicks)]))
+        assert len(out.read_text().splitlines()) == rows + 1
+        assert peak <= 4 * MATRIX_BYTES + 128 * 1024, peak / MATRIX_BYTES
+
+    @pytest.mark.parametrize("mode", ["simulate", "analytic", "compare", "scan"])
+    def test_default_blocks_equal_one_block(self, tmp_path, monkeypatch, mode):
+        # the CSV streamed in blocks of BLOCK_KICKS equals the one computed
+        # as a single block, as an unstreamed run does, at the block edges
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.3\n" + SCAN_DOCUMENT if mode == "scan" else f"mode = {mode}\n")
+        b = propagation.BLOCK_KICKS
+        for kicks in (1, b - 1, b, b + 1, 3 * b + 5, 2567):
+            argv = ["--config", str(cfg), "--kicks", str(kicks)] + SMALL
+            streamed = csv_bytes(tmp_path, argv)
+            monkeypatch.setattr(propagation, "BLOCK_KICKS", kicks + 1)
+            assert csv_bytes(tmp_path, argv) == streamed, kicks
+            monkeypatch.setattr(propagation, "BLOCK_KICKS", b)
+
 
 def deny_writes_without_permission(monkeypatch):
     """As root, make os.open refuse what the kernel refuses to a file's
@@ -606,9 +680,11 @@ def failing_evolve_blocks(*args, **kwargs):
 
 
 def drifting_norm(monkeypatch):
-    original = propagation.unitary_from_generator
+    original = numerics.unitary_from_spectrum
     monkeypatch.setattr(
-        propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+        numerics,
+        "unitary_from_spectrum",
+        lambda values, vectors, t: 1.001 * original(values, vectors, t),
     )
 
 

@@ -10,10 +10,11 @@ from kicked_coupler import (
     build_coupler_hamiltonian,
     build_kick_generator,
     hermitian_eigendecomposition,
+    hermiticity_defect,
     unitary_from_generator,
 )
 from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
-from conftest import random_hermitian, random_unit_vector
+from conftest import MATRIX_BYTES, random_hermitian, random_unit_vector, traced_peak
 
 
 class TestEigendecomposition:
@@ -51,6 +52,26 @@ class TestEigendecomposition:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             hermitian_eigendecomposition(np.zeros((3, 4)))
+
+
+class TestHermiticityDefect:
+    def test_equals_the_written_out_defect(self, rng):
+        m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        cases = [m, random_hermitian(rng, 30), m.real, np.zeros((0, 0))]
+        for h in cases:
+            before = h.copy()
+            expected = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+            assert hermiticity_defect(h) == expected
+            # the difference is taken in a copy, also for a real h, whose
+            # conj() method returns h itself
+            assert np.array_equal(h, before)
+
+    def test_peak_memory_is_one_and_a_half_matrices(self):
+        # one conjugated copy of h and the float moduli of the difference
+        h = build_coupler_hamiltonian(SystemParams())
+        assert h.nbytes == MATRIX_BYTES
+        peak = traced_peak(lambda: hermiticity_defect(h))
+        assert peak <= 1.5 * MATRIX_BYTES + 64 * 1024, peak / MATRIX_BYTES
 
 
 class TestUnitaryFromGenerator:

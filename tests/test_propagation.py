@@ -20,8 +20,9 @@ from kicked_coupler import (
     truncated_amplitudes,
     vacuum_state,
 )
-from kicked_coupler import propagation
+from kicked_coupler import numerics, propagation
 from kicked_coupler.propagation import UNITARY_INPUTS
+from conftest import MATRIX_BYTES, traced_peak
 
 
 class TestStepOperators:
@@ -212,14 +213,28 @@ class TestEvolveBlocks:
             evolve_blocks(self.PARAMS, 2, initial=np.zeros(5))
 
     def test_norm_contract_after_the_last_block(self, monkeypatch):
-        original = propagation.unitary_from_generator
+        original = numerics.unitary_from_spectrum
         monkeypatch.setattr(
-            propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+            numerics,
+            "unitary_from_spectrum",
+            lambda values, vectors, t: 1.001 * original(values, vectors, t),
         )
         blocks = evolve_blocks(self.PARAMS, 2 * B + 3)
         assert [len(next(blocks)) for _ in range(3)] == [B, B, 4]
         with pytest.raises(ContractViolationError, match="norm"):
             next(blocks)
+
+
+class TestBuildPeakMemory:
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_period_factors_peak_is_four_matrices(self, ordering):
+        # the generator is freed when eigh returns, so the unitary built
+        # first, V, its phase-scaled copy and the product are the peak; the
+        # mid-pulse product u_half @ u_free @ u_half needs four as well
+        params = SystemParams()
+        assert params.dims.joint ** 2 * 16 == MATRIX_BYTES
+        peak = traced_peak(lambda: propagation._period_factors(params, ordering, {}))
+        assert peak <= 4 * MATRIX_BYTES + 64 * 1024, peak / MATRIX_BYTES
 
 
 class TestUnitaryCache:
@@ -298,9 +313,11 @@ class TestUnitaryCache:
 
 class TestNormContract:
     def test_drifting_norm_raises(self, monkeypatch):
-        original = propagation.unitary_from_generator
+        original = numerics.unitary_from_spectrum
         monkeypatch.setattr(
-            propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+            numerics,
+            "unitary_from_spectrum",
+            lambda values, vectors, t: 1.001 * original(values, vectors, t),
         )
         for ordering in Ordering:
             with pytest.raises(ContractViolationError, match="norm"):
