@@ -349,18 +349,6 @@ def echo_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _create_beside(target: str) -> tuple[int, str]:
-    """A new, empty file next to target, and its name.  os.open applies the
-    umask, so the file gets the mode open(target, "w") would give it."""
-    directory, name = os.path.split(target)
-    while True:
-        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-        try:
-            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
-        except FileExistsError:
-            continue
-
-
 def _spool(directory: str) -> TextIO:
     """An unnamed scratch file in directory, else in the system's temporary
     directory (when directory takes no new files)."""
@@ -374,48 +362,33 @@ def _spool(directory: str) -> TextIO:
 def _output(path: str) -> Iterator[TextIO]:
     """A text stream for the CSV at path, opened before the run starts.
 
-    A new file is written as a temporary file next to the resolved path,
-    which os.replace moves onto it only when the body completes, and which
-    an exception removes.  An existing regular file is opened for writing
-    (not truncated) at once, so a write-protected one fails before the run;
-    the rows go to a scratch file and are copied into it only when the body
-    completes, so it keeps its bytes after an exception and, on success, its
-    inode, owner, mode and links, as open(path, "w") leaves them.  A symbolic
-    link is followed either way.  An existing target that is not a regular
-    file (a device, a pipe) is opened and written directly.
+    path is opened for writing at once, created if it is missing and not
+    truncated, so an unwritable path fails before the run, with an OSError
+    that names it.  The rows go to a scratch file and are copied to path
+    only when the body completes.  A regular file is then cut to the CSV
+    and keeps its inode, owner, mode and links, as open(path, "w") leaves
+    them; a new one gets the mode open(path, "w") gives it.  A pipe or a
+    device gets the rows only on success.  After an exception an existing
+    file keeps its bytes, and a file the open created is removed.  A
+    symbolic link is followed either way.
     """
+    existed = os.path.exists(path)
     try:
-        st_mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        st_mode = None
-    # a path that names no file ("", or ending in a separator, "." or "..")
-    # is opened directly too, so that it fails as open() fails
-    names_no_file = os.path.basename(path) in ("", ".", "..")
-    if names_no_file or (st_mode is not None and not stat.S_ISREG(st_mode)):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        return
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        # the message names the path that was asked for
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     target = os.path.realpath(path)
-    if st_mode is not None:
-        with open(os.open(path, os.O_WRONLY), "wb") as dest, _spool(
-            os.path.dirname(target)
-        ) as spool:
+    try:
+        with open(fd, "wb") as dest, _spool(os.path.dirname(target)) as spool:
             yield spool
             spool.seek(0)
-            dest.truncate()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                dest.truncate()
             shutil.copyfileobj(spool.buffer, dest)
-        return
-    try:
-        fd, tmp = _create_beside(target)
-    except OSError as exc:
-        # report the path that was asked for, not the temporary name
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        if not existed:
+            os.unlink(target)
         raise
 
 

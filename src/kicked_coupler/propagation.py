@@ -156,9 +156,10 @@ def evolve_blocks(
     through the same products in the same order as in `evolve`, so the
     concatenated blocks equal its array bit for bit.
 
-    The norm contract is checked against row 0 after the last block has
-    been yielded: ContractViolationError is raised where the iteration
-    would end.
+    The norm contract is checked against row 0 once the last block is
+    filled, before it is yielded: ContractViolationError is raised in place
+    of the last block, so a consumer that stops after it cannot skip the
+    check.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
@@ -182,14 +183,16 @@ def _blocks(
             for u in factors:
                 psi = u @ psi
             block[k] = psi
+        if start + len(block) == n_rows:
+            final_norm = np.vdot(psi, psi).real
+            # written so that a NaN norm fails too
+            if not abs(final_norm - initial_norm) <= NORM_RTOL * initial_norm:
+                raise ContractViolationError(
+                    f"squared norm drifted from {initial_norm:.17g} to "
+                    f"{final_norm:.17g} over {n_kicks} periods "
+                    f"(relative tolerance {NORM_RTOL:g})"
+                )
         yield block
-    final_norm = np.vdot(psi, psi).real
-    # written so that a NaN norm fails too
-    if not abs(final_norm - initial_norm) <= NORM_RTOL * initial_norm:
-        raise ContractViolationError(
-            f"squared norm drifted from {initial_norm:.17g} to {final_norm:.17g} "
-            f"over {n_kicks} periods (relative tolerance {NORM_RTOL:g})"
-        )
 
 
 def evolve(

@@ -8,7 +8,6 @@ from kicked_coupler import (
     ModeDims,
     SystemParams,
     annotate_trajectory,
-    basis_state,
     bell_fidelities,
     bell_states,
     concurrence,
@@ -16,8 +15,9 @@ from kicked_coupler import (
     density_from_pure,
     evolve,
     joint_index,
-    project_to_qubits,
 )
+from kicked_coupler.entanglement import project_to_qubits
+from kicked_coupler.fock import basis_state
 from conftest import random_unit_vector
 
 

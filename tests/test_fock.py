@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from kicked_coupler import (
-    DimensionMismatchError,
-    ModeDims,
+from kicked_coupler import DimensionMismatchError, ModeDims, joint_index
+from kicked_coupler.fock import (
     annihilation_op,
     basis_state,
     creation_op,
     embed_mode_a,
     embed_mode_b,
-    joint_index,
     number_op,
 )
 

@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from kicked_coupler import (
-    ModeDims,
-    SystemParams,
-    annihilation_op,
-    build_coupler_hamiltonian,
-    build_kick_generator,
-    embed_mode_a,
-    embed_mode_b,
-    hermiticity_defect,
-    joint_index,
-    number_op,
-    total_number_op,
-)
+from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
+from kicked_coupler.fock import annihilation_op, embed_mode_a, embed_mode_b, number_op
+from kicked_coupler.hamiltonians import build_kick_generator, total_number_op
+from kicked_coupler.numerics import hermiticity_defect
 
 
 def elem(h, bra, ket, dims):

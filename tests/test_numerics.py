@@ -8,12 +8,14 @@ from kicked_coupler import (
     DimensionMismatchError,
     SystemParams,
     build_coupler_hamiltonian,
-    build_kick_generator,
+)
+from kicked_coupler.hamiltonians import build_kick_generator
+from kicked_coupler.numerics import (
+    PHASE_ROUNDOFF_TOL,
     hermitian_eigendecomposition,
     hermiticity_defect,
     unitary_from_generator,
 )
-from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
 from conftest import MATRIX_BYTES, random_hermitian, random_unit_vector, traced_peak
 
 

@@ -9,19 +9,17 @@ from kicked_coupler import (
     ModeDims,
     Ordering,
     SystemParams,
-    basis_state,
     build_coupler_hamiltonian,
-    build_half_kick,
-    build_kick_generator,
     build_step_operators,
     evolve,
     evolve_blocks,
     joint_index,
     truncated_amplitudes,
-    vacuum_state,
 )
 from kicked_coupler import numerics, propagation
-from kicked_coupler.propagation import UNITARY_INPUTS
+from kicked_coupler.fock import basis_state
+from kicked_coupler.hamiltonians import build_kick_generator
+from kicked_coupler.propagation import UNITARY_INPUTS, build_half_kick, vacuum_state
 from conftest import MATRIX_BYTES, traced_peak
 
 
@@ -178,6 +176,15 @@ class TestEvolve:
 B = propagation.BLOCK_KICKS
 
 
+def drifting_norm(monkeypatch):
+    original = numerics.unitary_from_spectrum
+    monkeypatch.setattr(
+        numerics,
+        "unitary_from_spectrum",
+        lambda values, vectors, t: 1.001 * original(values, vectors, t),
+    )
+
+
 class TestEvolveBlocks:
     PARAMS = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(4, 3))
 
@@ -212,17 +219,18 @@ class TestEvolveBlocks:
         with pytest.raises(DimensionMismatchError):
             evolve_blocks(self.PARAMS, 2, initial=np.zeros(5))
 
-    def test_norm_contract_after_the_last_block(self, monkeypatch):
-        original = numerics.unitary_from_spectrum
-        monkeypatch.setattr(
-            numerics,
-            "unitary_from_spectrum",
-            lambda values, vectors, t: 1.001 * original(values, vectors, t),
-        )
+    def test_norm_contract_before_the_last_block(self, monkeypatch):
+        drifting_norm(monkeypatch)
         blocks = evolve_blocks(self.PARAMS, 2 * B + 3)
-        assert [len(next(blocks)) for _ in range(3)] == [B, B, 4]
+        assert [len(next(blocks)) for _ in range(2)] == [B, B]
         with pytest.raises(ContractViolationError, match="norm"):
             next(blocks)
+
+    def test_consumer_that_stops_at_the_last_block_sees_the_violation(self, monkeypatch):
+        # zip stops once range is exhausted, without asking for a fourth block
+        drifting_norm(monkeypatch)
+        with pytest.raises(ContractViolationError, match="norm"):
+            list(zip(range(3), evolve_blocks(self.PARAMS, 2 * B + 3)))
 
 
 class TestBuildPeakMemory:
@@ -313,12 +321,7 @@ class TestUnitaryCache:
 
 class TestNormContract:
     def test_drifting_norm_raises(self, monkeypatch):
-        original = numerics.unitary_from_spectrum
-        monkeypatch.setattr(
-            numerics,
-            "unitary_from_spectrum",
-            lambda values, vectors, t: 1.001 * original(values, vectors, t),
-        )
+        drifting_norm(monkeypatch)
         for ordering in Ordering:
             with pytest.raises(ContractViolationError, match="norm"):
                 evolve(SystemParams(dims=ModeDims(3, 3)), 5, ordering=ordering)
