@@ -28,8 +28,6 @@ from .hamiltonians import SystemParams, build_coupler_hamiltonian
 from .propagation import (
     DEFAULT_ORDERING,
     Ordering,
-    StepOperators,
-    build_step_operators,
     evolve,
     evolve_blocks,
 )
@@ -43,13 +41,11 @@ __all__ = [
     "ModeDims",
     "Ordering",
     "QubitObservables",
-    "StepOperators",
     "SystemParams",
     "annotate_trajectory",
     "bell_fidelities",
     "bell_states",
     "build_coupler_hamiltonian",
-    "build_step_operators",
     "calibrate_sampling",
     "concurrence",
     "concurrence_pure",

@@ -15,8 +15,8 @@ Every mode computes and writes its rows one block of kicks at a time
 (propagation.BLOCK_KICKS); the output is opened before the run and takes
 the rows only when the run succeeds (see _output).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation, 1 I/O error.
+Exit codes: 0 success, 2 configuration error (a run too large to allocate
+included), 3 numerical-contract violation, 1 I/O error.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class RunConfig:
     out: str = "output.csv"
 
 
-# every float in a CSV row or a rendered config value
+# every float in a CSV row, and in a config value where it round-trips
 _FLOAT = "%.12g"
 
 
@@ -83,11 +83,14 @@ def _fmt(x: float) -> str:
     return _FLOAT % float(x)
 
 
-def _fmt_param(x) -> str:
+def _fmt_value(x) -> str:
+    """A real or complex config value as text that parses back to it: a
+    real one as _FLOAT writes it where that is exact, else as repr."""
     x = complex(x)
-    if x.imag == 0:
-        return _fmt(x.real)
-    return str(x).strip("()")
+    if x.imag != 0:
+        return str(x).strip("()")
+    text = _fmt(x.real)
+    return text if float(text) == x.real else repr(x.real)
 
 
 def _warn_complex_phases(params: SystemParams) -> None:
@@ -238,14 +241,14 @@ class _Key:
 _KEYS = {
     "mode": _Key("mode", str, str, "what to compute", MODES),
     "alpha": _Key(
-        "params.alpha", complex, _fmt_param, "kick strength (complex accepted)"
+        "params.alpha", complex, _fmt_value, "kick strength (complex accepted)"
     ),
     "epsilon": _Key(
-        "params.epsilon", complex, _fmt_param, "inter-mode coupling (complex accepted)"
+        "params.epsilon", complex, _fmt_value, "inter-mode coupling (complex accepted)"
     ),
-    "T": _Key("params.T", float, _fmt, "pulse period"),
-    "chi_a": _Key("params.chi_a", float, _fmt, "Kerr constant of mode a"),
-    "chi_b": _Key("params.chi_b", float, _fmt, "Kerr constant of mode b"),
+    "T": _Key("params.T", float, _fmt_value, "pulse period"),
+    "chi_a": _Key("params.chi_a", float, _fmt_value, "Kerr constant of mode a"),
+    "chi_b": _Key("params.chi_b", float, _fmt_value, "Kerr constant of mode b"),
     "kicks": _Key("n_kicks", int, str, "number of kicks to simulate"),
     "cutoff_a": _Key("params.dims.dim_a", int, str, "Fock levels in mode a"),
     "cutoff_b": _Key("params.dims.dim_b", int, str, "Fock levels in mode b"),
@@ -254,8 +257,8 @@ _KEYS = {
     ),
     "out": _Key("out", _parse_out, str, "output CSV path"),
     "scan_param": _Key("scan.param", str, str, None, SCAN_PARAMS),
-    "scan_start": _Key("scan.start", float, _fmt, None),
-    "scan_stop": _Key("scan.stop", float, _fmt, None),
+    "scan_start": _Key("scan.start", float, _fmt_value, None),
+    "scan_stop": _Key("scan.stop", float, _fmt_value, None),
     "scan_steps": _Key("scan.steps", int, str, None),
 }
 _SCAN_KEYS = frozenset(k for k, spec in _KEYS.items() if spec.field.startswith("scan."))
@@ -287,6 +290,13 @@ def _config_from_items(items: dict) -> RunConfig:
         params = SystemParams(dims=dims, **fields["params"])
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # numpy indexes no array of more than np.intp bytes, whatever the
+    # memory; a smaller one that does not fit fails in run (MemoryError)
+    if 16 * dims.joint**2 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"cutoffs {dims.dim_a} x {dims.dim_b}: a D x D complex matrix "
+            f"(D = {dims.joint}) is more than numpy's largest array"
+        )
     config = RunConfig(params=params, **fields[""])
     if config.n_kicks < 1:
         raise ConfigError(f"kicks must be positive, got {config.n_kicks}")
@@ -349,9 +359,9 @@ def echo_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spool(directory: str) -> TextIO:
+def _spool(directory: str | None) -> TextIO:
     """An unnamed scratch file in directory, else in the system's temporary
-    directory (when directory takes no new files)."""
+    directory (when directory is None or takes no new files)."""
     try:
         return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=directory)
     except OSError:
@@ -364,13 +374,14 @@ def _output(path: str) -> Iterator[TextIO]:
 
     path is opened for writing at once, created if it is missing and not
     truncated, so an unwritable path fails before the run, with an OSError
-    that names it.  The rows go to a scratch file and are copied to path
-    only when the body completes.  A regular file is then cut to the CSV
-    and keeps its inode, owner, mode and links, as open(path, "w") leaves
-    them; a new one gets the mode open(path, "w") gives it.  A pipe or a
-    device gets the rows only on success.  After an exception an existing
-    file keeps its bytes, and a file the open created is removed.  A
-    symbolic link is followed either way.
+    that names it.  The rows go to a scratch file, beside a regular or new
+    file and in the system's temporary directory for a device or a pipe,
+    and are copied to path only when the body completes.  A regular file
+    is then cut to the CSV and keeps its inode, owner, mode and links, as
+    open(path, "w") leaves them; a new one gets the mode open(path, "w")
+    gives it.  After an exception an existing file keeps its bytes, and a
+    file the open created is removed.  A symbolic link is followed either
+    way.
     """
     existed = os.path.exists(path)
     try:
@@ -379,11 +390,13 @@ def _output(path: str) -> Iterator[TextIO]:
         # the message names the path that was asked for
         raise type(exc)(exc.errno, exc.strerror, path) from None
     target = os.path.realpath(path)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    spool_dir = os.path.dirname(target) if regular else None
     try:
-        with open(fd, "wb") as dest, _spool(os.path.dirname(target)) as spool:
+        with open(fd, "wb") as dest, _spool(spool_dir) as spool:
             yield spool
             spool.seek(0)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            if regular:
                 dest.truncate()
             shutil.copyfileobj(spool.buffer, dest)
     except BaseException:
@@ -450,6 +463,11 @@ def main(argv: list[str] | None = None) -> int:
         return run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the size of the array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"configuration error: too large for this machine{detail}", file=sys.stderr)
         return 2
     except ContractViolationError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)

@@ -71,7 +71,6 @@ def build_coupler_hamiltonian(params: SystemParams) -> np.ndarray:
     that dense expression bit for bit (signed zeros included).
     """
     dims = params.dims
-    m, n = _occupations(dims)
     half_chi_a, half_chi_b = 0.5 * params.chi_a, 0.5 * params.chi_b
     eps = complex(params.epsilon)
 
@@ -82,7 +81,9 @@ def build_coupler_hamiltonian(params: SystemParams) -> np.ndarray:
         )
 
     zero = np.zeros(1, dtype=complex)
+    # the D x D array first: a size that does not fit fails at once
     h = np.full((dims.joint, dims.joint), entries(zero, zero, zero, zero)[0])
+    m, n = _occupations(dims)
     diag = np.arange(dims.joint)
     h[diag, diag] = entries(_kerr_diagonal(m), _kerr_diagonal(n), zero, zero)
     # a+ b takes |m, n> to sqrt(m+1) sqrt(n) |m+1, n-1>; a b+ is its transpose
@@ -103,7 +104,6 @@ def build_kick_generator(params: SystemParams) -> np.ndarray:
     entry by entry and equals the dense expression bit for bit.
     """
     dims = params.dims
-    m, _ = _occupations(dims)
     alpha = complex(params.alpha)
 
     def entries(a_ij, a_ji):
@@ -113,6 +113,7 @@ def build_kick_generator(params: SystemParams) -> np.ndarray:
 
     zero = np.zeros(1, dtype=complex)
     g = np.full((dims.joint, dims.joint), entries(zero, zero)[0])
+    m, _ = _occupations(dims)
     # a+ takes |m, n> to sqrt(m+1) |m+1, n>
     src = np.flatnonzero(m < dims.dim_a - 1)
     dst = src + dims.dim_b
@@ -120,9 +121,3 @@ def build_kick_generator(params: SystemParams) -> np.ndarray:
     g[dst, src] = entries(zero, raise_amp)
     g[src, dst] = entries(raise_amp, zero)
     return g
-
-
-def total_number_op(dims: ModeDims) -> np.ndarray:
-    """Total photon number N_a + N_b on the joint basis."""
-    m, n = _occupations(dims)
-    return np.diag((m + n).astype(complex))

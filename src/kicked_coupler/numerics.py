@@ -97,12 +97,3 @@ def unitary_from_spectrum(
     # the transposed view, the operands and layout of V.conj().T
     np.conjugate(eigenvectors, out=eigenvectors)
     return scaled @ eigenvectors.T
-
-
-def unitary_from_generator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via the spectral decomposition.
-
-    Raises ContractViolationError in the cases of
-    hermitian_eigendecomposition and unitary_from_spectrum.
-    """
-    return unitary_from_spectrum(*hermitian_eigendecomposition(h), t)

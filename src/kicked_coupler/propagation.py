@@ -14,13 +14,13 @@ collects them into one array.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import numerics
 from .errors import ContractViolationError, DimensionMismatchError
+from .fock import basis_state
 from .hamiltonians import SystemParams, build_coupler_hamiltonian, build_kick_generator
 
 
@@ -44,18 +44,6 @@ NORM_RTOL = 1e-9
 # block of 128 states is 0.46 MB, 0.57 of a D x D complex matrix, so the
 # run stays below the four matrices that building a step unitary needs.
 BLOCK_KICKS = 128
-
-
-@dataclass(frozen=True)
-class StepOperators:
-    """The two unitaries of one drive period.
-
-    u_free : exp(-i H_NL T), free evolution between pulses.
-    u_kick : exp(-i G), the integrated effect of one ultra-short pulse.
-    """
-
-    u_free: np.ndarray
-    u_kick: np.ndarray
 
 
 # The parameters each step unitary's generator reads.  A cached unitary is
@@ -95,18 +83,6 @@ def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
     return u
 
 
-def build_step_operators(params: SystemParams) -> StepOperators:
-    """Construct U_NL and U_K for the given parameters."""
-    return StepOperators(
-        u_free=_build_unitary("free", params), u_kick=_build_unitary("kick", params)
-    )
-
-
-def build_half_kick(params: SystemParams) -> np.ndarray:
-    """exp(-i G / 2), half of a pulse; used for mid-pulse sampling."""
-    return _build_unitary("half", params)
-
-
 def _period_factors(
     params: SystemParams, ordering: Ordering, cache: dict
 ) -> tuple[np.ndarray, ...]:
@@ -119,24 +95,6 @@ def _period_factors(
     if ordering is Ordering.KICK_THEN_FREE:
         return (u_kick, u_free)
     return (u_free, u_kick)
-
-
-def vacuum_state(params: SystemParams) -> np.ndarray:
-    """|0>_a |0>_b on the joint basis."""
-    psi = np.zeros(params.dims.joint, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
-def _check_initial(params: SystemParams, initial: np.ndarray | None) -> np.ndarray:
-    if initial is None:
-        return vacuum_state(params)
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (params.dims.joint,):
-        raise DimensionMismatchError(
-            f"initial state has shape {initial.shape}, expected ({params.dims.joint},)"
-        )
-    return initial
 
 
 def evolve_blocks(
@@ -156,6 +114,10 @@ def evolve_blocks(
     through the same products in the same order as in `evolve`, so the
     concatenated blocks equal its array bit for bit.
 
+    ``cache``, a dict the caller owns, keeps each step unitary across the
+    calls that share it until a parameter its generator reads
+    (UNITARY_INPUTS) changes: a scan reuses the one its parameter skips.
+
     The norm contract is checked against row 0 once the last block is
     filled, before it is yielded: ContractViolationError is raised in place
     of the last block, so a consumer that stops after it cannot skip the
@@ -163,7 +125,13 @@ def evolve_blocks(
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
-    psi = _check_initial(params, initial)
+    if initial is None:
+        initial = basis_state(0, 0, params.dims)
+    psi = np.asarray(initial, dtype=complex)
+    if psi.shape != (params.dims.joint,):
+        raise DimensionMismatchError(
+            f"initial state has shape {psi.shape}, expected ({params.dims.joint},)"
+        )
     factors = _period_factors(params, ordering, {} if cache is None else cache)
     return _blocks(psi, n_kicks, factors)
 
@@ -200,7 +168,6 @@ def evolve(
     n_kicks: int,
     initial: np.ndarray | None = None,
     ordering: Ordering = DEFAULT_ORDERING,
-    cache: dict | None = None,
 ) -> np.ndarray:
     """Iterate the stroboscopic map and record the state after every period.
 
@@ -210,15 +177,10 @@ def evolve(
     from `evolve_blocks`; a caller that needs one block at a time should
     iterate that instead.
 
-    ``cache`` is an optional dict owned by the caller.  Across calls that
-    share it, each step unitary is rebuilt only when a parameter its
-    generator reads (UNITARY_INPUTS) has changed; a parameter scan thus
-    reuses the unitary its parameter does not enter.
-
     Raises ContractViolationError if the squared norm of the last state
     differs from that of the first by more than NORM_RTOL, relative.
     """
-    blocks = evolve_blocks(params, n_kicks, initial, ordering, cache)
+    blocks = evolve_blocks(params, n_kicks, initial, ordering)
     # the operators are built before the trajectory is allocated, so their
     # construction temporaries are freed before the largest array exists
     states = np.empty((n_kicks + 1, params.dims.joint), dtype=complex)

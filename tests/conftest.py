@@ -1,9 +1,35 @@
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kicked_coupler import ModeDims, SystemParams
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import run as bench_run  # noqa: E402
+
+
+def blas_facts() -> str:
+    """The numpy version, BLAS build and OpenBLAS thread count, as the
+    benchmark records them (bench/run.py machine_facts)."""
+    facts = bench_run.machine_facts()
+    return (
+        f"numpy {facts['numpy']} with BLAS {facts['blas']}, "
+        f"{facts['blas_threads']} OpenBLAS threads"
+    )
+
+
+def pytest_report_header(config):
+    return blas_facts()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q drops the header; the facts then close the log instead
+    if config.getoption("verbose") < 0:
+        terminalreporter.write_line(blas_facts())
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from kicked_coupler import (
     bell_fidelities,
     bell_states,
     build_coupler_hamiltonian,
-    build_step_operators,
     concurrence,
     concurrence_pure,
     density_from_pure,
@@ -32,6 +31,7 @@ from kicked_coupler import (
     truncated_amplitudes,
     truncated_map_states,
 )
+from kicked_coupler import propagation
 
 QUBIT_STATES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -183,17 +183,18 @@ def test_criterion_5_uncoupled_special_case():
 
 
 def test_criterion_6_property_suite(reference_params, long_states, rng):
-    ops = build_step_operators(reference_params)
+    u_free, u_kick = propagation._period_factors(
+        reference_params, Ordering.FREE_THEN_KICK, {}
+    )
     dim = reference_params.dims.joint
     unit_defect = max(
-        float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-        for u in (ops.u_free, ops.u_kick)
+        float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))) for u in (u_free, u_kick)
     )
     norm_defect = max(abs(np.linalg.norm(psi) - 1.0) for psi in long_states)
     h = build_coupler_hamiltonian(reference_params)
     psi = long_states[137]
     energy_defect = abs(
-        np.vdot(ops.u_free @ psi, h @ (ops.u_free @ psi)).real
+        np.vdot(u_free @ psi, h @ (u_free @ psi)).real
         - np.vdot(psi, h @ psi).real
     )
     fid_defect = 0.0

@@ -1,6 +1,7 @@
 import errno
 import os
 import stat
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
@@ -167,6 +168,55 @@ class TestParseConfig:
         for key in cli._KEYS:
             assert value_of(config, key) != value_of(default, key), key
         assert parse_config(echo_config(config)) == config
+
+    def test_round_trip_full_precision_floats(self, rng):
+        # values that %.12g cannot hold, at many magnitudes
+        float_keys = [k for k, spec in cli._KEYS.items() if spec.parse in (float, complex)]
+        assert sorted(float_keys) == sorted(
+            ["alpha", "epsilon", "T", "chi_a", "chi_b", "scan_start", "scan_stop"]
+        )
+        for _ in range(200):
+            scale = 10.0 ** rng.integers(-20, 20, size=len(float_keys))
+            values = dict(zip(float_keys, rng.uniform(-1, 1, len(float_keys)) * scale))
+            values["T"] = abs(values["T"])
+            values["scan_start"], values["scan_stop"] = sorted(
+                (values["scan_start"], values["scan_stop"])
+            )
+            lines = [f"{key} = {float(value)!r}\n" for key, value in values.items()]
+            document = SCAN_DOCUMENT + "".join(lines)
+            config = parse_config(document)
+            assert parse_config(echo_config(config)) == config, document
+        complex_alpha = parse_config(f"alpha = {complex(*rng.uniform(-1, 1, 2))!r}")
+        assert parse_config(echo_config(complex_alpha)) == complex_alpha
+
+    @pytest.mark.parametrize(
+        "flag, value, line",
+        [
+            ("--alpha", "0.0412345678901234", "alpha = 0.0412345678901234"),
+            ("--T", "1.00000000000001", "T = 1.00000000000001"),
+            # %.12g is kept wherever it round-trips
+            ("--alpha", "0.04", "alpha = 0.04"),
+            ("--T", "1e-30", "T = 1e-30"),
+            ("--chi-a", "-0.0", "chi_a = -0"),
+        ],
+    )
+    def test_echo_renders_floats_that_round_trip(self, capsys, flag, value, line):
+        assert main([flag, value, "--echo-config"]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "cutoffs", [(100000, 100000), (4000000000, 4000000000), (2, 379625063)]
+    )
+    def test_cutoffs_beyond_numpy_index_range(self, cutoffs):
+        document = "cutoff_a = %d\ncutoff_b = %d\n" % cutoffs
+        with pytest.raises(ConfigError, match="more than numpy's largest array"):
+            parse_config(document)
+
+    def test_largest_indexable_cutoffs_are_accepted(self):
+        # D = 759250124 is the largest D with 16 D^2 bytes within np.intp
+        config = parse_config("cutoff_a = 2\ncutoff_b = 379625062\n")
+        assert 16 * config.params.dims.joint**2 <= np.iinfo(np.intp).max
+        assert 16 * (config.params.dims.joint + 1) ** 2 > np.iinfo(np.intp).max
 
 
 class TestRunModes:
@@ -485,6 +535,42 @@ class TestMain:
         assert "norm" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cutoff", ["100000", "4000000000"])
+    def test_unindexable_cutoffs_exit_2(self, tmp_path, capsys, cutoff):
+        out = tmp_path / "run.csv"
+        argv = ["--cutoff-a", cutoff, "--cutoff-b", cutoff, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cutoffs ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["simulate", "compare", "scan"])
+    @pytest.mark.parametrize(
+        "message",
+        ["Unable to allocate 1.15 PiB for an array with shape (9000000, 9000000) "
+         "and data type complex128", ""],
+        ids=["numpy message", "no message"],
+    )
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, mode, message):
+        def failing_build(params):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(propagation, "build_coupler_hamiltonian", failing_build)
+        out = tmp_path / "run.csv"
+        argv = ["--kicks", "3"] + SMALL + ["--out", str(out)]
+        if mode == "scan":
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(SCAN_DOCUMENT)
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--mode", mode]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        detail = f": {message}" if message else ""
+        assert err == f"configuration error: too large for this machine{detail}\n"
+        assert sorted(tmp_path.iterdir()) == ([cfg] if mode == "scan" else [])
+
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 0.01\nkicks = 5\ncutoff_a = 4\ncutoff_b = 4\n")
@@ -688,6 +774,19 @@ def drifting_norm(monkeypatch):
     )
 
 
+def record_spool_dirs(monkeypatch):
+    """The dir argument of each scratch file the CLI opens, in order."""
+    dirs = []
+    original = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        dirs.append(kwargs.get("dir"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", recording)
+    return dirs
+
+
 class TestOutputFile:
     FAILING_RUNS = {
         "norm-drift": (["--kicks", "30"] + SMALL, drifting_norm),
@@ -820,9 +919,10 @@ class TestOutputFile:
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert out.read_bytes().startswith(CSV_HEADER.encode())
 
-    def test_fifo_is_written_directly(self, tmp_path):
+    def test_fifo_is_written_directly(self, tmp_path, monkeypatch):
         # a non-regular target is opened and written, never replaced
         expected = csv_bytes(tmp_path, ["--kicks", "9"] + SMALL, name="fresh.csv")
+        spool_dirs = record_spool_dirs(monkeypatch)
         fifo = tmp_path / "run.csv"
         os.mkfifo(fifo)
         received = []
@@ -837,6 +937,22 @@ class TestOutputFile:
         assert received == [expected]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert list(tmp_path.iterdir()) == [fifo]
+        # the rows are spooled in the system's temporary directory
+        assert spool_dirs == [None]
+
+    def test_device_rows_are_spooled_in_the_temporary_directory(self, monkeypatch):
+        spool_dirs = record_spool_dirs(monkeypatch)
+        assert main(["--kicks", "3"] + SMALL + ["--out", os.devnull]) == 0
+        assert spool_dirs == [None]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_file_rows_are_spooled_beside_it(self, tmp_path, monkeypatch, existing):
+        out = tmp_path / "run.csv"
+        if existing:
+            out.write_bytes(b"earlier result\n")
+        spool_dirs = record_spool_dirs(monkeypatch)
+        assert main(["--kicks", "3"] + SMALL + ["--out", str(out)]) == 0
+        assert spool_dirs == [str(tmp_path)]
 
     def test_every_mode_has_one_runner(self):
         assert cli.MODES == tuple(cli._RUNNERS) == cli._KEYS["mode"].choices

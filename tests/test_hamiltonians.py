@@ -3,7 +3,7 @@ import pytest
 
 from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
 from kicked_coupler.fock import annihilation_op, embed_mode_a, embed_mode_b, number_op
-from kicked_coupler.hamiltonians import build_kick_generator, total_number_op
+from kicked_coupler.hamiltonians import build_kick_generator
 from kicked_coupler.numerics import hermiticity_defect
 
 
@@ -68,14 +68,6 @@ class TestMatchesDenseProducts:
             == dense_kick_generator(params).tobytes()
         )
 
-    @pytest.mark.parametrize("cutoffs", CUTOFFS)
-    def test_total_number_op(self, cutoffs):
-        dims = ModeDims(*cutoffs)
-        dense = embed_mode_a(number_op(dims.dim_a), dims) + embed_mode_b(
-            number_op(dims.dim_b), dims
-        )
-        assert total_number_op(dims).tobytes() == dense.tobytes()
-
 
 class TestCouplerHamiltonian:
     def test_qubit_states_have_zero_kerr_energy(self):
@@ -114,7 +106,10 @@ class TestCouplerHamiltonian:
     def test_commutes_with_total_photon_number(self, rng):
         params = SystemParams(epsilon=0.04 + 0.02j, dims=ModeDims(8, 8))
         h = build_coupler_hamiltonian(params)
-        n = total_number_op(params.dims)
+        dims = params.dims
+        n = embed_mode_a(number_op(dims.dim_a), dims) + embed_mode_b(
+            number_op(dims.dim_b), dims
+        )
         comm = h @ n - n @ h
         assert np.max(np.abs(comm)) <= 1e-12 * np.max(np.abs(h))
 

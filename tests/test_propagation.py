@@ -10,7 +10,6 @@ from kicked_coupler import (
     Ordering,
     SystemParams,
     build_coupler_hamiltonian,
-    build_step_operators,
     evolve,
     evolve_blocks,
     joint_index,
@@ -19,26 +18,31 @@ from kicked_coupler import (
 from kicked_coupler import numerics, propagation
 from kicked_coupler.fock import basis_state
 from kicked_coupler.hamiltonians import build_kick_generator
-from kicked_coupler.propagation import UNITARY_INPUTS, build_half_kick, vacuum_state
+from kicked_coupler.propagation import UNITARY_INPUTS
 from conftest import MATRIX_BYTES, traced_peak
+
+
+def step_unitaries(params):
+    """(u_free, u_kick): exp(-i H_NL T) and exp(-i G), as evolve builds them."""
+    return propagation._period_factors(params, Ordering.FREE_THEN_KICK, {})
 
 
 class TestStepOperators:
     def test_zero_drive_gives_identity_kick(self):
-        ops = build_step_operators(SystemParams(alpha=0.0))
-        np.testing.assert_allclose(ops.u_kick, np.eye(ops.u_kick.shape[0]), atol=1e-13)
+        _, u_kick = step_unitaries(SystemParams(alpha=0.0))
+        np.testing.assert_allclose(u_kick, np.eye(u_kick.shape[0]), atol=1e-13)
 
     def test_free_unitary_trivial_on_qubit_states_without_kerr_and_coupling(self):
         params = SystemParams(chi_a=0.0, chi_b=0.0, epsilon=0.0)
-        ops = build_step_operators(params)
+        u_free, _ = step_unitaries(params)
         dims = params.dims
         for m, n in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             ket = basis_state(m, n, dims)
-            np.testing.assert_allclose(ops.u_free @ ket, ket, atol=1e-12)
+            np.testing.assert_allclose(u_free @ ket, ket, atol=1e-12)
 
     def test_kick_restricted_to_two_levels_is_nearly_a_rotation(self):
         params = SystemParams()
-        ops = build_step_operators(params)
+        _, u_kick = step_unitaries(params)
         dims = params.dims
         alpha = abs(params.alpha)
         rotation = np.array(
@@ -48,27 +52,26 @@ class TestStepOperators:
             ]
         )
         i00, i10 = joint_index(0, 0, dims), joint_index(1, 0, dims)
-        block = ops.u_kick[np.ix_([i00, i10], [i00, i10])]
+        block = u_kick[np.ix_([i00, i10], [i00, i10])]
         # corrections enter through level 2 at order alpha^2
         assert np.max(np.abs(block - rotation)) < 3 * alpha**2
 
     def test_unitarity(self):
-        ops = build_step_operators(SystemParams(dims=ModeDims(8, 8)))
-        for u in (ops.u_free, ops.u_kick):
+        for u in step_unitaries(SystemParams(dims=ModeDims(8, 8))):
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-10
 
 
 def loop_reference(params, n_kicks, ordering):
     """The map loop written out step by step: the reference for evolve."""
-    ops = build_step_operators(params)
+    u_free, u_kick = step_unitaries(params)
     if ordering is Ordering.MID_PULSE:
-        half = build_half_kick(params)
-        factors = [half @ ops.u_free @ half]
+        half = propagation._build_unitary("half", params)
+        factors = [half @ u_free @ half]
     elif ordering is Ordering.KICK_THEN_FREE:
-        factors = [ops.u_kick, ops.u_free]
+        factors = [u_kick, u_free]
     else:
-        factors = [ops.u_free, ops.u_kick]
-    psi = vacuum_state(params)
+        factors = [u_free, u_kick]
+    psi = basis_state(0, 0, params.dims)
     states = [psi]
     for _ in range(n_kicks):
         for u in factors:
@@ -80,7 +83,7 @@ def loop_reference(params, n_kicks, ordering):
 class TestMapStep:
     def test_vacuum_stationary_without_drive(self):
         params = SystemParams(alpha=0.0)
-        psi = vacuum_state(params)
+        psi = basis_state(0, 0, params.dims)
         for ordering in Ordering:
             states = evolve(params, 20, ordering=ordering)
             np.testing.assert_allclose(states[-1], psi, atol=1e-12)
@@ -121,7 +124,7 @@ class TestEvolve:
         params = SystemParams(dims=ModeDims(4, 4))
         states = evolve(params, 0)
         assert states.shape == (1, 16)
-        np.testing.assert_allclose(states[0], vacuum_state(params), atol=0)
+        np.testing.assert_allclose(states[0], basis_state(0, 0, params.dims), atol=0)
 
     def test_record_count_and_norms(self):
         params = SystemParams(dims=ModeDims(6, 6))
@@ -152,11 +155,11 @@ class TestEvolve:
     def test_energy_conserved_between_kicks(self):
         params = SystemParams(dims=ModeDims(8, 8))
         h = build_coupler_hamiltonian(params)
-        ops = build_step_operators(params)
+        u_free, _ = step_unitaries(params)
         # put some excitation in first
         psi = evolve(params, 10, ordering=Ordering.KICK_THEN_FREE)[-1]
         before = np.vdot(psi, h @ psi).real
-        after = np.vdot(ops.u_free @ psi, h @ (ops.u_free @ psi)).real
+        after = np.vdot(u_free @ psi, h @ (u_free @ psi)).real
         assert abs(after - before) <= 1e-9 * np.max(np.abs(h))
 
     def test_rejects_negative_kicks(self):
@@ -245,6 +248,11 @@ class TestBuildPeakMemory:
         assert peak <= 4 * MATRIX_BYTES + 64 * 1024, peak / MATRIX_BYTES
 
 
+def evolve_cached(params, n_kicks, cache, **kwargs):
+    """evolve's array, with the step unitaries taken from a shared cache."""
+    return np.concatenate(list(evolve_blocks(params, n_kicks, cache=cache, **kwargs)))
+
+
 class TestUnitaryCache:
     BASE = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(5, 4))
     # a scan of each parameter, then a change of both generators at once
@@ -265,7 +273,7 @@ class TestUnitaryCache:
         cache = {}
         for params in self.SEQUENCE:
             assert np.array_equal(
-                evolve(params, 30, ordering=ordering, cache=cache),
+                evolve_cached(params, 30, cache, ordering=ordering),
                 evolve(params, 30, ordering=ordering),
             )
 
@@ -273,7 +281,7 @@ class TestUnitaryCache:
     def test_at_most_one_unitary_per_kind(self, ordering):
         cache = {}
         for params in self.SEQUENCE:
-            evolve(params, 3, ordering=ordering, cache=cache)
+            evolve_cached(params, 3, cache, ordering=ordering)
             assert set(cache) <= set(UNITARY_INPUTS)
             for kind, (key, u) in cache.items():
                 assert key == tuple(getattr(params, f) for f in UNITARY_INPUTS[kind])
@@ -290,7 +298,7 @@ class TestUnitaryCache:
 
             monkeypatch.setattr(propagation, name, counted)
         cache = {}
-        evolve(self.BASE, 2, cache=cache)
+        evolve_cached(self.BASE, 2, cache)
         assert sorted(built) == ["build_coupler_hamiltonian", "build_kick_generator"]
         for change, rebuilt in [
             ({"alpha": 0.02}, ["build_kick_generator"]),
@@ -299,9 +307,9 @@ class TestUnitaryCache:
             ({}, []),
         ]:
             built.clear()
-            evolve(replace(self.BASE, **change), 2, cache=cache)
+            evolve_cached(replace(self.BASE, **change), 2, cache)
             assert built == rebuilt
-            evolve(self.BASE, 2, cache=cache)
+            evolve_cached(self.BASE, 2, cache)
 
     @pytest.mark.parametrize(
         "kind, build",
@@ -328,12 +336,12 @@ class TestNormContract:
 
     def test_unnormalized_initial_state(self):
         params = SystemParams(dims=ModeDims(3, 3))
-        states = evolve(params, 10, initial=3.0 * vacuum_state(params))
+        states = evolve(params, 10, initial=3.0 * basis_state(0, 0, params.dims))
         assert np.linalg.norm(states[-1]) == pytest.approx(3.0, rel=1e-12)
 
     def test_nan_norm_raises(self):
         params = SystemParams(dims=ModeDims(3, 3))
-        initial = vacuum_state(params)
+        initial = basis_state(0, 0, params.dims)
         initial[1] = np.nan
         with pytest.raises(ContractViolationError, match="norm"):
             evolve(params, 2, initial=initial)

@@ -14,7 +14,7 @@ USERS = [
     *sorted((ROOT / "demos").glob("*.py")),
 ]
 # returned or raised by exported functions
-SIGNATURE_TYPES = {"StepOperators", "DegenerateProjectionError", "DimensionMismatchError"}
+SIGNATURE_TYPES = {"DegenerateProjectionError", "DimensionMismatchError"}
 
 
 def imported_names(path: Path) -> set[str]:

@@ -3,28 +3,12 @@ checks them: every CSV invariant, and the sampled reference rows within
 1e-12 (bench/csvcheck.py, bench/reference.json).  The configurations come
 from bench/run.py, so these runs are exactly the benchmark's seed-0 runs."""
 
-import sys
-from pathlib import Path
-
 import pytest
 
 from kicked_coupler.cli import main
+from conftest import bench_run, blas_facts
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.append(str(BENCH))
-
-import csvcheck  # noqa: E402
-import run as bench_run  # noqa: E402
-
-
-def blas_facts() -> str:
-    """The BLAS build and thread count: the sampled rows depend on how the
-    eigensolver rounds, and that depends on the OpenBLAS thread count."""
-    facts = bench_run.machine_facts()
-    return (
-        f"numpy {facts['numpy']} with BLAS {facts['blas']}, {facts['blas_threads']} "
-        "OpenBLAS threads (the reference expects at least 2 on this build)"
-    )
+import csvcheck  # in bench/, which conftest puts on the path
 
 
 @pytest.fixture(scope="module")
@@ -43,4 +27,8 @@ def test_workload_matches_reference(name, reference, tmp_path):
     assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert csvcheck.check_invariants(cfg, lines) == []
-    assert csvcheck.check_reference(name, cfg, lines, reference) == [], blas_facts()
+    # the sampled rows depend on how the eigensolver rounds, and that depends
+    # on the OpenBLAS thread count
+    assert csvcheck.check_reference(name, cfg, lines, reference) == [], (
+        blas_facts() + " (the reference expects at least 2 on this build)"
+    )
