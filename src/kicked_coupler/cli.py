@@ -93,11 +93,20 @@ def _fmt_value(x) -> str:
     return text if float(text) == x.real else repr(x.real)
 
 
-def _warn_complex_phases(params: SystemParams) -> None:
+def _note_closed_forms(params: SystemParams) -> None:
+    """Say on stderr where the closed forms depart from params: complex
+    phases are dropped, and below the coupling threshold the uncoupled
+    amplitudes stand in.  Each closed-form run calls it once."""
     if complex(params.alpha).imag != 0 or complex(params.epsilon).imag != 0:
         print(
             "warning: closed-form amplitudes use |alpha| and |epsilon|; "
             "complex phases are ignored on the analytic path",
+            file=sys.stderr,
+        )
+    if abs(params.epsilon) * params.T <= SINGULAR_COUPLING_THRESHOLD:
+        print(
+            "note: |epsilon*T| below the coupled-formula threshold; "
+            "using the uncoupled (epsilon = 0) amplitudes",
             file=sys.stderr,
         )
 
@@ -131,14 +140,7 @@ def _run_simulate(config: RunConfig) -> Iterator[str]:
 
 
 def _run_analytic(config: RunConfig) -> Iterator[str]:
-    _warn_complex_phases(config.params)
-    eps_t = abs(config.params.epsilon) * config.params.T
-    if eps_t <= SINGULAR_COUPLING_THRESHOLD:
-        print(
-            "note: |epsilon*T| below the coupled-formula threshold; "
-            "using the uncoupled (epsilon = 0) amplitudes",
-            file=sys.stderr,
-        )
+    _note_closed_forms(config.params)
     yield CSV_HEADER + "\n"
     k = 0
     for block in amplitude_blocks(config.n_kicks, config.params):
@@ -157,7 +159,7 @@ def _run_analytic(config: RunConfig) -> Iterator[str]:
 
 
 def _run_compare(config: RunConfig) -> Iterator[str]:
-    _warn_complex_phases(config.params)
+    _note_closed_forms(config.params)
     # the closed forms' contracts are checked, block by block, before the
     # full-basis run; the rows are evaluated again alongside it
     for _ in amplitude_blocks(config.n_kicks, config.params):
@@ -440,7 +442,8 @@ def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig, bool]:
     items: dict = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            # utf-8-sig drops the byte-order mark some editors write
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")

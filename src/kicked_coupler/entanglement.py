@@ -72,30 +72,15 @@ def _qubit_columns(dims: ModeDims) -> list[int]:
     return [joint_index(m, n, dims) for m in (0, 1) for n in (0, 1)]
 
 
-def project_to_qubits(psi: np.ndarray, dims: ModeDims) -> tuple[np.ndarray, float]:
-    """Project a joint-basis state onto the two-qubit subspace.
-
-    Returns the renormalized four amplitudes and the leakage, the
-    probability mass outside the qubit subspace before renormalization.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    raw = psi[_qubit_columns(dims)]
-    weight = float(np.sum(np.abs(raw) ** 2))
-    if np.all(np.abs(raw) < _PROJECTION_FLOOR):
-        raise DegenerateProjectionError(
-            "state has no numerical support on the qubit subspace"
-        )
-    leakage = float(np.vdot(psi, psi).real) - weight
-    return raw / np.sqrt(weight), max(leakage, 0.0)
-
-
 def density_from_pure(amps: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |psi><psi| of four qubit amplitudes."""
     amps = np.asarray(amps, dtype=complex)
     return np.outer(amps, amps.conj())
 
 
-def _validate_density(rho: np.ndarray) -> np.ndarray:
+def _validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho as a complex array and its eigenvalues and eigenvectors, after
+    the shape, Hermiticity, trace and positivity checks."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ContractViolationError(f"two-qubit density must be 4x4, got {rho.shape}")
@@ -103,12 +88,12 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
         raise ContractViolationError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
         raise ContractViolationError("density matrix trace differs from 1 beyond 1e-12")
-    eigenvalues, _ = hermitian_eigendecomposition(rho)
+    eigenvalues, eigenvectors = hermitian_eigendecomposition(rho)
     if np.min(eigenvalues) < -1e-10:
         raise ContractViolationError(
             f"density matrix has negative eigenvalue {np.min(eigenvalues):.3e}"
         )
-    return rho
+    return rho, eigenvalues, eigenvectors
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -119,9 +104,8 @@ def concurrence(rho: np.ndarray) -> float:
     positive-semidefinite matrix sqrt(rho) rho~ sqrt(rho), which shares its
     spectrum with rho rho~ but needs only the Hermitian eigensolver.
     """
-    rho = _validate_density(rho)
+    rho, rho_values, rho_vectors = _validate_density(rho)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    rho_values, rho_vectors = hermitian_eigendecomposition(rho)
     sqrt_rho = (rho_vectors * np.sqrt(np.clip(rho_values, 0.0, None))) @ (
         rho_vectors.conj().T
     )
@@ -160,7 +144,9 @@ def bell_fidelities(amps: np.ndarray) -> np.ndarray:
 
 def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
     """Probabilities, leakage, concurrence and Bell fidelities of every row
-    of an (K+1, D) trajectory, as project_to_qubits gives them row by row."""
+    of an (K+1, D) trajectory.  The leakage is the mass outside the qubit
+    subspace, and the other observables are those of the renormalized
+    qubit amplitudes."""
     if states.ndim != 2 or states.shape[1] != dims.joint:
         raise DimensionMismatchError(
             f"states have shape {states.shape}, expected (K+1, {dims.joint})"
@@ -172,8 +158,8 @@ def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
         )
     probs = np.abs(raw) ** 2
     weight = np.sum(probs, axis=1)
-    # one batched <psi|psi> per row, equal bit for bit to the np.vdot of
-    # project_to_qubits (tests/test_entanglement.py checks it)
+    # one batched <psi|psi> per row, equal bit for bit to a per-row np.vdot
+    # (tests/test_entanglement.py checks it)
     norms = (states.conj()[:, None, :] @ states[:, :, None])[:, 0, 0].real
     q = raw / np.sqrt(weight)[:, None]
     return QubitObservables(

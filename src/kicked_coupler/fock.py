@@ -1,9 +1,8 @@
-"""Bosonic mode operators and two-mode tensor structure in a finite Fock basis.
+"""The truncated two-mode Fock basis.
 
-Operators are dense complex ``numpy`` arrays.  The joint basis of the two
-modes is ordered mode-a major: the state |m>_a |n>_b sits at index
-``I = m * dim_b + n``.  That single convention is used everywhere in the
-package.
+The joint basis of the two modes is ordered mode-a major: the state
+|m>_a |n>_b sits at index ``I = m * dim_b + n``.  That single convention is
+used everywhere in the package.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -36,48 +33,6 @@ class ModeDims:
     def joint(self) -> int:
         """Dimension of the joint two-mode space."""
         return self.dim_a * self.dim_b
-
-
-def annihilation_op(dim: int) -> np.ndarray:
-    """Truncated annihilation operator: a|n> = sqrt(n)|n-1>.
-
-    The matrix has sqrt(n) on the first superdiagonal.  Its adjoint (the
-    truncated creation operator) annihilates the top level |dim-1> instead
-    of raising it; leakage monitoring quantifies the effect of that edge.
-    """
-    if dim < 2:
-        raise ValueError(f"annihilation_op needs dim >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def creation_op(dim: int) -> np.ndarray:
-    """Truncated creation operator, adjoint of :func:`annihilation_op`."""
-    return annihilation_op(dim).conj().T
-
-
-def number_op(dim: int) -> np.ndarray:
-    """Photon-number operator diag(0, 1, ..., dim-1)."""
-    if dim < 2:
-        raise ValueError(f"number_op needs dim >= 2, got {dim}")
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
-def embed_mode_a(op: np.ndarray, dims: ModeDims) -> np.ndarray:
-    """Lift a single-mode operator on mode a to the joint space: op (x) I_b."""
-    if op.shape != (dims.dim_a, dims.dim_a):
-        raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match mode-a dimension {dims.dim_a}"
-        )
-    return np.kron(op, np.eye(dims.dim_b, dtype=complex))
-
-
-def embed_mode_b(op: np.ndarray, dims: ModeDims) -> np.ndarray:
-    """Lift a single-mode operator on mode b to the joint space: I_a (x) op."""
-    if op.shape != (dims.dim_b, dims.dim_b):
-        raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match mode-b dimension {dims.dim_b}"
-        )
-    return np.kron(np.eye(dims.dim_a, dtype=complex), op)
 
 
 def joint_index(m: int, n: int, dims: ModeDims) -> int:

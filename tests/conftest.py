@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kicked_coupler import ModeDims, SystemParams
+from kicked_coupler import ModeDims, SystemParams, joint_index
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -22,14 +22,21 @@ def blas_facts() -> str:
     )
 
 
+def machine_lines() -> list[str]:
+    """The BLAS facts and the line count of src/, as the benchmark records
+    them."""
+    return [blas_facts(), f"src/ lines: {bench_run.machine_facts()['src_lines']}"]
+
+
 def pytest_report_header(config):
-    return blas_facts()
+    return machine_lines()
 
 
 def pytest_terminal_summary(terminalreporter, config):
     # -q drops the header; the facts then close the log instead
     if config.getoption("verbose") < 0:
-        terminalreporter.write_line(blas_facts())
+        for line in machine_lines():
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture
@@ -47,6 +54,38 @@ def default_params():
 @pytest.fixture
 def small_dims():
     return ModeDims(2, 2)
+
+
+# Dense single-mode operators, their lifts to the joint space and the
+# per-state qubit projection: the references the package's entrywise
+# operator builders and batched observables are checked against.
+def annihilation_op(dim):
+    """a|n> = sqrt(n)|n-1>; its adjoint annihilates the top level |dim-1>."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+
+
+def number_op(dim):
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+
+
+def embed_mode_a(op, dims):
+    """op (x) I_b."""
+    return np.kron(op, np.eye(dims.dim_b, dtype=complex))
+
+
+def embed_mode_b(op, dims):
+    """I_a (x) op."""
+    return np.kron(np.eye(dims.dim_a, dtype=complex), op)
+
+
+def project_to_qubits(psi, dims):
+    """The renormalized |00>, |01>, |10>, |11> amplitudes of one joint-basis
+    state, and its leakage, with one np.vdot for the norm."""
+    psi = np.asarray(psi, dtype=complex)
+    raw = psi[[joint_index(m, n, dims) for m in (0, 1) for n in (0, 1)]]
+    weight = float(np.sum(np.abs(raw) ** 2))
+    leakage = float(np.vdot(psi, psi).real) - weight
+    return raw / np.sqrt(weight), max(leakage, 0.0)
 
 
 def random_hermitian(rng, dim):

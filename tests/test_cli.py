@@ -364,7 +364,48 @@ class TestRunModes:
         assert caches[0] is not caches[2]
 
 
+CLOSED_FORM_WARNING = (
+    "warning: closed-form amplitudes use |alpha| and |epsilon|; "
+    "complex phases are ignored on the analytic path"
+)
+CLOSED_FORM_NOTE = (
+    "note: |epsilon*T| below the coupled-formula threshold; "
+    "using the uncoupled (epsilon = 0) amplitudes"
+)
+
+
 class TestMain:
+    @pytest.mark.parametrize("mode", ["analytic", "compare"])
+    @pytest.mark.parametrize(
+        "flags, lines",
+        [
+            ([], []),
+            (["--epsilon", "0"], [CLOSED_FORM_NOTE]),
+            (["--alpha", "0.04+0.01j"], [CLOSED_FORM_WARNING]),
+            (["--alpha", "0.04+0.01j", "--epsilon", "0"], [CLOSED_FORM_WARNING, CLOSED_FORM_NOTE]),
+        ],
+        ids=["plain", "uncoupled", "complex", "both"],
+    )
+    def test_closed_form_notes_print_once(self, tmp_path, capsys, mode, flags, lines):
+        argv = ["--mode", mode, "--kicks", "5", *SMALL, "--out", str(tmp_path / "o.csv")]
+        assert main(argv + flags) == 0
+        assert capsys.readouterr().err.splitlines() == lines
+
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        text = "alpha = 0.05\nkicks = 7\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        config, _ = cli.config_from_args(["--config", str(marked)])
+        assert config == cli.config_from_args(["--config", str(plain)])[0]
+        assert config.params.alpha == 0.05 and config.n_kicks == 7
+        echoes = []
+        for path in (plain, marked):
+            assert main(["--config", str(path), "--echo-config"]) == 0
+            echoes.append(capsys.readouterr())
+        assert echoes[0] == echoes[1]
+        assert "alpha = 0.05" in echoes[1].out.splitlines()
+
     def test_success_exit_code(self, tmp_path):
         out = tmp_path / "run.csv"
         assert main(["--kicks", "5", "--cutoff-a", "4", "--cutoff-b", "4", "--out", str(out)]) == 0

@@ -16,9 +16,9 @@ from kicked_coupler import (
     evolve,
     joint_index,
 )
-from kicked_coupler.entanglement import project_to_qubits
+from kicked_coupler import entanglement
 from kicked_coupler.fock import basis_state
-from conftest import random_unit_vector
+from conftest import project_to_qubits, random_unit_vector
 
 
 def random_qubit_state(rng):
@@ -38,11 +38,6 @@ class TestProjection:
         state, leakage = project_to_qubits(psi, dims)
         np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-15)
         assert leakage == pytest.approx(0.5, abs=1e-15)
-
-    def test_degenerate_projection(self):
-        dims = ModeDims(4, 4)
-        with pytest.raises(DegenerateProjectionError):
-            project_to_qubits(basis_state(3, 3, dims), dims)
 
 
 class TestBellStates:
@@ -119,6 +114,20 @@ class TestConcurrence:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ContractViolationError):
             concurrence(np.diag([0.5, 0.2, 0.1, 0.1]).astype(complex))
+
+    def test_two_eigendecompositions_per_call(self, rng, monkeypatch):
+        # one of rho, shared by the positivity check and sqrt(rho), and one
+        # of sqrt(rho) rho~ sqrt(rho)
+        calls = []
+        decompose = entanglement.hermitian_eigendecomposition
+
+        def counting(h):
+            calls.append(h.shape)
+            return decompose(h)
+
+        monkeypatch.setattr(entanglement, "hermitian_eigendecomposition", counting)
+        concurrence(density_from_pure(random_qubit_state(rng)))
+        assert calls == [(4, 4), (4, 4)]
 
 
 class TestBellFidelities:

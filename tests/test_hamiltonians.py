@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
-from kicked_coupler.fock import annihilation_op, embed_mode_a, embed_mode_b, number_op
 from kicked_coupler.hamiltonians import build_kick_generator
 from kicked_coupler.numerics import hermiticity_defect
+from conftest import annihilation_op, embed_mode_a, embed_mode_b, number_op
 
 
 def elem(h, bra, ket, dims):
