@@ -33,6 +33,8 @@ SINGULAR_COUPLING_THRESHOLD = 1e-12
 # they are valid the defect is roundoff (2e-15 at the reference point, 8e-9
 # at epsilon = 1e-9); past it they are finite but wrong.
 CLOSED_FORM_NORM_TOL = 1e-6
+# Kicks over which calibrate_sampling compares the orderings.
+CALIBRATION_KICKS = 50
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -182,19 +184,17 @@ def truncated_map_states(
     return evolve(replace(params, dims=ModeDims(2, 2)), n_kicks, ordering=ordering)
 
 
-def calibrate_sampling(
-    params: SystemParams, n_kicks: int = 50
-) -> tuple[Ordering, dict[Ordering, float]]:
+def calibrate_sampling(params: SystemParams) -> tuple[Ordering, dict[Ordering, float]]:
     """Pick the sampling convention that best matches the closed forms.
 
     Compares the four-level map under every ordering against
-    truncated_amplitudes over k <= n_kicks and returns the winner together
-    with the per-convention maximal amplitude deviation.
+    truncated_amplitudes over k <= CALIBRATION_KICKS and returns the winner
+    together with the per-convention maximal amplitude deviation.
     """
-    analytic = truncated_amplitudes(n_kicks, params)
+    analytic = truncated_amplitudes(CALIBRATION_KICKS, params)
     deviations: dict[Ordering, float] = {}
     for ordering in Ordering:
-        numeric = truncated_map_states(n_kicks, params, ordering)
+        numeric = truncated_map_states(CALIBRATION_KICKS, params, ordering)
         deviations[ordering] = float(np.max(np.abs(numeric - analytic)))
     best = min(deviations, key=deviations.get)
     return best, deviations

@@ -445,7 +445,7 @@ def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig, bool]:
             # utf-8-sig drops the byte-order mark some editors write
             with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         items = _parse_items(text)
     # a flag value goes through its key's parser as given, never through

@@ -61,14 +61,18 @@ def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     gives it: (eigenvalues, eigenvectors), the eigenvalues real and
     ascending, the eigenvectors the columns of a unitary matrix.
 
-    Raises ContractViolationError if the input fails the Hermiticity
-    tolerance, and propagates LinAlgError if the eigensolver does not
-    converge.
+    Raises ContractViolationError if an entry is not finite or the input
+    fails the Hermiticity tolerance, and propagates LinAlgError if the
+    eigensolver does not converge.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     scale = float(np.max(np.abs(h))) if h.size else 0.0
+    # written so that a NaN scale fails too; an overflowed entry would
+    # otherwise pass the Hermiticity test below as a NaN defect
+    if not scale < np.inf:
+        raise ContractViolationError(f"matrix has a non-finite entry (max |entry| = {scale})")
     defect = hermiticity_defect(h) if scale > 0 else 0.0
     if defect > HERMITICITY_RTOL * scale:
         raise ContractViolationError(

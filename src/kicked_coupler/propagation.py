@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .errors import ContractViolationError, DimensionMismatchError
-from .fock import basis_state
+from .errors import ContractViolationError
+from .fock import ModeDims, basis_state
 from .hamiltonians import SystemParams, build_coupler_hamiltonian, build_kick_generator
 
 
@@ -64,10 +64,12 @@ def _build_unitary(kind: str, params: SystemParams) -> np.ndarray:
     else:
         build, t = build_kick_generator, 1.0 if kind == "kick" else 0.5
     # the generator is only an argument of the decomposition, so it is
-    # freed when eigh returns, before the product allocates its arrays
-    return numerics.unitary_from_spectrum(
-        *numerics.hermitian_eigendecomposition(build(params)), t
-    )
+    # freed when eigh returns, before the product allocates its arrays.  An
+    # entry that overflows is reported by the decomposition's finiteness
+    # contract, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = numerics.hermitian_eigendecomposition(build(params))
+    return numerics.unitary_from_spectrum(*spectrum, t)
 
 
 def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
@@ -100,7 +102,6 @@ def _period_factors(
 def evolve_blocks(
     params: SystemParams,
     n_kicks: int,
-    initial: np.ndarray | None = None,
     ordering: Ordering = DEFAULT_ORDERING,
     cache: dict | None = None,
 ) -> Iterator[np.ndarray]:
@@ -125,26 +126,19 @@ def evolve_blocks(
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
-    if initial is None:
-        initial = basis_state(0, 0, params.dims)
-    psi = np.asarray(initial, dtype=complex)
-    if psi.shape != (params.dims.joint,):
-        raise DimensionMismatchError(
-            f"initial state has shape {psi.shape}, expected ({params.dims.joint},)"
-        )
     factors = _period_factors(params, ordering, {} if cache is None else cache)
-    return _blocks(psi, n_kicks, factors)
+    return _blocks(params.dims, n_kicks, factors)
 
 
 def _blocks(
-    initial: np.ndarray, n_kicks: int, factors: tuple[np.ndarray, ...]
+    dims: ModeDims, n_kicks: int, factors: tuple[np.ndarray, ...]
 ) -> Iterator[np.ndarray]:
     n_rows = n_kicks + 1
-    psi = np.array(initial)  # a contiguous copy, as row 0 of a trajectory
+    psi = basis_state(0, 0, dims)
     initial_norm = np.vdot(psi, psi).real
     for start in range(0, n_rows, BLOCK_KICKS):
         block = np.empty((min(BLOCK_KICKS, n_rows - start), psi.size), dtype=complex)
-        # row 0 of the trajectory is the initial state itself
+        # row 0 of the trajectory is the vacuum itself
         first = 0 if start else 1
         block[:first] = psi
         for k in range(first, len(block)):
@@ -164,23 +158,20 @@ def _blocks(
 
 
 def evolve(
-    params: SystemParams,
-    n_kicks: int,
-    initial: np.ndarray | None = None,
-    ordering: Ordering = DEFAULT_ORDERING,
+    params: SystemParams, n_kicks: int, ordering: Ordering = DEFAULT_ORDERING
 ) -> np.ndarray:
-    """Iterate the stroboscopic map and record the state after every period.
+    """Iterate the stroboscopic map from the two-mode vacuum and record the
+    state after every period.
 
     Returns an (n_kicks + 1, D) complex array whose row k is the state after
-    k applications of the one-period map under the given ordering.  The
-    default initial state is the two-mode vacuum.  The rows are collected
-    from `evolve_blocks`; a caller that needs one block at a time should
-    iterate that instead.
+    k applications of the one-period map under the given ordering; row 0
+    is the vacuum |0, 0>.  The rows are collected from `evolve_blocks`; a
+    caller that needs one block at a time should iterate that instead.
 
     Raises ContractViolationError if the squared norm of the last state
     differs from that of the first by more than NORM_RTOL, relative.
     """
-    blocks = evolve_blocks(params, n_kicks, initial, ordering)
+    blocks = evolve_blocks(params, n_kicks, ordering)
     # the operators are built before the trajectory is allocated, so their
     # construction temporaries are freed before the largest array exists
     states = np.empty((n_kicks + 1, params.dims.joint), dtype=complex)

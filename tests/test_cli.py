@@ -418,6 +418,15 @@ class TestMain:
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"alpha = 0.05\xff\n")
+        assert main(["--config", str(cfg), "--echo-config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: cannot read config file: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_bad_flag_value_names_the_flag(self, capsys):
         assert main(["--kicks", "nope"]) == 2
         err = capsys.readouterr().err
@@ -564,6 +573,32 @@ class TestMain:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--alpha"])
+    @pytest.mark.parametrize("cutoff", ["3", "4"])
+    def test_overflowing_generator_exit_code(self, tmp_path, capsys, flag, cutoff):
+        # an entry of H or G overflows to inf; eigh would not converge
+        out = tmp_path / "run.csv"
+        argv = [flag, "1.7e308", "--kicks", "2", "--cutoff-a", cutoff, "--cutoff-b", cutoff]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical contract violation: matrix has a non-finite entry")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_scan_exit_code(self, tmp_path, capsys):
+        # the second point, epsilon = 8.5e307, overflows the hopping entries
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(
+            "mode = scan\nscan_param = epsilon\nscan_start = 0.01\n"
+            "scan_stop = 1.7e308\nscan_steps = 3\n"
+        )
+        argv = ["--config", str(cfg), "--kicks", "2"] + SMALL
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical contract violation: matrix has a non-finite entry")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):
         original = numerics.unitary_from_spectrum
         monkeypatch.setattr(
@@ -612,27 +647,17 @@ class TestMain:
         assert err == f"configuration error: too large for this machine{detail}\n"
         assert sorted(tmp_path.iterdir()) == ([cfg] if mode == "scan" else [])
 
-    def test_flag_overrides_file(self, tmp_path):
+    def test_flag_overrides_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 0.01\nkicks = 5\ncutoff_a = 4\ncutoff_b = 4\n")
-        out = capsys = None
-        import io
-        import contextlib
+        assert main(["--config", str(cfg), "--alpha", "0.09", "--echo-config"]) == 0
+        out = capsys.readouterr().out
+        assert "alpha = 0.09" in out
+        assert "kicks = 5" in out
 
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(["--config", str(cfg), "--alpha", "0.09", "--echo-config"]) == 0
-        assert "alpha = 0.09" in buf.getvalue()
-        assert "kicks = 5" in buf.getvalue()
-
-    def test_echo_round_trip(self, tmp_path):
-        import io
-        import contextlib
-
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(["--alpha", "0.05", "--echo-config"]) == 0
-        config = parse_config(buf.getvalue())
+    def test_echo_round_trip(self, capsys):
+        assert main(["--alpha", "0.05", "--echo-config"]) == 0
+        config = parse_config(capsys.readouterr().out)
         assert config.params.alpha == 0.05
 
 

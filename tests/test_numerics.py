@@ -60,6 +60,14 @@ class TestEigendecomposition:
         with pytest.raises(DimensionMismatchError):
             hermitian_eigendecomposition(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_entry(self, value):
+        # Hermitian in form, but the defect of an inf entry is inf - inf
+        h = np.eye(3, dtype=complex)
+        h[1, 1] = value
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            hermitian_eigendecomposition(h)
+
 
 class TestHermiticityDefect:
     def test_equals_the_written_out_defect(self, rng):

@@ -1,9 +1,11 @@
 """The package exports what the CLI, the demos and the acceptance suite
 use, and the types its public functions return or raise; a function that
 only unit tests use is imported from its module.  The library modules
-define nothing that only unit tests use: a test reference lives in tests/."""
+define nothing that only unit tests use: a test reference lives in tests/,
+and an exported function has no defaulted parameter that only tests set."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import kicked_coupler
@@ -75,3 +77,38 @@ def test_every_library_definition_has_a_user():
                 if node.name not in elsewhere | rest:
                     unused.append(f"{module.stem}.{node.name}")
     assert unused == []
+
+
+def callee(call: ast.Call) -> str | None:
+    """The name a call calls: f(...) and module.f(...) both call f."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_every_exported_parameter_is_passed():
+    # by a call in the package, a demo or the acceptance suite, by keyword
+    # or by position; a default that only unit tests override is a knob
+    # no user turns
+    calls = [
+        node
+        for path in {*SRC, *USERS}
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+    ]
+    unpassed = []
+    for name in kicked_coupler.__all__:
+        function = getattr(kicked_coupler, name)
+        if not inspect.isfunction(function):
+            continue
+        own = [call for call in calls if callee(call) == name]
+        positional = max((len(call.args) for call in own), default=0)
+        keywords = {keyword.arg for call in own for keyword in call.keywords}
+        parameters = inspect.signature(function).parameters.values()
+        for index, parameter in enumerate(parameters):
+            if parameter.default is parameter.empty:
+                continue
+            if index >= positional and parameter.name not in keywords:
+                unpassed.append(f"{name}.{parameter.name}")
+    assert unpassed == []
