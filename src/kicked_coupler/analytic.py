@@ -16,12 +16,10 @@ inputs are mapped to their magnitudes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
 
-from . import propagation
 from .errors import ContractViolationError
 from .fock import ModeDims
 from .hamiltonians import SystemParams
@@ -71,6 +69,11 @@ def kick_frequencies(params: SystemParams) -> tuple[float, float, float]:
     return float(omega), float(omega1), float(omega2)
 
 
+def uses_uncoupled_forms(params: SystemParams) -> bool:
+    """Whether the closed forms use the uncoupled amplitudes at params."""
+    return abs(params.epsilon) * params.T <= SINGULAR_COUPLING_THRESHOLD
+
+
 def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
     """Four-state amplitudes after 0..n_kicks pulses, starting from the vacuum.
 
@@ -88,38 +91,18 @@ def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
     """
     if n_kicks < 0:
         raise ValueError(f"kick count must be nonnegative, got {n_kicks}")
-    return _amplitude_rows(0, n_kicks + 1, params)
+    return amplitude_rows(0, n_kicks + 1, params)
 
 
-def amplitude_blocks(n_kicks: int, params: SystemParams) -> Iterator[np.ndarray]:
-    """The rows of truncated_amplitudes(n_kicks, params) as consecutive
-    blocks of propagation.BLOCK_KICKS rows, the last one possibly shorter:
-    the block sizes evolve_blocks yields for the same n_kicks.
-
-    Each block is evaluated when it is requested and checked against the
-    contracts of truncated_amplitudes on its own rows, so a consumer holds
-    O(BLOCK_KICKS) rows whatever n_kicks is, and a violation is raised at
-    the first block that holds one.  The concatenated blocks equal
-    truncated_amplitudes bit for bit.
-    """
-    if n_kicks < 0:
-        raise ValueError(f"kick count must be nonnegative, got {n_kicks}")
-    size, n_rows = propagation.BLOCK_KICKS, n_kicks + 1
-    return (
-        _amplitude_rows(start, min(start + size, n_rows), params)
-        for start in range(0, n_rows, size)
-    )
-
-
-def _amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
-    """Rows k = start..stop-1 of the closed-form amplitudes, with the
-    contracts of truncated_amplitudes checked on them.  Every entry depends
-    on its own k only, so any split of a k range gives the same bits."""
+def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
+    """Rows k = start..stop-1 of truncated_amplitudes, with its contracts
+    checked on them.  Every entry depends on its own k only, so any split
+    of a k range, such as propagation.kick_blocks, gives the same bits."""
     ks = np.arange(float(start), float(stop))
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
     amps = np.zeros((len(ks), 4), dtype=complex)
-    if eps_t <= SINGULAR_COUPLING_THRESHOLD:
+    if uses_uncoupled_forms(params):
         check_phase_roundoff((stop - 1) * alpha, f"{stop - 1} * |alpha|")
         amps[:, 0] = np.cos(ks * alpha)
         amps[:, 2] = -1j * np.sin(ks * alpha)

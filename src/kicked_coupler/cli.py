@@ -12,7 +12,7 @@ compare  : both, with per-kick analytic probabilities and the maximal
 scan     : sweep one parameter, one summary row per value.
 
 Every mode computes and writes its rows one block of kicks at a time
-(propagation.BLOCK_KICKS); the output is opened before the run and takes
+(propagation.kick_blocks); the output is opened before the run and takes
 the rows only when the run succeeds (see _output).
 
 Exit codes: 0 success, 2 configuration error (a run too large to allocate
@@ -36,7 +36,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .analytic import SINGULAR_COUPLING_THRESHOLD, amplitude_blocks
+from .analytic import amplitude_rows, uses_uncoupled_forms
 from .entanglement import (
     QubitObservables,
     annotate_trajectory,
@@ -45,7 +45,7 @@ from .entanglement import (
 )
 from .errors import ConfigError, ContractViolationError
 from .hamiltonians import SystemParams
-from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks
+from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks
 
 SCAN_PARAMS = ("alpha", "epsilon", "T")
 # the full-basis runs record after each whole period; mid-pulse sampling is
@@ -103,7 +103,7 @@ def _note_closed_forms(params: SystemParams) -> None:
             "complex phases are ignored on the analytic path",
             file=sys.stderr,
         )
-    if abs(params.epsilon) * params.T <= SINGULAR_COUPLING_THRESHOLD:
+    if uses_uncoupled_forms(params):
         print(
             "note: |epsilon*T| below the coupled-formula threshold; "
             "using the uncoupled (epsilon = 0) amplitudes",
@@ -142,8 +142,8 @@ def _run_simulate(config: RunConfig) -> Iterator[str]:
 def _run_analytic(config: RunConfig) -> Iterator[str]:
     _note_closed_forms(config.params)
     yield CSV_HEADER + "\n"
-    k = 0
-    for block in amplitude_blocks(config.n_kicks, config.params):
+    for start, stop in kick_blocks(config.n_kicks):
+        block = amplitude_rows(start, stop, config.params)
         probs = np.abs(block) ** 2
         # the closed forms' own normalization defect stays visible as leakage
         table = np.column_stack(
@@ -154,27 +154,22 @@ def _run_analytic(config: RunConfig) -> Iterator[str]:
                 bell_fidelities(block),
             )
         )
-        yield _csv_rows(table, k)
-        k += len(block)
+        yield _csv_rows(table, start)
 
 
 def _run_compare(config: RunConfig) -> Iterator[str]:
     _note_closed_forms(config.params)
     # the closed forms' contracts are checked, block by block, before the
     # full-basis run; the rows are evaluated again alongside it
-    for _ in amplitude_blocks(config.n_kicks, config.params):
-        pass
+    for start, stop in kick_blocks(config.n_kicks):
+        amplitude_rows(start, stop, config.params)
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
     k = 0
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
-    for block, amps in zip(
-        evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE),
-        amplitude_blocks(config.n_kicks, config.params),
-        strict=True,
-    ):
+    for block in evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE):
         obs = annotate_trajectory(block, config.params.dims)
-        probs = np.abs(amps) ** 2
+        probs = np.abs(amplitude_rows(k, k + len(block), config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
         yield _csv_rows(np.column_stack((_observable_columns(obs), probs, dp_max)), k)
         k += len(block)
@@ -320,13 +315,16 @@ def _config_from_items(items: dict) -> RunConfig:
         raise ConfigError(
             f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}"
         )
-    # every scanned value lies between the endpoints, so checking those
-    # rejects a non-finite or nonpositive-period scan before it runs
+    # every scanned value lies between the endpoints if their difference,
+    # np.linspace's span, is finite (else the values are NaN), so checking
+    # both rejects a non-finite or nonpositive-period scan before it runs
     try:
         for value in (scan.start, scan.stop):
             replace(params, **{scan.param: value})
     except ValueError as exc:
         raise ConfigError(f"scan endpoint: {exc}")
+    if not np.isfinite(scan.stop - scan.start):
+        raise ConfigError(f"scan span {scan.start:g} to {scan.stop:g} overflows")
     return replace(config, scan=scan)
 
 

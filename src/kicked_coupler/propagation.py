@@ -108,12 +108,11 @@ def evolve_blocks(
     """The trajectory of `evolve`, as consecutive blocks of rows.
 
     The arguments are checked and the step operators built when this is
-    called.  The returned iterator yields (rows, D) complex arrays of
-    BLOCK_KICKS rows each, the last one possibly shorter, so a consumer
-    that handles one block at a time holds O(BLOCK_KICKS * D) states
-    whatever n_kicks is.  Each row is computed from the row before it
-    through the same products in the same order as in `evolve`, so the
-    concatenated blocks equal its array bit for bit.
+    called.  The returned iterator yields the rows of each kick_blocks
+    range, so a consumer that handles one block at a time holds
+    O(BLOCK_KICKS * D) states whatever n_kicks is.  Each row is computed
+    from the row before it through the same products in the same order as
+    in `evolve`, so the concatenated blocks equal its array bit for bit.
 
     ``cache``, a dict the caller owns, keeps each step unitary across the
     calls that share it until a parameter its generator reads
@@ -130,14 +129,22 @@ def evolve_blocks(
     return _blocks(params.dims, n_kicks, factors)
 
 
+def kick_blocks(n_kicks: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) row range of each block of an n_kicks trajectory:
+    BLOCK_KICKS rows each, the last one possibly shorter.  Every mode cuts
+    its rows, full-basis or closed-form, at these ranges."""
+    n_rows = n_kicks + 1
+    for start in range(0, n_rows, BLOCK_KICKS):
+        yield start, min(start + BLOCK_KICKS, n_rows)
+
+
 def _blocks(
     dims: ModeDims, n_kicks: int, factors: tuple[np.ndarray, ...]
 ) -> Iterator[np.ndarray]:
-    n_rows = n_kicks + 1
     psi = basis_state(0, 0, dims)
     initial_norm = np.vdot(psi, psi).real
-    for start in range(0, n_rows, BLOCK_KICKS):
-        block = np.empty((min(BLOCK_KICKS, n_rows - start), psi.size), dtype=complex)
+    for start, stop in kick_blocks(n_kicks):
+        block = np.empty((stop - start, psi.size), dtype=complex)
         # row 0 of the trajectory is the vacuum itself
         first = 0 if start else 1
         block[:first] = psi
@@ -145,7 +152,7 @@ def _blocks(
             for u in factors:
                 psi = u @ psi
             block[k] = psi
-        if start + len(block) == n_rows:
+        if stop == n_kicks + 1:
             final_norm = np.vdot(psi, psi).real
             # written so that a NaN norm fails too
             if not abs(final_norm - initial_norm) <= NORM_RTOL * initial_norm:

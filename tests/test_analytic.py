@@ -15,7 +15,8 @@ from kicked_coupler import (
     truncated_map_states,
 )
 from kicked_coupler import propagation
-from kicked_coupler.analytic import SINGULAR_COUPLING_THRESHOLD, amplitude_blocks
+from kicked_coupler.analytic import SINGULAR_COUPLING_THRESHOLD, amplitude_rows
+from kicked_coupler.propagation import kick_blocks
 from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
 
 _SQRT2 = np.sqrt(2.0)
@@ -178,16 +179,15 @@ class TestTruncatedAmplitudes:
             truncated_amplitudes(int(1.01 * limit), params)
 
     def test_phase_roundoff_is_checked_per_block(self, monkeypatch):
-        # every block below the limit is yielded; the first past it raises
-        # and reports its last k
+        # every kick range below the limit is evaluated; the first past it
+        # raises and reports its last k
         monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
         params = SystemParams(alpha=1e6, epsilon=0.0)
         limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / 1e6
-        blocks = amplitude_blocks(int(limit) + 30, params)
         rows = 0
         with pytest.raises(ContractViolationError, match="phase roundoff") as info:
-            for block in blocks:
-                rows += len(block)
+            for start, stop in kick_blocks(int(limit) + 30):
+                rows += len(amplitude_rows(start, stop, params))
         assert rows - 1 <= limit < rows + 6
         assert f"phase roundoff {rows + 6} * |alpha| * 2^-52" in str(info.value)
 
@@ -270,8 +270,8 @@ BLOCK_CASES = {
 
 
 class TestAmplitudeBlocks:
-    """The streamed closed forms are the rows of truncated_amplitudes, in
-    the blocks that evolve_blocks yields."""
+    """The closed forms evaluated over the kick_blocks ranges are the rows
+    of truncated_amplitudes, in the blocks that evolve_blocks yields."""
 
     @pytest.mark.parametrize("block", [7, None], ids=["block-7", "block-default"])
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
@@ -281,7 +281,7 @@ class TestAmplitudeBlocks:
         b = propagation.BLOCK_KICKS
         params = BLOCK_CASES[case]
         for n_kicks in (0, 1, b - 1, b, b + 1, 3 * b + 5):
-            blocks = list(amplitude_blocks(n_kicks, params))
+            blocks = [amplitude_rows(*rows, params) for rows in kick_blocks(n_kicks)]
             states = evolve_blocks(replace(params, dims=ModeDims(2, 2)), n_kicks)
             assert [len(x) for x in blocks] == [len(x) for x in states]
             assert np.array_equal(
@@ -299,14 +299,10 @@ class TestAmplitudeBlocks:
     )
     def test_first_block_checks_the_contracts(self, monkeypatch, params, match):
         monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
-        blocks = amplitude_blocks(30, params)
+        start, stop = next(kick_blocks(30))
         with np.errstate(all="ignore"):
             with pytest.raises(ContractViolationError, match=match):
-                next(blocks)
-
-    def test_rejects_negative_kick_count(self, default_params):
-        with pytest.raises(ValueError):
-            amplitude_blocks(-1, default_params)
+                amplitude_rows(start, stop, params)
 
 
 class TestCalibration:

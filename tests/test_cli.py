@@ -17,7 +17,7 @@ from kicked_coupler import (
     evolve,
     evolve_blocks,
 )
-from kicked_coupler import cli, numerics, propagation
+from kicked_coupler import analytic, cli, numerics, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
     RunConfig,
@@ -136,6 +136,13 @@ class TestParseConfig:
             parse_config(base + "scan_param = alpha\nscan_start = 0.01\nscan_stop = inf")
         with pytest.raises(ConfigError, match="positive"):
             parse_config(base + "scan_param = T\nscan_start = -1\nscan_stop = 1")
+        # finite endpoints whose difference overflows: np.linspace would
+        # give NaN values
+        for param in ("alpha", "epsilon"):
+            with pytest.raises(ConfigError, match="scan span .* overflows"):
+                parse_config(
+                    base + f"scan_param = {param}\nscan_start = -1.7e308\nscan_stop = 1.7e308"
+                )
 
     def test_round_trip(self):
         text = (
@@ -391,6 +398,19 @@ class TestMain:
         assert main(argv + flags) == 0
         assert capsys.readouterr().err.splitlines() == lines
 
+    def test_note_follows_the_branch_taken(self, tmp_path, capsys, monkeypatch):
+        # one predicate decides both: with the threshold raised past
+        # |epsilon T| = 0.01, the note prints and the rows are the uncoupled ones
+        monkeypatch.setattr(analytic, "SINGULAR_COUPLING_THRESHOLD", 0.02)
+        csvs = []
+        for epsilon in ("0.01", "0"):
+            out = tmp_path / f"{epsilon}.csv"
+            argv = ["--mode", "analytic", "--kicks", "5", "--epsilon", epsilon]
+            assert main(argv + SMALL + ["--out", str(out)]) == 0
+            assert capsys.readouterr().err.splitlines() == [CLOSED_FORM_NOTE]
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
         text = "alpha = 0.05\nkicks = 7\n"
         plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
@@ -597,6 +617,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical contract violation: matrix has a non-finite entry")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("param", ["alpha", "epsilon"])
+    def test_overflowing_scan_span_exit_code(self, tmp_path, capsys, param):
+        # both endpoints are finite, their difference is not
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(
+            f"mode = scan\nscan_param = {param}\nscan_start = -1.7e308\n"
+            "scan_stop = 1.7e308\nscan_steps = 3\n"
+        )
+        argv = ["--config", str(cfg), "--kicks", "2", "--cutoff-a", "3", "--cutoff-b", "3"]
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: scan span -1.7e+308 to 1.7e+308 overflows\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -18,8 +18,10 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # -W error: a warning fails the demo, as pyproject's filterwarnings
+    # fails an in-process test
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
