@@ -8,13 +8,11 @@ zero-frequency component; against the discrete four-level kicked map
 (truncated_map_states, which is propagation.evolve at cutoffs (2, 2)) they
 agree to the stated tolerance under mid-pulse sampling (see
 calibrate_sampling).
-
-The formulas treat the coupling and drive strengths as real; complex
-inputs are mapped to their magnitudes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -97,7 +95,12 @@ def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
 def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
     """Rows k = start..stop-1 of truncated_amplitudes, with its contracts
     checked on them.  Every entry depends on its own k only, so any split
-    of a k range, such as propagation.kick_blocks, gives the same bits."""
+    of a k range, such as propagation.kick_blocks, gives the same bits.
+
+    The formulas hold at |alpha| and |epsilon|.  The gauge a -> a e^{i theta},
+    b -> b e^{i phi}, with theta = arg alpha and phi = theta - arg epsilon,
+    takes H and G to those magnitudes, so column |mn> carries the phase
+    e^{i (m theta + n phi)}; with no phase the rows keep their bits."""
     ks = np.arange(float(start), float(stop))
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
@@ -106,35 +109,34 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
         check_phase_roundoff((stop - 1) * alpha, f"{stop - 1} * |alpha|")
         amps[:, 0] = np.cos(ks * alpha)
         amps[:, 2] = -1j * np.sin(ks * alpha)
-        return amps
-    if alpha < 1e-300:
+    elif alpha < 1e-300:
         # no drive: the vacuum is stationary (the formulas hit 0/0 here)
         amps[:, 0] = 1.0
-        return amps
-    om, om1, om2 = kick_frequencies(params)
-    if om2 <= 0.0:
-        raise ContractViolationError(
-            f"omega2 cancels to 0 at |epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
-        )
-    # omega2 <= omega1: the largest phase is k * omega1 / sqrt2 at the last k
-    check_phase_roundoff((stop - 1) * om1 / _SQRT2, f"{stop - 1} * omega1 / sqrt2")
-    # an overflow or 0 * inf gives a non-finite entry, which the finiteness
-    # contract below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        cos1 = np.cos(ks * om1 / _SQRT2)
-        cos2 = np.cos(ks * om2 / _SQRT2)
-        sin1 = np.sin(ks * om1 / _SQRT2)
-        sin2 = np.sin(ks * om2 / _SQRT2)
+    else:
+        om, om1, om2 = kick_frequencies(params)
+        if om2 <= 0.0:
+            raise ContractViolationError(
+                f"omega2 cancels to 0 at |epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
+            )
+        # omega2 <= omega1: the largest phase is k * omega1 / sqrt2 at the last k
+        check_phase_roundoff((stop - 1) * om1 / _SQRT2, f"{stop - 1} * omega1 / sqrt2")
+        # an overflow or 0 * inf gives a non-finite entry, which the finiteness
+        # contract below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            cos1 = np.cos(ks * om1 / _SQRT2)
+            cos2 = np.cos(ks * om2 / _SQRT2)
+            sin1 = np.sin(ks * om1 / _SQRT2)
+            sin2 = np.sin(ks * om2 / _SQRT2)
 
-        amps[:, 0] = (
-            (2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2
-        ) / (2 * eps_t * om)
-        amps[:, 1] = (alpha / om) * (cos1 - cos2)
-        amps[:, 2] = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
-            (om2**2 - 2 * (eps_t**2 + alpha**2)) * om2 * sin1
-            + eps_t * (eps_t - om) * om1 * sin2
-        )
-        amps[:, 3] = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
+            amps[:, 0] = (
+                (2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2
+            ) / (2 * eps_t * om)
+            amps[:, 1] = (alpha / om) * (cos1 - cos2)
+            amps[:, 2] = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
+                (om2**2 - 2 * (eps_t**2 + alpha**2)) * om2 * sin1
+                + eps_t * (eps_t - om) * om1 * sin2
+            )
+            amps[:, 3] = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
     finite = np.isfinite(amps).all(axis=1)
     if not finite.all():
         raise ContractViolationError(
@@ -149,6 +151,11 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
             f"(tolerance {CLOSED_FORM_NORM_TOL:g}) at k = {start + np.argmax(defect)}, "
             f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
         )
+    theta = cmath.phase(complex(params.alpha))
+    # columns |01> and |11> are 0 in the uncoupled forms, so phi is moot there
+    phi = theta - cmath.phase(complex(params.epsilon))
+    if theta or phi:
+        amps *= np.exp(1j * np.array([0.0, phi, theta, theta + phi]))
     return amps
 
 

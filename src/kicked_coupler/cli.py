@@ -94,15 +94,9 @@ def _fmt_value(x) -> str:
 
 
 def _note_closed_forms(params: SystemParams) -> None:
-    """Say on stderr where the closed forms depart from params: complex
-    phases are dropped, and below the coupling threshold the uncoupled
-    amplitudes stand in.  Each closed-form run calls it once."""
-    if complex(params.alpha).imag != 0 or complex(params.epsilon).imag != 0:
-        print(
-            "warning: closed-form amplitudes use |alpha| and |epsilon|; "
-            "complex phases are ignored on the analytic path",
-            file=sys.stderr,
-        )
+    """Say on stderr when the closed forms depart from params: below the
+    coupling threshold the uncoupled amplitudes stand in.  Each closed-form
+    run calls it once."""
     if uses_uncoupled_forms(params):
         print(
             "note: |epsilon*T| below the coupled-formula threshold; "
@@ -145,16 +139,10 @@ def _run_analytic(config: RunConfig) -> Iterator[str]:
     for start, stop in kick_blocks(config.n_kicks):
         block = amplitude_rows(start, stop, config.params)
         probs = np.abs(block) ** 2
-        # the closed forms' own normalization defect stays visible as leakage
-        table = np.column_stack(
-            (
-                probs,
-                1.0 - probs.sum(axis=1),
-                concurrence_pure(block),
-                bell_fidelities(block),
-            )
+        obs = QubitObservables(
+            probs, 1.0 - probs.sum(axis=1), concurrence_pure(block), bell_fidelities(block)
         )
-        yield _csv_rows(table, start)
+        yield _csv_rows(_observable_columns(obs), start)
 
 
 def _run_compare(config: RunConfig) -> Iterator[str]:
@@ -199,8 +187,14 @@ def _run_scan(config: RunConfig) -> Iterator[str]:
     # the scanned parameter enters one generator only, so the other step
     # unitary is built once and reused at every point
     cache: dict = {}
-    for value in np.linspace(scan.start, scan.stop, scan.steps):
-        params = replace(config.params, **{scan.param: float(value)})
+    div, span = scan.steps - 1, scan.stop - scan.start
+    step = span / div
+    for k in range(scan.steps):
+        # np.linspace(start, stop, steps)[k] bit for bit, numpy's branch for
+        # a step that underflows to 0 included, without the whole array
+        value = k / div * span if step == 0 else k * step
+        value = scan.stop if k == div else value + scan.start
+        params = replace(config.params, **{scan.param: value})
         max_concurrence, k_at_max, max_leakage = _scan_point(params, config, cache)
         fields = [scan.param, _fmt(value), _fmt(max_concurrence), str(k_at_max)]
         yield ",".join(fields + [_fmt(max_leakage)]) + "\n"
@@ -316,7 +310,7 @@ def _config_from_items(items: dict) -> RunConfig:
             f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}"
         )
     # every scanned value lies between the endpoints if their difference,
-    # np.linspace's span, is finite (else the values are NaN), so checking
+    # the span of _run_scan, is finite (else the values are NaN), so checking
     # both rejects a non-finite or nonpositive-period scan before it runs
     try:
         for value in (scan.start, scan.stop):

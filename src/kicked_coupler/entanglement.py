@@ -28,27 +28,15 @@ _SY_SY = np.array(
 _PROJECTION_FLOOR = 1e-15
 
 
-@dataclass(frozen=True, eq=False)
-class BellState:
-    """One of the four maximally entangled two-qubit states."""
-
-    label: str
-    amplitudes: np.ndarray  # (4,) in basis order (|00>, |01>, |10>, |11>)
-
-
-def bell_states() -> tuple[BellState, BellState, BellState, BellState]:
-    """The four Bell states with +/- i relative phases.
+def bell_states() -> np.ndarray:
+    """The four Bell states with +/- i relative phases, as the rows B1..B4
+    of a new (4, 4) array in basis order (|00>, |01>, |10>, |11>):
 
     B1 = (|00> + i|11>)/sqrt2,  B2 = (|00> - i|11>)/sqrt2,
     B3 = (|01> + i|10>)/sqrt2,  B4 = (|01> - i|10>)/sqrt2.
     """
     s = 1.0 / np.sqrt(2.0)
-    return (
-        BellState("B1", np.array([s, 0j, 0j, 1j * s])),
-        BellState("B2", np.array([s, 0j, 0j, -1j * s])),
-        BellState("B3", np.array([0j, s, 1j * s, 0j])),
-        BellState("B4", np.array([0j, s, -1j * s, 0j])),
-    )
+    return s * np.array([[1, 0, 0, 1j], [1, 0, 0, -1j], [0, 1, 1j, 0], [0, 1, -1j, 0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +44,8 @@ class QubitObservables:
     """Per-kick observables of a trajectory, one row per recorded state.
 
     probs           : (K+1, 4) populations of |00>, |01>, |10>, |11>.
-    leakage         : (K+1,) probability mass outside the qubit subspace.
+    leakage         : (K+1,) probability mass outside the qubit subspace; for
+                      closed-form rows, the normalization defect 1 - sum(probs).
     concurrence     : (K+1,) concurrence of the renormalized qubit state.
     bell_fidelities : (K+1, 4) fidelities of that state with B1..B4.
     """
@@ -138,8 +127,7 @@ def concurrence_pure(amps: np.ndarray) -> np.ndarray:
 def bell_fidelities(amps: np.ndarray) -> np.ndarray:
     """Squared overlaps |<Bi|psi>|^2 with B1..B4 over the last axis of a
     (..., 4) amplitude array."""
-    bell = np.array([b.amplitudes for b in bell_states()])
-    return np.abs(np.asarray(amps, dtype=complex) @ bell.conj().T) ** 2
+    return np.abs(np.asarray(amps, dtype=complex) @ bell_states().conj().T) ** 2
 
 
 def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:

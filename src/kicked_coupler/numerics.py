@@ -6,9 +6,8 @@ physics tests lean on the result being unitary to eigensolver accuracy.
 
 unitary_from_spectrum forms U from the decomposition alone: V, its
 phase-scaled copy and the product, three D x D complex arrays.  A caller
-that builds the generator only to decompose it (propagation._build_unitary)
-lets it go when eigh returns, so the generator is not a fourth array at
-the product.
+that builds the generator only to decompose it lets it go when eigh
+returns, so the generator is not a fourth array at the product.
 """
 
 from __future__ import annotations

@@ -56,9 +56,15 @@ UNITARY_INPUTS = {
 }
 
 
-def _build_unitary(kind: str, params: SystemParams) -> np.ndarray:
+def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
     """exp(-i H_NL T) for "free", exp(-i G) for "kick", exp(-i G / 2) for
-    "half"."""
+    "half", taken from the cache while the parameters its generator reads
+    are unchanged."""
+    key = tuple(getattr(params, name) for name in UNITARY_INPUTS[kind])
+    if kind in cache and cache[kind][0] == key:
+        return cache[kind][1]
+    # drop the stale unitary first, so at most one per kind is alive
+    cache.pop(kind, None)
     if kind == "free":
         build, t = build_coupler_hamiltonian, params.T
     else:
@@ -69,18 +75,7 @@ def _build_unitary(kind: str, params: SystemParams) -> np.ndarray:
     # contract, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = numerics.hermitian_eigendecomposition(build(params))
-    return numerics.unitary_from_spectrum(*spectrum, t)
-
-
-def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
-    """The unitary of the given kind, taken from the cache while the
-    parameters its generator reads are unchanged."""
-    key = tuple(getattr(params, name) for name in UNITARY_INPUTS[kind])
-    if kind in cache and cache[kind][0] == key:
-        return cache[kind][1]
-    # drop the stale unitary first, so at most one per kind is alive
-    cache.pop(kind, None)
-    u = _build_unitary(kind, params)
+    u = numerics.unitary_from_spectrum(*spectrum, t)
     cache[kind] = (key, u)
     return u
 

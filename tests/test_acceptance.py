@@ -224,7 +224,7 @@ def test_criterion_7_concurrence_oracle_equivalence(rng):
         diff = abs(concurrence(density_from_pure(state)) - concurrence_pure(state))
         max_diff = max(max_diff, diff)
     bell_ok = all(
-        abs(concurrence(density_from_pure(b.amplitudes)) - 1.0) <= 1e-10
+        abs(concurrence(density_from_pure(b)) - 1.0) <= 1e-10
         for b in bell_states()
     )
     basis_ok = True

@@ -1,3 +1,4 @@
+import cmath
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from kicked_coupler import (
     Ordering,
     SystemParams,
     calibrate_sampling,
+    evolve,
     evolve_blocks,
     kick_frequencies,
     truncated_amplitudes,
@@ -22,9 +24,27 @@ from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
 _SQRT2 = np.sqrt(2.0)
 
 
+def gauge_angles(params):
+    """(theta, phi) = (arg alpha, arg alpha - arg epsilon): the state |m, n>
+    at (alpha, epsilon) is the one at (|alpha|, |epsilon|) times
+    e^{i (m theta + n phi)}."""
+    theta = cmath.phase(complex(params.alpha))
+    return theta, theta - cmath.phase(complex(params.epsilon))
+
+
 def scalar_amplitudes(k, params):
     """The closed forms evaluated one kick at a time with scalar arithmetic,
     the reference for the columnar truncated_amplitudes."""
+    amps = scalar_magnitude_amplitudes(k, params)
+    theta, phi = gauge_angles(params)
+    if theta or phi:
+        phases = (0.0, phi, theta, theta + phi)
+        amps = [complex(c * np.exp(1j * x)) for c, x in zip(amps, phases)]
+    return amps
+
+
+def scalar_magnitude_amplitudes(k, params):
+    """The closed forms at |alpha| and |epsilon| for one kick."""
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
     if eps_t <= SINGULAR_COUPLING_THRESHOLD:
@@ -55,6 +75,19 @@ def scalar_reference(n_kicks, params):
 def uncoupled(n_kicks, alpha):
     """The epsilon = 0 amplitudes: mode a Rabi-oscillates with angle k*alpha."""
     return truncated_amplitudes(n_kicks, SystemParams(epsilon=0.0, alpha=alpha))
+
+
+# inputs that are not positive reals, each with its own phases
+GAUGE_CASES = {
+    "epsilon-negative": SystemParams(epsilon=-0.01),
+    "epsilon-imaginary": SystemParams(epsilon=0.01j),
+    "both-complex": SystemParams(alpha=0.03 + 0.03j, epsilon=0.007 - 0.007j),
+    "alpha-negative": SystemParams(alpha=-0.04),
+}
+
+
+def magnitudes(params):
+    return replace(params, alpha=abs(params.alpha), epsilon=abs(params.epsilon))
 
 
 class TestKickFrequencies:
@@ -105,11 +138,14 @@ class TestTruncatedAmplitudes:
         amps = truncated_amplitudes(0, default_params)
         np.testing.assert_allclose(amps[0], [1, 0, 0, 0], atol=1e-12)
 
-    def test_matches_four_level_map(self, default_params):
+    @pytest.mark.parametrize("case", ["reference", *sorted(GAUGE_CASES)])
+    def test_matches_four_level_map(self, default_params, case):
         # the four-level kicked map under mid-pulse sampling is the
-        # independent reference for the closed forms
-        numeric = truncated_map_states(50, default_params, Ordering.MID_PULSE)
-        analytic = truncated_amplitudes(50, default_params)
+        # independent reference for the closed forms, whatever the phases
+        # of alpha and epsilon
+        params = GAUGE_CASES.get(case, default_params)
+        numeric = truncated_map_states(50, params, Ordering.MID_PULSE)
+        analytic = truncated_amplitudes(50, params)
         assert np.max(np.abs(numeric - analytic)) < 1e-3
 
     def test_weak_coupling_approaches_uncoupled_formulas(self):
@@ -303,6 +339,30 @@ class TestAmplitudeBlocks:
         with np.errstate(all="ignore"):
             with pytest.raises(ContractViolationError, match=match):
                 amplitude_rows(start, stop, params)
+
+
+class TestPhaseGauge:
+    """The map a -> a e^{i theta}, b -> b e^{i phi} takes H and G at (alpha,
+    epsilon) to H and G at (|alpha|, |epsilon|), so every amplitude c_mn
+    carries the phase e^{i (m theta + n phi)}."""
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("case", sorted(GAUGE_CASES))
+    def test_full_basis_trajectory_transforms(self, case, ordering):
+        params = GAUGE_CASES[case]
+        theta, phi = gauge_angles(params)
+        m, n = np.divmod(np.arange(params.dims.joint), params.dims.dim_b)
+        phases = np.exp(1j * (m * theta + n * phi))
+        rotated = evolve(magnitudes(params), 100, ordering) * phases
+        assert np.max(np.abs(evolve(params, 100, ordering) - rotated)) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(GAUGE_CASES) + ["uncoupled"])
+    def test_closed_forms_transform_exactly(self, case):
+        params = GAUGE_CASES.get(case, SystemParams(alpha=0.3 - 0.1j, epsilon=0.0))
+        theta, phi = gauge_angles(params)
+        phases = np.exp(1j * np.array([0.0, phi, theta, theta + phi]))
+        rotated = truncated_amplitudes(200, magnitudes(params)) * phases
+        assert np.array_equal(truncated_amplitudes(200, params), rotated)
 
 
 class TestCalibration:

@@ -271,7 +271,7 @@ class TestRunModes:
         self, tmp_path, monkeypatch, extra, block
     ):
         # both modes take their closed-form probabilities from
-        # analytic.amplitude_blocks; the formatted cells agree byte for byte,
+        # analytic.amplitude_rows; the formatted cells agree byte for byte,
         # also at the block edges
         if block is not None:
             monkeypatch.setattr(propagation, "BLOCK_KICKS", block)
@@ -288,6 +288,18 @@ class TestRunModes:
             compare = [row[11:15] for row in tables["compare"]]
             assert len(analytic) == kicks + 1
             assert analytic == compare
+
+    def test_analytic_follows_the_sign_of_epsilon(self, tmp_path):
+        # epsilon -> -epsilon puts the phase e^{-i pi} on |01> and |11>, which
+        # swaps B1 with B2 and B3 with B4 and leaves the other columns
+        tables = {}
+        for epsilon in ("0.01", "-0.01"):
+            extra = f"mode = analytic\nepsilon = {epsilon}\n"
+            assert run(self.small_config(tmp_path, extra=extra)) == 0
+            tables[epsilon] = np.array(read_rows(tmp_path / "o.csv")[1], dtype=float)
+        swapped = tables["0.01"][:, [0, 1, 2, 3, 4, 5, 6, 8, 7, 10, 9]]
+        np.testing.assert_allclose(tables["-0.01"], swapped, rtol=0, atol=1e-12)
+        assert np.max(np.abs(tables["-0.01"] - tables["0.01"])) > 0.1
 
     def test_compare_mode_columns(self, tmp_path):
         config = self.small_config(tmp_path, extra="mode = compare\ncutoff_a = 15\ncutoff_b = 15\n")
@@ -371,10 +383,6 @@ class TestRunModes:
         assert caches[0] is not caches[2]
 
 
-CLOSED_FORM_WARNING = (
-    "warning: closed-form amplitudes use |alpha| and |epsilon|; "
-    "complex phases are ignored on the analytic path"
-)
 CLOSED_FORM_NOTE = (
     "note: |epsilon*T| below the coupled-formula threshold; "
     "using the uncoupled (epsilon = 0) amplitudes"
@@ -388,8 +396,10 @@ class TestMain:
         [
             ([], []),
             (["--epsilon", "0"], [CLOSED_FORM_NOTE]),
-            (["--alpha", "0.04+0.01j"], [CLOSED_FORM_WARNING]),
-            (["--alpha", "0.04+0.01j", "--epsilon", "0"], [CLOSED_FORM_WARNING, CLOSED_FORM_NOTE]),
+            # the closed forms follow the phases of alpha and epsilon, so a
+            # complex input needs no warning
+            (["--alpha", "0.04+0.01j"], []),
+            (["--alpha", "0.04+0.01j", "--epsilon", "0"], [CLOSED_FORM_NOTE]),
         ],
         ids=["plain", "uncoupled", "complex", "both"],
     )
@@ -801,6 +811,53 @@ class TestStreamedRuns:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+    @pytest.mark.parametrize(
+        "param, start, stop, steps",
+        [
+            ("alpha", 0.02, 0.06, 24),
+            ("epsilon", -0.05, 0.05, 7),
+            ("T", 0.5, 1.5, 11),
+            # the step 1e-323 / 4 underflows to 0, where np.linspace takes
+            # k / div * span: 5e-324 at k = 2, where k * step gives 0
+            ("alpha", 0.0, 1e-323, 5),
+        ],
+        ids=["alpha", "epsilon", "T", "subnormal-step"],
+    )
+    def test_scan_values_equal_linspace(self, tmp_path, monkeypatch, param, start, stop, steps):
+        values = []
+
+        def recording_evolve_blocks(params, n_kicks, **kwargs):
+            values.append(getattr(params, param))
+            return evolve_blocks(params, n_kicks, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve_blocks", recording_evolve_blocks)
+        config = parse_config(
+            f"mode = scan\nkicks = 1\ncutoff_a = 2\ncutoff_b = 2\nout = {tmp_path / 'o.csv'}\n"
+            f"scan_param = {param}\nscan_start = {start!r}\nscan_stop = {stop!r}\n"
+            f"scan_steps = {steps}\n"
+        )
+        assert run(config) == 0
+        expected = np.linspace(start, stop, steps)
+        assert np.array(values).tobytes() == expected.tobytes()
+        _, rows = read_rows(tmp_path / "o.csv")
+        assert [row[1] for row in rows] == [_fmt(value) for value in expected]
+        if stop == 1e-323:
+            assert values[2] == 5e-324
+
+    def test_scan_peak_does_not_grow_with_steps(self, tmp_path, monkeypatch):
+        # each point's own run is bounded by the four-matrix test below; with
+        # it stubbed out, the peak grows with scan_steps only if the values or
+        # the rows are held: 28 000 more values of np.linspace take 224 kB
+        monkeypatch.setattr(cli, "_scan_point", lambda params, config, cache: (0.5, 1, 0.25))
+        peaks = []
+        for steps in (2000, 30000):
+            config = parse_config(
+                f"mode = scan\nkicks = 1\nout = {tmp_path / 'o.csv'}\nscan_param = alpha\n"
+                f"scan_start = 0.01\nscan_stop = 0.05\nscan_steps = {steps}\n"
+            )
+            peaks.append(traced_peak(lambda: run(config)))
+        assert abs(peaks[1] - peaks[0]) < 5e4, peaks
 
     @pytest.mark.parametrize(
         "document, kicks, rows",

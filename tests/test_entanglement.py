@@ -43,10 +43,10 @@ class TestProjection:
 class TestBellStates:
     def test_unit_norm(self):
         for b in bell_states():
-            assert np.linalg.norm(b.amplitudes) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-15)
 
     def test_pairwise_orthogonal(self):
-        states = [b.amplitudes for b in bell_states()]
+        states = bell_states()
         for i in range(4):
             for j in range(4):
                 overlap = abs(np.vdot(states[i], states[j]))
@@ -54,16 +54,31 @@ class TestBellStates:
 
     def test_maximally_entangled(self):
         for b in bell_states():
-            assert concurrence_pure(b.amplitudes) == pytest.approx(1.0, abs=1e-15)
+            assert concurrence_pure(b) == pytest.approx(1.0, abs=1e-15)
 
-    def test_labels(self):
-        assert [b.label for b in bell_states()] == ["B1", "B2", "B3", "B4"]
+    def test_rows_are_b1_to_b4(self):
+        # the order of the CSV columns F_B1..F_B4
+        s = 1 / np.sqrt(2)
+        expected = [
+            [s, 0, 0, 1j * s],  # B1 = (|00> + i|11>)/sqrt2
+            [s, 0, 0, -1j * s],  # B2 = (|00> - i|11>)/sqrt2
+            [0, s, 1j * s, 0],  # B3 = (|01> + i|10>)/sqrt2
+            [0, s, -1j * s, 0],  # B4 = (|01> - i|10>)/sqrt2
+        ]
+        bell = bell_states()
+        assert bell.shape == (4, 4) and bell.dtype == complex
+        np.testing.assert_array_equal(bell, expected)
+
+    def test_each_call_returns_a_new_array(self):
+        first = bell_states()
+        first[:] = 0
+        np.testing.assert_allclose(np.linalg.norm(bell_states(), axis=1), 1.0, atol=1e-15)
 
 
 class TestConcurrence:
     def test_bell_density(self):
         for b in bell_states():
-            rho = density_from_pure(b.amplitudes)
+            rho = density_from_pure(b)
             assert concurrence(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state(self):
@@ -132,7 +147,7 @@ class TestConcurrence:
 
 class TestBellFidelities:
     def test_fidelity_with_self(self):
-        b1 = bell_states()[0].amplitudes
+        b1 = bell_states()[0]
         np.testing.assert_allclose(bell_fidelities(b1), [1, 0, 0, 0], atol=1e-14)
 
     def test_vacuum_splits_between_first_pair(self):
@@ -159,7 +174,7 @@ class TestBatchedAmplitudes:
             # one overlap per Bell state; the four-term sums differ from the
             # matrix product only by float64 roundoff
             overlaps = [
-                abs(np.vdot(b.amplitudes, amps[index])) ** 2 for b in bell_states()
+                abs(np.vdot(b, amps[index])) ** 2 for b in bell_states()
             ]
             np.testing.assert_allclose(fids[index], overlaps, rtol=0, atol=1e-14)
 

@@ -64,7 +64,7 @@ def loop_reference(params, n_kicks, ordering):
     """The map loop written out step by step: the reference for evolve."""
     u_free, u_kick = step_unitaries(params)
     if ordering is Ordering.MID_PULSE:
-        half = propagation._build_unitary("half", params)
+        half = propagation._step_unitary("half", params, {})
         factors = [half @ u_free @ half]
     elif ordering is Ordering.KICK_THEN_FREE:
         factors = [u_kick, u_free]
