@@ -17,12 +17,7 @@ from .entanglement import (
     concurrence_pure,
     density_from_pure,
 )
-from .errors import (
-    ConfigError,
-    ContractViolationError,
-    DegenerateProjectionError,
-    DimensionMismatchError,
-)
+from .errors import ConfigError, ContractViolationError
 from .fock import ModeDims, joint_index
 from .hamiltonians import SystemParams, build_coupler_hamiltonian
 from .propagation import (
@@ -36,8 +31,6 @@ __all__ = [
     "ConfigError",
     "ContractViolationError",
     "DEFAULT_ORDERING",
-    "DegenerateProjectionError",
-    "DimensionMismatchError",
     "ModeDims",
     "Ordering",
     "QubitObservables",

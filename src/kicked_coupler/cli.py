@@ -211,9 +211,12 @@ MODES = tuple(_RUNNERS)
 
 def _parse_out(raw: str) -> str:
     # echo_config writes the path verbatim into a line-based document that
-    # cuts '#' comments and strips values; a path it cannot hold is refused
-    if "#" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
-        raise ValueError("a path may not contain '#', a line break, or edge whitespace")
+    # cuts '#' comments and strips values; a path it cannot hold, or that
+    # no file system can name (a NUL byte), is refused
+    if "#" in raw or "\0" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
+        raise ValueError(
+            "a path may not contain '#', a NUL byte, a line break, or edge whitespace"
+        )
     return raw
 
 

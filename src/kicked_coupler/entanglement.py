@@ -6,11 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    DegenerateProjectionError,
-    DimensionMismatchError,
-)
+from .errors import ContractViolationError
 from .fock import ModeDims, joint_index
 from .numerics import hermitian_eigendecomposition, hermiticity_defect
 
@@ -134,14 +130,14 @@ def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
     """Probabilities, leakage, concurrence and Bell fidelities of every row
     of an (K+1, D) trajectory.  The leakage is the mass outside the qubit
     subspace, and the other observables are those of the renormalized
-    qubit amplitudes."""
+    qubit amplitudes.  Raises ValueError unless states is (K+1, dims.joint),
+    and ContractViolationError if a row has no numerical support on the
+    qubit subspace."""
     if states.ndim != 2 or states.shape[1] != dims.joint:
-        raise DimensionMismatchError(
-            f"states have shape {states.shape}, expected (K+1, {dims.joint})"
-        )
+        raise ValueError(f"states have shape {states.shape}, expected (K+1, {dims.joint})")
     raw = states[:, _qubit_columns(dims)]
     if np.any(np.all(np.abs(raw) < _PROJECTION_FLOOR, axis=1)):
-        raise DegenerateProjectionError(
+        raise ContractViolationError(
             "a state has no numerical support on the qubit subspace"
         )
     probs = np.abs(raw) ** 2

@@ -1,16 +1,8 @@
-"""Exception types shared across the package."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operands have incompatible matrix/vector dimensions."""
+"""Exception types shared across the package, one per exit code of the CLI."""
 
 
 class ContractViolationError(RuntimeError):
     """A numerical precondition failed (non-Hermitian input, bad density matrix, ...)."""
-
-
-class DegenerateProjectionError(RuntimeError):
-    """State has (numerically) no support on the two-qubit subspace."""
 
 
 class ConfigError(ValueError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionMismatchError
+from .errors import ContractViolationError
 
 HERMITICITY_RTOL = 1e-10
 # Largest allowed max|phase| * 2^-52, the error that rounding a phase
@@ -60,13 +60,14 @@ def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     gives it: (eigenvalues, eigenvectors), the eigenvalues real and
     ascending, the eigenvectors the columns of a unitary matrix.
 
-    Raises ContractViolationError if an entry is not finite or the input
-    fails the Hermiticity tolerance, and propagates LinAlgError if the
-    eigensolver does not converge.
+    Raises ValueError if the input is not a square matrix,
+    ContractViolationError if an entry is not finite or the input fails the
+    Hermiticity tolerance, and propagates LinAlgError if the eigensolver
+    does not converge.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
     scale = float(np.max(np.abs(h))) if h.size else 0.0
     # written so that a NaN scale fails too; an overflowed entry would
     # otherwise pass the Hermiticity test below as a NaN defect

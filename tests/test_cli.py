@@ -476,6 +476,19 @@ class TestMain:
         assert "--out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("echo", [[], ["--echo-config"]], ids=["run", "echo"])
+    def test_out_with_a_nul_byte_exit_2(self, tmp_path, capsys, echo):
+        # no file system names such a path; os.open would raise ValueError
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"out = {tmp_path}/a\0b.csv\nkicks = 3\n")
+        assert main(["--config", str(cfg), *SMALL, *echo]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: line 1: bad value for 'out'")
+        assert "a NUL byte" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_flag_values_are_not_parsed_as_documents(self, capsys):
         assert main(["--alpha", "0.05\nkicks = 7", "--echo-config"]) == 2
         assert "kicks = 7" not in capsys.readouterr().out
@@ -642,6 +655,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "configuration error: scan span -1.7e+308 to 1.7e+308 overflows\n"
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "flags, scan",
+        [
+            (["--alpha", "9", "--kicks", "1"], None),
+            (["--kicks", "2"], "scan_param = alpha\nscan_start = 0\nscan_stop = 9\n"),
+        ],
+        ids=["simulate", "scan"],
+    )
+    def test_no_qubit_support_exit_code(self, tmp_path, capsys, flags, scan):
+        # a kick of alpha = 9 displaces mode a to mean photon number 81; the
+        # largest qubit amplitude left, 7e-16, is below the 1e-15 projection
+        # floor
+        argv = flags + ["--cutoff-a", "100", "--cutoff-b", "2"]
+        files = []
+        if scan is not None:
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(f"mode = scan\n{scan}scan_steps = 3\n")
+            argv += ["--config", str(cfg)]
+            files.append(cfg)
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical contract violation: "
+            "a state has no numerical support on the qubit subspace\n"
+        )
+        assert list(tmp_path.iterdir()) == files
 
     def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):
         original = numerics.unitary_from_spectrum

@@ -5,7 +5,6 @@ import pytest
 
 from kicked_coupler import (
     ContractViolationError,
-    DimensionMismatchError,
     SystemParams,
     build_coupler_hamiltonian,
 )
@@ -57,7 +56,7 @@ class TestEigendecomposition:
             hermitian_eigendecomposition(m)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(3, 4\)"):
             hermitian_eigendecomposition(np.zeros((3, 4)))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])

@@ -1,14 +1,15 @@
 """The package exports what the CLI, the demos and the acceptance suite
-use, and the types its public functions return or raise; a function that
-only unit tests use is imported from its module.  The library modules
-define nothing that only unit tests use: a test reference lives in tests/,
-and an exported function has no defaulted parameter that only tests set."""
+use; a function that only unit tests use is imported from its module.  The
+library modules define nothing that only unit tests use: a test reference
+lives in tests/, and an exported function has no defaulted parameter that
+only tests set.  Every package exception type has an exit code in cli.main."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import kicked_coupler
+from kicked_coupler import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "kicked_coupler").glob("*.py"))
@@ -18,8 +19,6 @@ USERS = [
     ROOT / "tests" / "test_acceptance.py",
     *sorted((ROOT / "demos").glob("*.py")),
 ]
-# returned or raised by exported functions
-SIGNATURE_TYPES = {"DegenerateProjectionError", "DimensionMismatchError"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -53,7 +52,7 @@ def named(nodes) -> set[str]:
 def test_every_exported_name_has_a_user():
     assert len(USERS) > 2
     used = set().union(*map(imported_names, USERS))
-    assert sorted(set(kicked_coupler.__all__) - used - SIGNATURE_TYPES) == []
+    assert sorted(set(kicked_coupler.__all__) - used) == []
 
 
 def test_exports_are_unique_and_importable():
@@ -112,3 +111,31 @@ def test_every_exported_parameter_is_passed():
             if index >= positional and parameter.name not in keywords:
                 unpassed.append(f"{name}.{parameter.name}")
     assert unpassed == []
+
+
+def test_every_package_exception_has_an_exit_code():
+    # each exception class errors.py defines is caught by an except clause
+    # of cli.main, itself or through a base class, so none ends a run in a
+    # traceback
+    defined = [
+        node.name
+        for node in parse(ROOT / "src" / "kicked_coupler" / "errors.py").body
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert len(defined) > 1
+    main = next(
+        node
+        for node in parse(ROOT / "src" / "kicked_coupler" / "cli.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    caught = named(
+        handler.type
+        for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+    )
+    uncaught = [
+        name
+        for name in defined
+        if not {base.__name__ for base in getattr(errors, name).__mro__} & caught
+    ]
+    assert uncaught == []
