@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import stat
 import sys
@@ -422,7 +423,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     for key, spec in _KEYS.items():
         if spec.help is not None:
-            parser.add_argument(_flag(key), choices=spec.choices, help=spec.help)
+            # the closed set is shown as argparse shows choices, but
+            # checked by _parse_value, as a config-file value is
+            metavar = "{%s}" % ",".join(spec.choices) if spec.choices else None
+            parser.add_argument(_flag(key), metavar=metavar, help=spec.help)
     parser.add_argument(
         "--echo-config",
         action="store_true",
@@ -431,9 +435,31 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_signed_values(argv: list[str]) -> list[str]:
+    """argv with each token that starts with '-' and a digit or '.' joined,
+    as flag=value, to the flag just before it if that flag takes a value or
+    abbreviates only one that does.  argparse reads such a token as an
+    option unless it is a plain decimal: '-0.01' is a value, '-1e-3' and
+    '-0.04+0.01j' are not."""
+    flags = {"--config"} | {
+        _flag(key) for key, spec in _KEYS.items() if spec.help is not None
+    }
+    bound: list[str] = []
+    for token in argv:
+        flag = bound[-1] if bound else ""
+        named = [f for f in flags if f.startswith(flag)]
+        if re.match(r"-[\d.]", token) and (flag in flags or len(named) == 1):
+            bound[-1] = f"{flag}={token}"
+        else:
+            bound.append(token)
+    return bound
+
+
 def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig, bool]:
     """Resolve flags over config file over defaults into a RunConfig."""
-    args = _build_arg_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_arg_parser().parse_args(_bind_signed_values(argv))
     items: dict = {}
     if args.config:
         try:

@@ -122,13 +122,20 @@ class TestParseConfig:
         config = parse_config("ordering = free_then_kick")
         assert config.ordering is Ordering.FREE_THEN_KICK
 
-    def test_ordering_rejects_mid_pulse(self):
+    def test_ordering_rejects_mid_pulse(self, capsys):
         # mid-pulse sampling is what compare mode uses; it is not selectable
         with pytest.raises(ConfigError, match="ordering"):
             parse_config("ordering = mid_pulse")
-        with pytest.raises(SystemExit) as exc:
-            main(["--ordering", "mid_pulse", "--echo-config"])
-        assert exc.value.code == 2
+        # the flag value is refused by the key's parser, as a file value is
+        assert main(["--ordering", "mid_pulse", "--echo-config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: --ordering: bad value")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_line_without_equals_names_line(self):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config("kicks = 5\nalpha 0.04\n")
 
     def test_scan_endpoints_must_give_valid_parameters(self):
         base = "mode = scan\nscan_steps = 3\n"
@@ -488,6 +495,104 @@ class TestMain:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("source", ["file", "flag=", "flag"])
+    def test_kicks_must_be_positive(self, tmp_path, capsys, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("kicks = 0\n")
+        argv = {
+            "file": ["--config", str(cfg)],
+            "flag=": ["--kicks=-5"],
+            "flag": ["--kicks", "-5"],
+        }[source]
+        assert main(argv + ["--echo-config"]) == 2
+        kicks = 0 if source == "file" else -5
+        assert capsys.readouterr() == (
+            "", f"configuration error: kicks must be positive, got {kicks}\n"
+        )
+
+    @pytest.mark.parametrize("key", FLAGGED_KEYS)
+    def test_bad_flag_value_reads_as_the_file_value(self, tmp_path, capsys, key):
+        # a NUL byte is no value of any key, and a config line can hold it
+        raw = "bogus\0"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        assert main(["--config", str(cfg), "--echo-config"]) == 2
+        by_file = capsys.readouterr()
+        assert main([cli._flag(key), raw, "--echo-config"]) == 2
+        by_flag = capsys.readouterr()
+        assert by_file.out == by_flag.out == ""
+        assert by_file.err.startswith(f"configuration error: line 1: bad value for '{key}'")
+        assert by_file.err.count("\n") == 1
+        assert by_flag.err == by_file.err.replace("line 1", cli._flag(key), 1)
+
+    @pytest.mark.parametrize(
+        "key", [key for key in FLAGGED_KEYS if cli._KEYS[key].choices is not None]
+    )
+    def test_closed_set_flags_refuse_in_one_line(self, capsys, key):
+        choices = cli._KEYS[key].choices
+        assert main([cli._flag(key), "bogus", "--echo-config"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"configuration error: {cli._flag(key)}: bad value for '{key}': "
+            f"'bogus' (must be one of {choices})\n",
+        )
+
+    def test_help_lists_the_closed_sets(self, capsys):
+        parser = cli._build_arg_parser()
+        # the values are checked by the keys' parsers only
+        assert all(action.choices is None for action in parser._actions)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for spec in cli._KEYS.values():
+            if spec.help is not None and spec.choices is not None:
+                assert "{" + ",".join(spec.choices) + "}" in text
+
+    @pytest.mark.parametrize(
+        "key", [key for key in FLAGGED_KEYS if cli._KEYS[key].parse in (float, complex)]
+    )
+    def test_signed_values_bind_to_their_flag(self, capsys, key):
+        values = ["-1e-3", "-4e-2", "-.01", "-2.5E+1"]
+        if cli._KEYS[key].parse is complex:
+            values += ["-0.04+0.01j", "-1e-3-2e-3j"]
+        for value in values:
+            results = []
+            for argv in ([cli._flag(key), value], [f"{cli._flag(key)}={value}"]):
+                code = main(argv + ["--echo-config"])
+                results.append((code, capsys.readouterr()))
+            # as the file line: the echo, or the model's one-line refusal
+            try:
+                expected = (0, (echo_config(parse_config(f"{key} = {value}")), ""))
+            except ConfigError as exc:
+                expected = (2, ("", f"configuration error: {exc}\n"))
+            assert results[0] == results[1] == expected, (key, value)
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["--epsilon", "-1e-3"], ["--epsilon=-1e-3"]),
+            (["--eps", "-1e-3"], ["--eps=-1e-3"]),
+            (["--config", "-1.cfg"], ["--config=-1.cfg"]),
+            (["--epsilon=-1e-3", "-2e-3"], ["--epsilon=-1e-3", "-2e-3"]),
+            (["--echo-config", "-1"], ["--echo-config", "-1"]),
+            (["--o", "-1"], ["--o", "-1"]),
+            (["-h", "-1"], ["-h", "-1"]),
+            (["--alpha", "--kicks", "-1"], ["--alpha", "--kicks=-1"]),
+            (["--alpha", "-inf"], ["--alpha", "-inf"]),
+        ],
+        ids=["flag", "abbreviated", "config", "after-value", "no-value-flag",
+             "ambiguous", "short-help", "flag-not-a-value", "not-a-number"],
+    )
+    def test_signed_value_binding(self, argv, bound):
+        assert cli._bind_signed_values(argv) == bound
+
+    def test_a_flag_is_never_taken_as_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--epsilon", "--kicks", "3", "--echo-config"])
+        assert exc.value.code == 2
+        assert "--epsilon: expected one argument" in capsys.readouterr().err
 
     def test_flag_values_are_not_parsed_as_documents(self, capsys):
         assert main(["--alpha", "0.05\nkicks = 7", "--echo-config"]) == 2

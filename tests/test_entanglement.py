@@ -125,8 +125,15 @@ class TestConcurrence:
             concurrence(rho)
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="trace"):
             concurrence(np.diag([0.5, 0.2, 0.1, 0.1]).astype(complex))
+        with pytest.raises(ContractViolationError, match="trace"):
+            concurrence(np.eye(4) / 2)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (4, 4, 1), (8, 8)])
+    def test_rejects_a_non_4x4_array(self, shape):
+        with pytest.raises(ContractViolationError, match="must be 4x4"):
+            concurrence(np.zeros(shape))
 
     def test_two_eigendecompositions_per_call(self, rng, monkeypatch):
         # one of rho, shared by the positivity check and sqrt(rho), and one
