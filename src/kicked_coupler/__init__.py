@@ -17,9 +17,8 @@ from .entanglement import (
     concurrence_pure,
     density_from_pure,
 )
-from .errors import ConfigError, ContractViolationError
-from .fock import ModeDims, joint_index
-from .hamiltonians import SystemParams, build_coupler_hamiltonian
+from .hamiltonians import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
+from .numerics import ContractViolationError
 from .propagation import (
     DEFAULT_ORDERING,
     Ordering,
@@ -28,7 +27,6 @@ from .propagation import (
 )
 
 __all__ = [
-    "ConfigError",
     "ContractViolationError",
     "DEFAULT_ORDERING",
     "ModeDims",

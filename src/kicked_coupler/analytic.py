@@ -18,10 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .fock import ModeDims
-from .hamiltonians import SystemParams
-from .numerics import check_phase_roundoff
+from .hamiltonians import ModeDims, SystemParams
+from .numerics import ContractViolationError, check_phase_roundoff
 from .propagation import Ordering, evolve
 
 SINGULAR_COUPLING_THRESHOLD = 1e-12

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import shutil
 import stat
 import sys
@@ -44,8 +43,8 @@ from .entanglement import (
     bell_fidelities,
     concurrence_pure,
 )
-from .errors import ConfigError, ContractViolationError
 from .hamiltonians import SystemParams
+from .numerics import ContractViolationError
 from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks
 
 SCAN_PARAMS = ("alpha", "epsilon", "T")
@@ -56,6 +55,10 @@ ORDERINGS = (Ordering.KICK_THEN_FREE.value, Ordering.FREE_THEN_KICK.value)
 CSV_HEADER = "k,P00,P01,P10,P11,leakage,concurrence,F_B1,F_B2,F_B3,F_B4"
 COMPARE_EXTRA = "A00,A01,A10,A11,dP_max"
 SCAN_HEADER = "param,value,max_concurrence,k_at_max,max_leakage"
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration (unknown key, bad value, violated invariant)."""
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,11 @@ MODES = tuple(_RUNNERS)
 def _parse_out(raw: str) -> str:
     # echo_config writes the path verbatim into a line-based document that
     # cuts '#' comments and strips values; a path it cannot hold, or that
-    # no file system can name (a NUL byte), is refused
-    if "#" in raw or "\0" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
+    # no file system can name (an empty one, a NUL byte), is refused
+    if not raw or "#" in raw or "\0" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
         raise ValueError(
-            "a path may not contain '#', a NUL byte, a line break, or edge whitespace"
+            "a path may not be empty or contain '#', a NUL byte, a line break, "
+            "or edge whitespace"
         )
     return raw
 
@@ -436,11 +440,12 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _bind_signed_values(argv: list[str]) -> list[str]:
-    """argv with each token that starts with '-' and a digit or '.' joined,
-    as flag=value, to the flag just before it if that flag takes a value or
-    abbreviates only one that does.  argparse reads such a token as an
-    option unless it is a plain decimal: '-0.01' is a value, '-1e-3' and
-    '-0.04+0.01j' are not."""
+    """argv with each token that starts with a single '-' and is not '-h'
+    joined, as flag=value, to the flag just before it if that flag takes a
+    value or abbreviates only one that does.  argparse reads such a token
+    as an option unless it is a plain decimal: '-0.01' is a value, '-1e-3',
+    '-inf' and '-x.csv' are not.  Every other flag starts with '--', so a
+    token that names a flag is never a value."""
     flags = {"--config"} | {
         _flag(key) for key, spec in _KEYS.items() if spec.help is not None
     }
@@ -448,7 +453,8 @@ def _bind_signed_values(argv: list[str]) -> list[str]:
     for token in argv:
         flag = bound[-1] if bound else ""
         named = [f for f in flags if f.startswith(flag)]
-        if re.match(r"-[\d.]", token) and (flag in flags or len(named) == 1):
+        signed = token.startswith("-") and not token.startswith("--") and token != "-h"
+        if signed and (flag in flags or len(named) == 1):
             bound[-1] = f"{flag}={token}"
         else:
             bound.append(token)

@@ -6,9 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .fock import ModeDims, joint_index
-from .numerics import hermitian_eigendecomposition, hermiticity_defect
+from .hamiltonians import ModeDims, joint_index
+from .numerics import (
+    ContractViolationError,
+    hermitian_eigendecomposition,
+    hermiticity_defect,
+)
 
 # sigma_y (x) sigma_y in basis order (|00>, |01>, |10>, |11>); real
 _SY_SY = np.array(

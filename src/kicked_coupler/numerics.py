@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError
+
+class ContractViolationError(RuntimeError):
+    """A numerical precondition failed (non-Hermitian input, bad density matrix, ...)."""
+
 
 HERMITICITY_RTOL = 1e-10
 # Largest allowed max|phase| * 2^-52, the error that rounding a phase

@@ -19,9 +19,14 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .errors import ContractViolationError
-from .fock import ModeDims, basis_state
-from .hamiltonians import SystemParams, build_coupler_hamiltonian, build_kick_generator
+from .hamiltonians import (
+    ModeDims,
+    SystemParams,
+    basis_state,
+    build_coupler_hamiltonian,
+    build_kick_generator,
+)
+from .numerics import ContractViolationError
 
 
 class Ordering(Enum):

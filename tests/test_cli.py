@@ -1,25 +1,23 @@
 import errno
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kicked_coupler import (
-    ConfigError,
-    Ordering,
-    annotate_trajectory,
-    evolve,
-    evolve_blocks,
-)
+from kicked_coupler import Ordering, annotate_trajectory, evolve, evolve_blocks
 from kicked_coupler import analytic, cli, numerics, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
+    ConfigError,
     RunConfig,
     _fmt,
     echo_config,
@@ -497,6 +495,25 @@ class TestMain:
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("source", ["file", "flag=", "flag"])
+    def test_empty_out_exit_2(self, tmp_path, capsys, monkeypatch, source):
+        # no file system names the empty path; os.open would raise ENOENT
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("out =\n")
+        argv = {
+            "file": ["--config", "c.cfg"],
+            "flag=": ["--out="],
+            "flag": ["--out", ""],
+        }[source]
+        assert main(argv + ["--kicks", "3", *SMALL]) == 2
+        captured = capsys.readouterr()
+        where = "line 1" if source == "file" else "--out"
+        assert captured.err.startswith(f"configuration error: {where}: bad value for 'out': ''")
+        assert "may not be empty" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["c.cfg"]
+
+    @pytest.mark.parametrize("source", ["file", "flag=", "flag"])
     def test_kicks_must_be_positive(self, tmp_path, capsys, source):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("kicks = 0\n")
@@ -554,9 +571,9 @@ class TestMain:
         "key", [key for key in FLAGGED_KEYS if cli._KEYS[key].parse in (float, complex)]
     )
     def test_signed_values_bind_to_their_flag(self, capsys, key):
-        values = ["-1e-3", "-4e-2", "-.01", "-2.5E+1"]
+        values = ["-1e-3", "-4e-2", "-.01", "-2.5E+1", "-inf", "-nan"]
         if cli._KEYS[key].parse is complex:
-            values += ["-0.04+0.01j", "-1e-3-2e-3j"]
+            values += ["-0.04+0.01j", "-1e-3-2e-3j", "-infj"]
         for value in values:
             results = []
             for argv in ([cli._flag(key), value], [f"{cli._flag(key)}={value}"]):
@@ -580,13 +597,24 @@ class TestMain:
             (["--o", "-1"], ["--o", "-1"]),
             (["-h", "-1"], ["-h", "-1"]),
             (["--alpha", "--kicks", "-1"], ["--alpha", "--kicks=-1"]),
-            (["--alpha", "-inf"], ["--alpha", "-inf"]),
+            (["--alpha", "-inf"], ["--alpha=-inf"]),
+            (["--alpha", "-nan"], ["--alpha=-nan"]),
+            (["--epsilon", "-infj"], ["--epsilon=-infj"]),
+            (["--out", "-x.csv"], ["--out=-x.csv"]),
+            (["--alpha", "-h"], ["--alpha", "-h"]),
         ],
         ids=["flag", "abbreviated", "config", "after-value", "no-value-flag",
-             "ambiguous", "short-help", "flag-not-a-value", "not-a-number"],
+             "ambiguous", "short-help", "flag-not-a-value", "not-a-number",
+             "negative-nan", "imaginary-infinity", "dash-path", "help-not-a-value"],
     )
     def test_signed_value_binding(self, argv, bound):
         assert cli._bind_signed_values(argv) == bound
+
+    def test_out_may_start_with_a_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--kicks", "3", *SMALL, "--out", "-x.csv"]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["-x.csv"]
+        assert (tmp_path / "-x.csv").read_text().startswith(CSV_HEADER + "\n")
 
     def test_a_flag_is_never_taken_as_a_value(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -847,6 +875,39 @@ class TestMain:
         assert main(["--alpha", "0.05", "--echo-config"]) == 0
         config = parse_config(capsys.readouterr().out)
         assert config.params.alpha == 0.05
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestModuleEntryPoint:
+    """python -m kicked_coupler.cli in a fresh interpreter, the path the
+    bench times for setup_s, with every warning an error."""
+
+    def run_module(self, tmp_path, *argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "kicked_coupler.cli", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+
+    def test_run_writes_the_csv(self, tmp_path):
+        done = self.run_module(
+            tmp_path, "--kicks", "3", "--cutoff-a", "3", "--cutoff-b", "3", "--out", "run.csv"
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        # the vacuum at k = 0, then one row per kick
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+    def test_config_error_prints_one_line(self, tmp_path):
+        done = self.run_module(tmp_path, "--kicks", "0")
+        assert done.returncode == 2
+        assert done.stderr == "configuration error: kicks must be positive, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 SMALL = ["--cutoff-a", "4", "--cutoff-b", "4"]

@@ -15,7 +15,7 @@ from kicked_coupler import (
     joint_index,
 )
 from kicked_coupler import entanglement
-from kicked_coupler.fock import basis_state
+from kicked_coupler.hamiltonians import basis_state
 from conftest import project_to_qubits, random_unit_vector
 
 
@@ -129,6 +129,11 @@ class TestConcurrence:
             concurrence(np.diag([0.5, 0.2, 0.1, 0.1]).astype(complex))
         with pytest.raises(ContractViolationError, match="trace"):
             concurrence(np.eye(4) / 2)
+
+    def test_rejects_a_negative_eigenvalue(self):
+        # Hermitian and of trace 1, so only the positivity check refuses it
+        with pytest.raises(ContractViolationError, match="negative eigenvalue -5.000e-01"):
+            concurrence(np.diag([1.5, -0.5, 0, 0]).astype(complex))
 
     @pytest.mark.parametrize("shape", [(2, 2), (4,), (4, 4, 1), (8, 8)])
     def test_rejects_a_non_4x4_array(self, shape):

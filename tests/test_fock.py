@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kicked_coupler import ModeDims, joint_index
-from kicked_coupler.fock import basis_state
+from kicked_coupler.hamiltonians import basis_state
 from conftest import annihilation_op, embed_mode_a, embed_mode_b, number_op
 
 

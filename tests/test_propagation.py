@@ -15,8 +15,7 @@ from kicked_coupler import (
     truncated_amplitudes,
 )
 from kicked_coupler import numerics, propagation
-from kicked_coupler.fock import basis_state
-from kicked_coupler.hamiltonians import build_kick_generator
+from kicked_coupler.hamiltonians import basis_state, build_kick_generator
 from kicked_coupler.propagation import UNITARY_INPUTS
 from conftest import MATRIX_BYTES, traced_peak
 
