@@ -130,11 +130,9 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
 
 def _run_simulate(config: RunConfig) -> Iterator[str]:
     yield CSV_HEADER + "\n"
-    k = 0
-    for block in evolve_blocks(config.params, config.n_kicks, ordering=config.ordering):
+    for k, block in evolve_blocks(config.params, config.n_kicks, ordering=config.ordering):
         obs = annotate_trajectory(block, config.params.dims)
         yield _csv_rows(_observable_columns(obs), k)
-        k += len(block)
 
 
 def _run_analytic(config: RunConfig) -> Iterator[str]:
@@ -156,15 +154,13 @@ def _run_compare(config: RunConfig) -> Iterator[str]:
     for start, stop in kick_blocks(config.n_kicks):
         amplitude_rows(start, stop, config.params)
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
-    k = 0
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
-    for block in evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE):
+    for k, block in evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE):
         obs = annotate_trajectory(block, config.params.dims)
         probs = np.abs(amplitude_rows(k, k + len(block), config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
         yield _csv_rows(np.column_stack((_observable_columns(obs), probs, dp_max)), k)
-        k += len(block)
 
 
 def _scan_point(
@@ -172,8 +168,7 @@ def _scan_point(
 ) -> tuple[float, int, float]:
     """The maximal concurrence, the first k that reaches it, and the maximal
     leakage of one scan point's run, taken block by block."""
-    k = 0
-    for block in evolve_blocks(params, config.n_kicks, ordering=config.ordering, cache=cache):
+    for k, block in evolve_blocks(params, config.n_kicks, ordering=config.ordering, cache=cache):
         obs = annotate_trajectory(block, params.dims)
         i = int(np.argmax(obs.concurrence))
         # strict '>': the first maximum wins across blocks, as in argmax
@@ -181,7 +176,6 @@ def _scan_point(
             max_concurrence, k_at_max = obs.concurrence[i], k + i
         leakage = obs.leakage.max()
         max_leakage = leakage if k == 0 else max(max_leakage, leakage)
-        k += len(block)
     return max_concurrence, k_at_max, max_leakage
 
 
@@ -344,11 +338,6 @@ def _parse_items(text: str) -> dict:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         items[key] = _parse_value(key, raw, f"line {line_no}")
     return items
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document into a validated RunConfig."""
-    return _config_from_items(_parse_items(text))
 
 
 def echo_config(config: RunConfig) -> str:

@@ -4,10 +4,10 @@ Unitaries are built by spectral decomposition, U = V exp(-i lambda t) V+,
 rather than by a series method: the generators here are Hermitian and the
 physics tests lean on the result being unitary to eigensolver accuracy.
 
-unitary_from_spectrum forms U from the decomposition alone: V, its
-phase-scaled copy and the product, three D x D complex arrays.  A caller
-that builds the generator only to decompose it lets it go when eigh
-returns, so the generator is not a fourth array at the product.
+unitary_from_generator(h, t) is the one builder of exp(-i h t).  It drops
+its reference to h once h is decomposed, so a generator the caller holds
+nowhere else is freed before the product: V, its phase-scaled copy and the
+product are the three D x D complex arrays it holds at its peak.
 """
 
 from __future__ import annotations
@@ -85,16 +85,17 @@ def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.linalg.eigh(h)
 
 
-def unitary_from_spectrum(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, t: float
-) -> np.ndarray:
-    """V exp(-i lambda t) V+ from the decomposition (lambda, V) that
-    hermitian_eigendecomposition returns.  V is conjugated in place, so
-    the caller must not use it afterwards.
+def unitary_from_generator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for a Hermitian h, as V exp(-i lambda t) V+ from its
+    decomposition by hermitian_eigendecomposition, whose errors it raises.
 
     Raises ContractViolationError when max|lambda t| * 2^-52 exceeds
     PHASE_ROUNDOFF_TOL (or is not a number).
     """
+    eigenvalues, eigenvectors = hermitian_eigendecomposition(h)
+    # on CPython 3.11 and later a call hands its arguments over, so this
+    # frees a generator that the caller built only to pass it here
+    del h
     check_phase_roundoff(
         float(np.max(np.abs(eigenvalues), initial=0.0)) * abs(t), "max|lambda t|"
     )

@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import numerics
 from .hamiltonians import (
     ModeDims,
     SystemParams,
@@ -26,7 +25,7 @@ from .hamiltonians import (
     build_coupler_hamiltonian,
     build_kick_generator,
 )
-from .numerics import ContractViolationError
+from .numerics import ContractViolationError, unitary_from_generator
 
 
 class Ordering(Enum):
@@ -74,13 +73,12 @@ def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
         build, t = build_coupler_hamiltonian, params.T
     else:
         build, t = build_kick_generator, 1.0 if kind == "kick" else 0.5
-    # the generator is only an argument of the decomposition, so it is
-    # freed when eigh returns, before the product allocates its arrays.  An
-    # entry that overflows is reported by the decomposition's finiteness
-    # contract, not as a numpy warning
+    # the generator is only an argument, so it is freed once decomposed,
+    # before the product allocates its arrays.  An entry that overflows is
+    # reported by the decomposition's finiteness contract, not as a numpy
+    # warning
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = numerics.hermitian_eigendecomposition(build(params))
-    u = numerics.unitary_from_spectrum(*spectrum, t)
+        u = unitary_from_generator(build(params), t)
     cache[kind] = (key, u)
     return u
 
@@ -104,12 +102,13 @@ def evolve_blocks(
     n_kicks: int,
     ordering: Ordering = DEFAULT_ORDERING,
     cache: dict | None = None,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """The trajectory of `evolve`, as consecutive blocks of rows.
 
     The arguments are checked and the step operators built when this is
-    called.  The returned iterator yields the rows of each kick_blocks
-    range, so a consumer that handles one block at a time holds
+    called.  The returned iterator yields (start, block) for each
+    kick_blocks range: the kick number of the block's first row and the
+    rows of the range, so a consumer that handles one block at a time holds
     O(BLOCK_KICKS * D) states whatever n_kicks is.  Each row is computed
     from the row before it through the same products in the same order as
     in `evolve`, so the concatenated blocks equal its array bit for bit.
@@ -140,7 +139,7 @@ def kick_blocks(n_kicks: int) -> Iterator[tuple[int, int]]:
 
 def _blocks(
     dims: ModeDims, n_kicks: int, factors: tuple[np.ndarray, ...]
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[int, np.ndarray]]:
     psi = basis_state(0, 0, dims)
     initial_norm = np.vdot(psi, psi).real
     for start, stop in kick_blocks(n_kicks):
@@ -161,7 +160,7 @@ def _blocks(
                     f"{final_norm:.17g} over {n_kicks} periods "
                     f"(relative tolerance {NORM_RTOL:g})"
                 )
-        yield block
+        yield start, block
 
 
 def evolve(
@@ -182,8 +181,6 @@ def evolve(
     # the operators are built before the trajectory is allocated, so their
     # construction temporaries are freed before the largest array exists
     states = np.empty((n_kicks + 1, params.dims.joint), dtype=complex)
-    start = 0
-    for block in blocks:
+    for start, block in blocks:
         states[start : start + len(block)] = block
-        start += len(block)
     return states

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kicked_coupler import ModeDims, SystemParams, joint_index
+from kicked_coupler import ModeDims, SystemParams, joint_index, propagation
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -110,3 +110,12 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def drifting_norm(monkeypatch):
+    """Scale every step unitary built from now on by 1.001, so that a run's
+    norm drifts past propagation.NORM_RTOL."""
+    original = propagation.unitary_from_generator
+    monkeypatch.setattr(
+        propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+    )

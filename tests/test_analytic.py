@@ -317,9 +317,12 @@ class TestAmplitudeBlocks:
         b = propagation.BLOCK_KICKS
         params = BLOCK_CASES[case]
         for n_kicks in (0, 1, b - 1, b, b + 1, 3 * b + 5):
-            blocks = [amplitude_rows(*rows, params) for rows in kick_blocks(n_kicks)]
+            ranges = list(kick_blocks(n_kicks))
+            blocks = [amplitude_rows(*rows, params) for rows in ranges]
             states = evolve_blocks(replace(params, dims=ModeDims(2, 2)), n_kicks)
-            assert [len(x) for x in blocks] == [len(x) for x in states]
+            assert [(start, len(x)) for (start, _), x in zip(ranges, blocks)] == [
+                (start, len(x)) for start, x in states
+            ]
             assert np.array_equal(
                 np.concatenate(blocks), truncated_amplitudes(n_kicks, params)
             )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kicked_coupler import Ordering, annotate_trajectory, evolve, evolve_blocks
-from kicked_coupler import analytic, cli, numerics, propagation
+from kicked_coupler import analytic, cli, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
     ConfigError,
@@ -22,11 +22,16 @@ from kicked_coupler.cli import (
     _fmt,
     echo_config,
     main,
-    parse_config,
     run,
 )
 from kicked_coupler.propagation import UNITARY_INPUTS
-from conftest import MATRIX_BYTES, traced_peak
+from conftest import MATRIX_BYTES, drifting_norm, traced_peak
+
+
+def parse_config(text):
+    """A flat key = value document as the validated RunConfig that a
+    --config file holding it gives."""
+    return cli._config_from_items(cli._parse_items(text))
 
 
 def read_rows(path):
@@ -345,7 +350,8 @@ class TestRunModes:
 
         def recording_evolve_blocks(params, n_kicks, **kwargs):
             blocks = list(evolve_blocks(params, n_kicks, **kwargs))
-            calls.append((params, np.concatenate(blocks), kwargs["cache"]))
+            states = np.concatenate([block for _, block in blocks])
+            calls.append((params, states, kwargs["cache"]))
             return iter(blocks)
 
         monkeypatch.setattr(cli, "evolve_blocks", recording_evolve_blocks)
@@ -650,9 +656,6 @@ class TestMain:
             assert (key in FLAGGED_KEYS) == (not key.startswith("scan_")), key
 
     def test_compare_checks_closed_forms_before_evolving(self, tmp_path, monkeypatch):
-        def failing_evolve_blocks(*args, **kwargs):
-            pytest.fail("evolve_blocks ran before the closed-form contracts were checked")
-
         monkeypatch.setattr(cli, "evolve_blocks", failing_evolve_blocks)
         out = tmp_path / "run.csv"
         argv = ["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1", "--kicks", "3"]
@@ -816,12 +819,7 @@ class TestMain:
         assert list(tmp_path.iterdir()) == files
 
     def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):
-        original = numerics.unitary_from_spectrum
-        monkeypatch.setattr(
-            numerics,
-            "unitary_from_spectrum",
-            lambda values, vectors, t: 1.001 * original(values, vectors, t),
-        )
+        drifting_norm(monkeypatch)
         out = tmp_path / "run.csv"
         assert main(["--kicks", "5", "--cutoff-a", "4", "--cutoff-b", "4", "--out", str(out)]) == 3
         assert "norm" in capsys.readouterr().err
@@ -1124,16 +1122,7 @@ def deny_writes_without_permission(monkeypatch):
 
 
 def failing_evolve_blocks(*args, **kwargs):
-    pytest.fail("the run started before the output was opened")
-
-
-def drifting_norm(monkeypatch):
-    original = numerics.unitary_from_spectrum
-    monkeypatch.setattr(
-        numerics,
-        "unitary_from_spectrum",
-        lambda values, vectors, t: 1.001 * original(values, vectors, t),
-    )
+    pytest.fail("the full-basis run started before the checks that precede it")
 
 
 def record_spool_dirs(monkeypatch):

@@ -13,14 +13,9 @@ from kicked_coupler.numerics import (
     PHASE_ROUNDOFF_TOL,
     hermitian_eigendecomposition,
     hermiticity_defect,
-    unitary_from_spectrum,
+    unitary_from_generator,
 )
 from conftest import MATRIX_BYTES, random_hermitian, random_unit_vector, traced_peak
-
-
-def unitary(h, t):
-    """exp(-i H t), built as propagation builds its step unitaries."""
-    return unitary_from_spectrum(*hermitian_eigendecomposition(h), t)
 
 
 class TestEigendecomposition:
@@ -91,30 +86,36 @@ class TestHermiticityDefect:
 class TestUnitaryFromGenerator:
     def test_zero_generator(self):
         np.testing.assert_allclose(
-            unitary(np.zeros((4, 4)), 2.3), np.eye(4), atol=1e-14
+            unitary_from_generator(np.zeros((4, 4)), 2.3), np.eye(4), atol=1e-14
         )
 
     def test_scalar_phase(self):
-        u = unitary(np.diag([0.0, 1.0]).astype(complex), np.pi)
+        u = unitary_from_generator(np.diag([0.0, 1.0]).astype(complex), np.pi)
         np.testing.assert_allclose(u, np.diag([1.0, -1.0]), atol=1e-14)
 
     def test_semigroup_oracle(self, rng):
         h = random_hermitian(rng, 10)
         t1, t2 = 0.37, 1.21
-        lhs = unitary(h, t1) @ unitary(h, t2)
-        rhs = unitary(h, t1 + t2)
+        lhs = unitary_from_generator(h, t1) @ unitary_from_generator(h, t2)
+        rhs = unitary_from_generator(h, t1 + t2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(rhs))
 
     def test_unitarity(self, rng):
         for dim in (3, 12, 40):
-            u = unitary(random_hermitian(rng, dim), 0.9)
+            u = unitary_from_generator(random_hermitian(rng, dim), 0.9)
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
 
     def test_norm_preservation(self, rng):
-        u = unitary(random_hermitian(rng, 20), 1.5)
+        u = unitary_from_generator(random_hermitian(rng, 20), 1.5)
         psi = random_unit_vector(rng, 20)
         assert abs(np.linalg.norm(u @ psi) - 1.0) <= 1e-10
 
+    def test_leaves_the_generator_unchanged(self, rng):
+        # the eigenvectors are conjugated in place, the generator is not
+        h = random_hermitian(rng, 12)
+        before = h.copy()
+        unitary_from_generator(h, 0.7)
+        assert np.array_equal(h, before)
 
     def test_equals_the_spectral_formula(self, rng):
         # bit for bit V exp(-i lambda t) V+ with V+ taken as V.conj().T
@@ -128,16 +129,16 @@ class TestUnitaryFromGenerator:
         for h, t in cases:
             values, vectors = hermitian_eigendecomposition(h)
             expected = (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
-            assert np.array_equal(unitary(h, t), expected)
+            assert np.array_equal(unitary_from_generator(h, t), expected)
 
     def test_phase_roundoff_contract(self):
         h = np.diag([0.0, -1.0, 2.0]).astype(complex)
         # max|lambda t| at which the phase roundoff reaches the tolerance
         limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / 2.0
-        unitary(h, 0.99 * limit)
+        unitary_from_generator(h, 0.99 * limit)
         for t in (1.01 * limit, -1.01 * limit, 1e300, np.nan):
             with pytest.raises(ContractViolationError, match="phase roundoff"):
-                unitary(h, t)
+                unitary_from_generator(h, t)
 
     def test_peak_memory_is_three_matrices(self):
         # the eigenvectors, their scaled copy and the product; no
@@ -147,7 +148,7 @@ class TestUnitaryFromGenerator:
         assert d == 225
         tracemalloc.start()
         try:
-            unitary(h, 1.0)
+            unitary_from_generator(h, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,10 +14,10 @@ from kicked_coupler import (
     joint_index,
     truncated_amplitudes,
 )
-from kicked_coupler import numerics, propagation
+from kicked_coupler import propagation
 from kicked_coupler.hamiltonians import basis_state, build_kick_generator
-from kicked_coupler.propagation import UNITARY_INPUTS
-from conftest import MATRIX_BYTES, traced_peak
+from kicked_coupler.propagation import UNITARY_INPUTS, kick_blocks
+from conftest import MATRIX_BYTES, drifting_norm, traced_peak
 
 
 def step_unitaries(params):
@@ -166,13 +166,10 @@ class TestEvolve:
 B = propagation.BLOCK_KICKS
 
 
-def drifting_norm(monkeypatch):
-    original = numerics.unitary_from_spectrum
-    monkeypatch.setattr(
-        numerics,
-        "unitary_from_spectrum",
-        lambda values, vectors, t: 1.001 * original(values, vectors, t),
-    )
+def concatenated(blocks):
+    """The rows of the (start, block) pairs evolve_blocks yields, as one
+    array."""
+    return np.concatenate([block for _, block in blocks])
 
 
 class TestEvolveBlocks:
@@ -184,13 +181,15 @@ class TestEvolveBlocks:
         cache = {} if shared_cache else None
         for n in (0, 1, B - 1, B, B + 1, 3 * B + 5):
             blocks = list(evolve_blocks(self.PARAMS, n, ordering=ordering, cache=cache))
+            # each block's start is the first kick of its kick_blocks range
+            assert [start for start, _ in blocks] == [start for start, _ in kick_blocks(n)]
             assert np.array_equal(
-                np.concatenate(blocks), evolve(self.PARAMS, n, ordering=ordering)
+                concatenated(blocks), evolve(self.PARAMS, n, ordering=ordering)
             ), n
 
     def test_block_shapes(self):
         for n in (0, B - 1, B, 3 * B + 5):
-            sizes = [len(block) for block in evolve_blocks(self.PARAMS, n)]
+            sizes = [len(block) for _, block in evolve_blocks(self.PARAMS, n)]
             assert sum(sizes) == n + 1
             assert all(size == B for size in sizes[:-1])
             assert 1 <= sizes[-1] <= B
@@ -199,8 +198,8 @@ class TestEvolveBlocks:
     def test_block_size_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
         blocks = list(evolve_blocks(self.PARAMS, 20))
-        assert [len(block) for block in blocks] == [7, 7, 7]
-        assert np.array_equal(np.concatenate(blocks), evolve(self.PARAMS, 20))
+        assert [(start, len(block)) for start, block in blocks] == [(0, 7), (7, 7), (14, 7)]
+        assert np.array_equal(concatenated(blocks), evolve(self.PARAMS, 20))
 
     def test_arguments_are_checked_at_call(self):
         # before any block is requested
@@ -210,7 +209,7 @@ class TestEvolveBlocks:
     def test_norm_contract_before_the_last_block(self, monkeypatch):
         drifting_norm(monkeypatch)
         blocks = evolve_blocks(self.PARAMS, 2 * B + 3)
-        assert [len(next(blocks)) for _ in range(2)] == [B, B]
+        assert [len(next(blocks)[1]) for _ in range(2)] == [B, B]
         with pytest.raises(ContractViolationError, match="norm"):
             next(blocks)
 
@@ -235,7 +234,7 @@ class TestBuildPeakMemory:
 
 def evolve_cached(params, n_kicks, cache, **kwargs):
     """evolve's array, with the step unitaries taken from a shared cache."""
-    return np.concatenate(list(evolve_blocks(params, n_kicks, cache=cache, **kwargs)))
+    return concatenated(evolve_blocks(params, n_kicks, cache=cache, **kwargs))
 
 
 class TestUnitaryCache:
@@ -320,13 +319,13 @@ class TestNormContract:
                 evolve(SystemParams(dims=ModeDims(3, 3)), 5, ordering=ordering)
 
     def test_nan_norm_raises(self, monkeypatch):
-        original = numerics.unitary_from_spectrum
+        original = propagation.unitary_from_generator
 
-        def nan_unitary(values, vectors, t):
-            u = original(values, vectors, t)
+        def nan_unitary(h, t):
+            u = original(h, t)
             u[1, 0] = np.nan
             return u
 
-        monkeypatch.setattr(numerics, "unitary_from_spectrum", nan_unitary)
+        monkeypatch.setattr(propagation, "unitary_from_generator", nan_unitary)
         with pytest.raises(ContractViolationError, match="norm"):
             evolve(SystemParams(dims=ModeDims(3, 3)), 2)
