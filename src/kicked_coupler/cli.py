@@ -21,7 +21,6 @@ included), 3 numerical-contract violation, 1 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import stat
@@ -407,59 +406,58 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kicked-coupler",
-        description="Simulate a pulse-kicked two-mode Kerr coupler and export "
-        "per-kick observables as CSV.",
-    )
-    parser.add_argument("--config", metavar="PATH", help="key = value config file")
+# main's flags: --config, one per key that has help, and two that take no
+# value; none is a prefix of another, so a flag given in full names it alone
+_SWITCHES = ("--echo-config", "--help")
+_FLAGS = (
+    "--config",
+    *(_flag(key) for key, spec in _KEYS.items() if spec.help is not None),
+    *_SWITCHES,
+)
+
+
+def _help_text() -> str:
+    """What -h and --help print: each flag, what it takes and what it does."""
+    rows = [("-h, --help", "print this help and exit"), ("--config PATH", "key = value file")]
     for key, spec in _KEYS.items():
         if spec.help is not None:
-            # the closed set is shown as argparse shows choices, but
-            # checked by _parse_value, as a config-file value is
-            metavar = "{%s}" % ",".join(spec.choices) if spec.choices else None
-            parser.add_argument(_flag(key), metavar=metavar, help=spec.help)
-    parser.add_argument(
-        "--echo-config",
-        action="store_true",
-        help="print the effective configuration and exit",
-    )
-    return parser
+            takes = "{%s}" % ",".join(spec.choices) if spec.choices else key.upper()
+            rows.append((f"{_flag(key)} {takes}", spec.help))
+    rows.append(("--echo-config", "print the effective configuration and exit"))
+    usage = "usage: kicked-coupler [-h] [--config PATH] [--FLAG VALUE ...] [--echo-config]"
+    return "\n".join([usage, ""] + [f"  {flag:<22}  {text}" for flag, text in rows]) + "\n"
 
 
-def _bind_signed_values(argv: list[str]) -> list[str]:
-    """argv with each token that starts with a single '-' and is not '-h'
-    joined, as flag=value, to the flag just before it if that flag takes a
-    value or abbreviates only one that does.  argparse reads such a token
-    as an option unless it is a plain decimal: '-0.01' is a value, '-1e-3',
-    '-inf' and '-x.csv' are not.  Every other flag starts with '--', so a
-    token that names a flag is never a value."""
-    flags = {"--config"} | {
-        _flag(key) for key, spec in _KEYS.items() if spec.help is not None
-    }
-    bound: list[str] = []
-    for token in argv:
-        flag = bound[-1] if bound else ""
-        named = [f for f in flags if f.startswith(flag)]
-        signed = token.startswith("-") and not token.startswith("--") and token != "-h"
-        if signed and (flag in flags or len(named) == 1):
-            bound[-1] = f"{flag}={token}"
-        else:
-            bound.append(token)
-    return bound
+def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig | None, str | None]:
+    """Resolve flags over config file over defaults into a RunConfig, and
+    the text to print instead of running it (--echo-config, --help), if any.
 
-
-def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig, bool]:
-    """Resolve flags over config file over defaults into a RunConfig."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_arg_parser().parse_args(_bind_signed_values(argv))
+    A flag may be cut to a prefix of it alone.  Its value follows '=' or is
+    the next token unless that is '-h' or starts with '--' (-1e-3 and
+    -x.csv are values).  The last value given wins; any other token is refused.
+    """
+    given: dict[str, str] = {}
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        head, eq, value = ("--help" if token == "-h" else token).partition("=")
+        named = [f for f in _FLAGS if f.startswith(head) and len(head) > 2]
+        if len(named) != 1:
+            raise ConfigError(f"ambiguous flag {head!r}" if named else f"not a flag: {token!r}")
+        flag = named[0]
+        if flag in _SWITCHES and eq:
+            raise ConfigError(f"{flag} takes no value")
+        if flag == "--help":
+            return None, _help_text()
+        if flag not in _SWITCHES and not eq:
+            value = next(tokens, "--")
+            if value.startswith("--") or value == "-h":
+                raise ConfigError(f"{flag}: expected a value")
+        given[flag] = value
     items: dict = {}
-    if args.config:
+    if "--config" in given:
         try:
             # utf-8-sig drops the byte-order mark some editors write
-            with open(args.config, encoding="utf-8-sig") as fh:
+            with open(given["--config"], encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
@@ -467,17 +465,17 @@ def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig, bool]:
     # a flag value goes through its key's parser as given, never through
     # the document format
     for key in _KEYS:
-        raw = getattr(args, key, None)
-        if raw is not None:
-            items[key] = _parse_value(key, raw, _flag(key))
-    return _config_from_items(items), args.echo_config
+        if _flag(key) in given:
+            items[key] = _parse_value(key, given[_flag(key)], _flag(key))
+    config = _config_from_items(items)
+    return config, echo_config(config) if "--echo-config" in given else None
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config, echo = config_from_args(argv)
-        if echo:
-            sys.stdout.write(echo_config(config))
+        config, text = config_from_args(argv)
+        if text is not None:
+            sys.stdout.write(text)
             return 0
         return run(config)
     except ConfigError as exc:

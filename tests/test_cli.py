@@ -1,5 +1,7 @@
 import errno
 import os
+import random
+import re
 import stat
 import subprocess
 import sys
@@ -459,6 +461,16 @@ class TestMain:
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--config="], ["--config", ""]], ids=["flag=", "flag"])
+    def test_empty_config_path_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # an empty path names no file, as for --out
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--echo-config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: cannot read config file: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_bytes(b"alpha = 0.05\xff\n")
@@ -562,16 +574,16 @@ class TestMain:
         )
 
     def test_help_lists_the_closed_sets(self, capsys):
-        parser = cli._build_arg_parser()
-        # the values are checked by the keys' parsers only
-        assert all(action.choices is None for action in parser._actions)
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        text = capsys.readouterr().out
+        assert main(["--help"]) == 0
+        text, err = capsys.readouterr()
+        assert err == ""
         for spec in cli._KEYS.values():
             if spec.help is not None and spec.choices is not None:
                 assert "{" + ",".join(spec.choices) + "}" in text
+        # -h and an abbreviation print the same, a bad value after them too
+        for flag in ("-h", "--he"):
+            assert main([flag, "--kicks", "nope"]) == 0
+            assert capsys.readouterr() == (text, "")
 
     @pytest.mark.parametrize(
         "key", [key for key in FLAGGED_KEYS if cli._KEYS[key].parse in (float, complex)]
@@ -593,28 +605,40 @@ class TestMain:
             assert results[0] == results[1] == expected, (key, value)
 
     @pytest.mark.parametrize(
-        "argv, bound",
+        "argv, read_as",
         [
             (["--epsilon", "-1e-3"], ["--epsilon=-1e-3"]),
-            (["--eps", "-1e-3"], ["--eps=-1e-3"]),
+            (["--eps", "-1e-3"], ["--epsilon=-1e-3"]),
             (["--config", "-1.cfg"], ["--config=-1.cfg"]),
-            (["--epsilon=-1e-3", "-2e-3"], ["--epsilon=-1e-3", "-2e-3"]),
-            (["--echo-config", "-1"], ["--echo-config", "-1"]),
-            (["--o", "-1"], ["--o", "-1"]),
-            (["-h", "-1"], ["-h", "-1"]),
-            (["--alpha", "--kicks", "-1"], ["--alpha", "--kicks=-1"]),
+            (["--epsilon=-1e-3", "-2e-3"], "not a flag: '-2e-3'"),
+            (["--echo-config", "-1"], "not a flag: '-1'"),
+            (["--o", "-1"], "ambiguous flag '--o'"),
+            (["-h", "-1"], ["--help"]),
+            (["--alpha", "--kicks", "-1"], "--alpha: expected a value"),
             (["--alpha", "-inf"], ["--alpha=-inf"]),
             (["--alpha", "-nan"], ["--alpha=-nan"]),
             (["--epsilon", "-infj"], ["--epsilon=-infj"]),
             (["--out", "-x.csv"], ["--out=-x.csv"]),
-            (["--alpha", "-h"], ["--alpha", "-h"]),
+            (["--alpha", "-h"], "--alpha: expected a value"),
         ],
         ids=["flag", "abbreviated", "config", "after-value", "no-value-flag",
              "ambiguous", "short-help", "flag-not-a-value", "not-a-number",
              "negative-nan", "imaginary-infinity", "dash-path", "help-not-a-value"],
     )
-    def test_signed_value_binding(self, argv, bound):
-        assert cli._bind_signed_values(argv) == bound
+    def test_signed_value_binding(self, tmp_path, capsys, monkeypatch, argv, read_as):
+        # a token that starts with one '-' and is not '-h' is the value of the
+        # flag before it; any other token after a flag's value is refused
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-1.cfg").write_text("kicks = 7\n")
+        code = main(argv + ["--echo-config"])
+        result = (code, capsys.readouterr())
+        if isinstance(read_as, str):
+            assert result == (2, ("", f"configuration error: {read_as}\n"))
+        else:
+            assert result == (main(read_as + ["--echo-config"]), capsys.readouterr())
+            # the value reached its key's parser or the model
+            assert result[0] == 0 or "must be finite" in result[1].err
+        assert ("kicks = 7" in result[1].out) == (argv[0] == "--config")
 
     def test_out_may_start_with_a_dash(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -623,10 +647,32 @@ class TestMain:
         assert (tmp_path / "-x.csv").read_text().startswith(CSV_HEADER + "\n")
 
     def test_a_flag_is_never_taken_as_a_value(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--epsilon", "--kicks", "3", "--echo-config"])
-        assert exc.value.code == 2
-        assert "--epsilon: expected one argument" in capsys.readouterr().err
+        assert main(["--epsilon", "--kicks", "3", "--echo-config"]) == 2
+        assert capsys.readouterr() == ("", "configuration error: --epsilon: expected a value\n")
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["--bogus"], "not a flag: '--bogus'"),
+            (["--bogus=3"], "not a flag: '--bogus=3'"),
+            (["--epsilon"], "--epsilon: expected a value"),
+            (["--kicks", "3", "stray"], "not a flag: 'stray'"),
+            (["--", "--kicks", "3"], "not a flag: '--'"),
+            (["-"], "not a flag: '-'"),
+            ([""], "not a flag: ''"),
+            (["--c", "x.cfg"], "ambiguous flag '--c'"),
+            (["--echo-config=x"], "--echo-config takes no value"),
+            (["--echo=x"], "--echo-config takes no value"),
+            (["--help="], "--help takes no value"),
+            (["--scan-param", "alpha"], "not a flag: '--scan-param'"),
+        ],
+        ids=["unknown", "unknown-with-value", "missing-value", "stray", "double-dash",
+             "dash", "empty", "ambiguous", "switch-with-value", "abbreviated-switch",
+             "help-with-value", "scan-key"],
+    )
+    def test_argv_refusals_are_one_line(self, capsys, argv, refusal):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {refusal}\n")
 
     def test_flag_values_are_not_parsed_as_documents(self, capsys):
         assert main(["--alpha", "0.05\nkicks = 7", "--echo-config"]) == 2
@@ -643,17 +689,28 @@ class TestMain:
         config, _ = cli.config_from_args(["--config", str(cfg), cli._flag(key), flag_raw])
         assert value_of(config, key) == spec.parse(flag_raw) != spec.parse(file_raw)
 
-    def test_flags_are_the_non_scan_keys(self):
-        options = {
-            option
-            for action in cli._build_arg_parser()._actions
-            for option in action.option_strings
-        }
-        assert options == {cli._flag(key) for key in FLAGGED_KEYS} | {
+    def test_flags_are_the_non_scan_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(SCAN_DOCUMENT)
+        scan = parse_config(SCAN_DOCUMENT)
+        for key, spec in cli._KEYS.items():
+            assert (key in FLAGGED_KEYS) == (not key.startswith("scan_")), key
+            # each flag sets its key; a scan key has none
+            token = f"{cli._flag(key)}={spec.render(value_of(scan, key))}"
+            code = main(["--config", str(cfg), token, "--echo-config"])
+            expected = (0, (echo_config(scan), "")) if key in FLAGGED_KEYS else (
+                2, ("", f"configuration error: not a flag: {token!r}\n")
+            )
+            assert (code, capsys.readouterr()) == expected, key
+        # the help lists these flags and no other
+        assert main(["--help"]) == 0
+        rows = capsys.readouterr().out.split("\n\n", 1)[1].splitlines()
+        listed = {word for row in rows for word in row.replace(",", "").split() if word[0] == "-"}
+        assert listed == {cli._flag(key) for key in FLAGGED_KEYS} | {
             "-h", "--help", "--config", "--echo-config"
         }
-        for key in cli._KEYS:
-            assert (key in FLAGGED_KEYS) == (not key.startswith("scan_")), key
+        # none is a prefix of another, so a flag given in full names it alone
+        assert not [(a, b) for a in listed for b in listed if a != b and b.startswith(a)]
 
     def test_compare_checks_closed_forms_before_evolving(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "evolve_blocks", failing_evolve_blocks)
@@ -875,6 +932,83 @@ class TestMain:
         assert config.params.alpha == 0.05
 
 
+class TestArgvFuzz:
+    """Seeded random argv, each ending in --echo-config so that nothing runs:
+    full, abbreviated, ambiguous and unknown flags, missing values, stray
+    tokens, '-'-prefixed values and '=' forms."""
+
+    CASES = 300
+    VALUE_FLAGS = ["--config"] + [cli._flag(key) for key in FLAGGED_KEYS]
+    VALUES = ["-1e-3", "-inf", "-x.csv", "-1", "-", "3", "0", "bogus", "", "0.05\nkicks = 7"]
+    CONFIGS = ["c.cfg", "scan.cfg", "-1.cfg", ""]
+    DEFAULT = parse_config("")
+
+    def abbreviation(self, rng, flag):
+        """flag, or a prefix of it that names it alone."""
+        names_it = [
+            flag[:n] for n in range(3, len(flag) + 1)
+            if [f for f in cli._FLAGS if f.startswith(flag[:n])] == [flag]
+        ]
+        return rng.choice(names_it)
+
+    def value(self, rng, flag):
+        if flag == "--config":
+            return rng.choice(self.CONFIGS)
+        key = flag[2:].replace("-", "_")
+        default = value_of(self.DEFAULT, key)
+        good = [cli._KEYS[key].render(default), other_raw(key, default)]
+        return rng.choice(good * 3 + self.VALUES)
+
+    def item(self, rng):
+        """One piece of argv as written with '--flag value', and with
+        '--flag=value'."""
+        kind = rng.choice(["pair"] * 5 + ["missing", "unknown", "ambiguous", "stray", "switch"])
+        flag = rng.choice(self.VALUE_FLAGS)
+        if kind == "pair":
+            value = self.value(rng, flag)
+            flag = self.abbreviation(rng, flag)
+            return [flag, value], [f"{flag}={value}"]
+        token = {
+            "missing": flag,
+            "unknown": rng.choice(["--bogus", "--alphaa", "--scan-param", "--", "--=3"]),
+            "ambiguous": rng.choice(["--c", "--e", "--o", "--cu", "--ch=1", "--e=x"]),
+            "stray": rng.choice(["stray", "-x", "-1e-3", "", "a=b", "-h=1"]),
+            "switch": rng.choice(["--echo-config", "--ech", "--echo-config=x", "--echo="]),
+        }[kind]
+        return [token], [token]
+
+    def outcome(self, capsys, argv):
+        before = sorted(os.listdir())
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 2), argv
+        if code == 2:
+            assert out == "" and re.fullmatch("configuration error: [^\n]*\n", err), argv
+        else:
+            assert err == "" and parse_config(out) == cli.config_from_args(argv)[0], argv
+        assert sorted(os.listdir()) == before, argv
+        return code, out, err
+
+    def test_seeded_argv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("kicks = 7\nalpha = -0.05\n")
+        (tmp_path / "scan.cfg").write_text(SCAN_DOCUMENT)
+        rng = random.Random(0)
+        codes = []
+        for _ in range(self.CASES):
+            items = [self.item(rng) for _ in range(rng.randint(0, 4))]
+            spaced = [token for item in items for token in item[0]] + ["--echo-config"]
+            joined = [token for item in items for token in item[1]] + ["--echo-config"]
+            result = self.outcome(capsys, spaced)
+            assert self.outcome(capsys, joined) == result, (spaced, joined)
+            codes.append(result[0])
+        # both outcomes are drawn often
+        assert min(codes.count(0), codes.count(2)) > self.CASES // 10
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -882,14 +1016,17 @@ class TestModuleEntryPoint:
     """python -m kicked_coupler.cli in a fresh interpreter, the path the
     bench times for setup_s, with every warning an error."""
 
-    def run_module(self, tmp_path, *argv):
+    def run_python(self, tmp_path, *args):
         return subprocess.run(
-            [sys.executable, "-W", "error", "-m", "kicked_coupler.cli", *argv],
+            [sys.executable, "-W", "error", *args],
             cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
         )
+
+    def run_module(self, tmp_path, *argv):
+        return self.run_python(tmp_path, "-m", "kicked_coupler.cli", *argv)
 
     def test_run_writes_the_csv(self, tmp_path):
         done = self.run_module(
@@ -906,6 +1043,22 @@ class TestModuleEntryPoint:
         assert done.returncode == 2
         assert done.stderr == "configuration error: kicks must be positive, got 0\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_flag_prints_one_line(self, tmp_path):
+        done = self.run_module(tmp_path, "--bogus")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "configuration error: not a flag: '--bogus'\n"
+
+    def test_help_goes_to_stdout(self, tmp_path):
+        done = self.run_module(tmp_path, "-h")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: kicked-coupler ")
+        assert "--echo-config" in done.stdout
+
+    def test_import_leaves_argparse_out(self, tmp_path):
+        code = "import sys, kicked_coupler.cli; print('argparse' in sys.modules)"
+        done = self.run_python(tmp_path, "-c", code)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 SMALL = ["--cutoff-a", "4", "--cutoff-b", "4"]
