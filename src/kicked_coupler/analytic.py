@@ -78,7 +78,7 @@ def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
     SINGULAR_COUPLING_THRESHOLD, where the 1/(eps T) prefactors lose all
     precision, the uncoupled amplitudes are returned: mode b stays in vacuum
     and mode a Rabi-oscillates between |0> and |1> with angle k |alpha|.
-    With no drive the vacuum is stationary.
+    With no drive (|alpha| < 1e-300) those rows are the stationary vacuum.
 
     Raises ContractViolationError when a frequency or an amplitude is not
     finite, when omega2 cancels to 0 at nonzero drive, or when the
@@ -103,13 +103,11 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
     amps = np.zeros((len(ks), 4), dtype=complex)
-    if uses_uncoupled_forms(params):
+    # no drive: the coupled formulas hit 0/0, and the uncoupled rows are the vacuum
+    if uses_uncoupled_forms(params) or alpha < 1e-300:
         check_phase_roundoff((stop - 1) * alpha, f"{stop - 1} * |alpha|")
         amps[:, 0] = np.cos(ks * alpha)
         amps[:, 2] = -1j * np.sin(ks * alpha)
-    elif alpha < 1e-300:
-        # no drive: the vacuum is stationary (the formulas hit 0/0 here)
-        amps[:, 0] = 1.0
     else:
         om, om1, om2 = kick_frequencies(params)
         if om2 <= 0.0:

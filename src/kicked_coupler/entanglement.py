@@ -71,7 +71,7 @@ def _validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     the shape, Hermiticity, trace and positivity checks."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
-        raise ContractViolationError(f"two-qubit density must be 4x4, got {rho.shape}")
+        raise ValueError(f"two-qubit density must be 4x4, got {rho.shape}")
     if hermiticity_defect(rho) > 1e-12:
         raise ContractViolationError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:

@@ -190,6 +190,14 @@ class TestTruncatedAmplitudes:
             with pytest.raises(ContractViolationError, match=match):
                 truncated_amplitudes(3, params)
 
+    def test_finiteness_contract_at_k0(self):
+        # the frequencies fit, but the |10> prefactor's denominator overflows
+        # and its bracket is inf * sin(0), so the row is NaN
+        with pytest.raises(
+            ContractViolationError, match="closed-form amplitudes are not finite at k = 0"
+        ):
+            truncated_amplitudes(0, SystemParams(epsilon=1e150, alpha=1e149))
+
     @pytest.mark.parametrize("alpha", [1e100, 1e150])
     def test_normalization_contract_at_k0(self, alpha):
         # k = 0 has no phase to lose, but om1^2 - om2^2 cancels all digits

@@ -719,6 +719,34 @@ class TestMain:
         assert main(argv + ["--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_compare_checks_later_closed_forms_with_their_block(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the first block's closed forms pass; a later block's phases keep no
+        # digit, and the run exits 3 when it reaches that block
+        out = tmp_path / "run.csv"
+        argv = ["--mode", "compare", "--alpha", "1e7", "--kicks", "600"]
+        argv += ["--cutoff-a", "3", "--cutoff-b", "3"]
+        params = cli.config_from_args(argv)[0].params
+        analytic.amplitude_rows(*next(propagation.kick_blocks(600)), params)
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical contract violation: phase roundoff 511 * omega1 / sqrt2 * 2^-52"
+        )
+        assert list(tmp_path.iterdir()) == []
+        # a run that passes evaluates the first block once before the
+        # full-basis run, then each block once beside its states
+        calls = []
+
+        def counted(start, stop, params):
+            calls.append((start, stop))
+            return analytic.amplitude_rows(start, stop, params)
+
+        monkeypatch.setattr(cli, "amplitude_rows", counted)
+        assert main(["--mode", "compare", "--kicks", "300", *SMALL, "--out", str(out)]) == 0
+        blocks = list(propagation.kick_blocks(300))
+        assert calls == blocks[:1] + blocks
+
     @pytest.mark.parametrize(
         "flag, value", [("--alpha", "nan"), ("--epsilon", "inf"), ("--T", "inf")]
     )

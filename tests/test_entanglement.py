@@ -137,7 +137,7 @@ class TestConcurrence:
 
     @pytest.mark.parametrize("shape", [(2, 2), (4,), (4, 4, 1), (8, 8)])
     def test_rejects_a_non_4x4_array(self, shape):
-        with pytest.raises(ContractViolationError, match="must be 4x4"):
+        with pytest.raises(ValueError, match="must be 4x4"):
             concurrence(np.zeros(shape))
 
     def test_two_eigendecompositions_per_call(self, rng, monkeypatch):
