@@ -44,19 +44,18 @@ def kick_frequencies(params: SystemParams) -> tuple[float, float, float]:
     = 4 alpha^4 >= 0 after squaring, so omega2 is always real.
 
     Raises ContractViolationError if a frequency is not finite, which
-    happens when |epsilon T| or |alpha| is so large that its square
-    overflows.
+    happens when |epsilon T| or |alpha| is so large that a square or a sum
+    of squares overflows.
     """
-    eps_t = abs(params.epsilon) * params.T
-    alpha = abs(params.alpha)
-    try:
+    eps_t = np.float64(abs(params.epsilon) * params.T)
+    alpha = np.float64(abs(params.alpha))
+    # an overflowed square gives inf, and inf - inf in omega2's radicand NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         omega = np.sqrt(eps_t**2 + 4 * alpha**2)
         omega1 = np.sqrt(eps_t**2 + 2 * alpha**2 + eps_t * omega)
         # radicand equals 4 alpha^4 / (eps_t^2 + 2 alpha^2 + eps_t * omega) >= 0;
         # clip to guard against roundoff at alpha = 0
         omega2 = np.sqrt(max(eps_t**2 + 2 * alpha**2 - eps_t * omega, 0.0))
-    except OverflowError:  # Python float ** overflows by raising
-        omega = omega1 = omega2 = np.inf
     if not all(map(math.isfinite, (omega, omega1, omega2))):
         raise ContractViolationError(
             f"kick frequencies are not finite at |epsilon T| = {eps_t:g}, "

@@ -166,14 +166,15 @@ def _scan_point(
 ) -> tuple[float, int, float]:
     """The maximal concurrence, the first k that reaches it, and the maximal
     leakage of one scan point's run, taken block by block."""
+    max_concurrence = max_leakage = -np.inf
+    k_at_max = 0
     for k, block in evolve_blocks(params, config.n_kicks, ordering=config.ordering, cache=cache):
         obs = annotate_trajectory(block, params.dims)
         i = int(np.argmax(obs.concurrence))
         # strict '>': the first maximum wins across blocks, as in argmax
-        if k == 0 or obs.concurrence[i] > max_concurrence:
+        if obs.concurrence[i] > max_concurrence:
             max_concurrence, k_at_max = obs.concurrence[i], k + i
-        leakage = obs.leakage.max()
-        max_leakage = leakage if k == 0 else max(max_leakage, leakage)
+        max_leakage = max(max_leakage, obs.leakage.max())
     return max_concurrence, k_at_max, max_leakage
 
 

@@ -49,13 +49,11 @@ def hermiticity_defect(h: np.ndarray) -> float:
     The difference is taken in place in one conjugated copy of H, so the
     call allocates 1.5 times the size of H: that copy and the moduli.
     """
-    if not h.size:
-        return 0.0
     # a ufunc always returns a new array; the method conj() of a real
     # array returns the array itself
     diff = np.conjugate(h.T)
     np.subtract(h, diff, out=diff)
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,12 +69,12 @@ def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = float(np.max(np.abs(h))) if h.size else 0.0
+    scale = float(np.max(np.abs(h), initial=0.0))
     # written so that a NaN scale fails too; an overflowed entry would
     # otherwise pass the Hermiticity test below as a NaN defect
     if not scale < np.inf:
         raise ContractViolationError(f"matrix has a non-finite entry (max |entry| = {scale})")
-    defect = hermiticity_defect(h) if scale > 0 else 0.0
+    defect = hermiticity_defect(h)
     if defect > HERMITICITY_RTOL * scale:
         raise ContractViolationError(
             f"matrix is not Hermitian within {HERMITICITY_RTOL:g} relative tolerance "

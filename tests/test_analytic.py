@@ -1,4 +1,5 @@
 import cmath
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,20 @@ class TestKickFrequencies:
             assert (omega1 * omega2) ** 2 == pytest.approx(
                 (eps_t**2 + 2 * alpha**2) ** 2 - eps_t**2 * omega**2, rel=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "epsilon, alpha",
+        [(1e200, 0.04), (0.01, 1e200), (1e200, 1e200), (1e154, 1e154)],
+        ids=["epsilon-1e200", "alpha-1e200", "both-1e200", "both-1e154"],
+    )
+    def test_overflow_is_a_contract_violation(self, epsilon, alpha):
+        # an overflowed square is inf, and omega2's radicand inf - inf is NaN
+        # (at 1e154 the squares fit and their sum overflows); either is
+        # reported by the finiteness contract, without a numpy warning
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="kick frequencies are not finite"):
+                kick_frequencies(SystemParams(epsilon=epsilon, alpha=alpha))
 
 
 class TestTruncatedAmplitudes:

@@ -35,11 +35,13 @@ class TestEigendecomposition:
         np.testing.assert_allclose(values, [-alpha, alpha], atol=1e-14)
 
     def test_reconstruction_oracle(self, rng):
-        h = random_hermitian(rng, 50)
-        values, vectors = hermitian_eigendecomposition(h)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        scale = np.max(np.abs(h))
-        assert np.max(np.abs(rebuilt - h)) <= 1e-10 * scale
+        # the empty and the zero matrix have no scale to test Hermiticity against
+        for h in (random_hermitian(rng, 50), np.zeros((0, 0)), np.zeros((3, 3))):
+            values, vectors = hermitian_eigendecomposition(h)
+            assert vectors.shape == h.shape
+            rebuilt = (vectors * values) @ vectors.conj().T
+            scale = np.max(np.abs(h), initial=0.0)
+            assert np.max(np.abs(rebuilt - h), initial=0.0) <= 1e-10 * scale
 
     def test_orthonormality_invariant(self, rng):
         _, v = hermitian_eigendecomposition(random_hermitian(rng, 30))
