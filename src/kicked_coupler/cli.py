@@ -181,6 +181,7 @@ def _scan_point(
 def _run_scan(config: RunConfig) -> Iterator[str]:
     scan = config.scan
     yield SCAN_HEADER + "\n"
+    row = f"%s,{_FLOAT},{_FLOAT},%d,{_FLOAT}\n"
     # the scanned parameter enters one generator only, so the other step
     # unitary is built once and reused at every point
     cache: dict = {}
@@ -193,8 +194,7 @@ def _run_scan(config: RunConfig) -> Iterator[str]:
         value = scan.stop if k == div else value + scan.start
         params = replace(config.params, **{scan.param: value})
         max_concurrence, k_at_max, max_leakage = _scan_point(params, config, cache)
-        fields = [scan.param, _fmt(value), _fmt(max_concurrence), str(k_at_max)]
-        yield ",".join(fields + [_fmt(max_leakage)]) + "\n"
+        yield row % (scan.param, value, max_concurrence, k_at_max, max_leakage)
 
 
 _RUNNERS: dict[str, Callable[[RunConfig], Iterator[str]]] = {

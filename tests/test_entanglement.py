@@ -14,9 +14,9 @@ from kicked_coupler import (
     evolve,
     joint_index,
 )
-from kicked_coupler import entanglement
+from kicked_coupler import entanglement, propagation
 from kicked_coupler.hamiltonians import basis_state
-from conftest import project_to_qubits, random_unit_vector
+from conftest import project_to_qubits, random_unit_vector, traced_peak
 
 
 def random_qubit_state(rng):
@@ -237,6 +237,11 @@ class TestAnnotateTrajectory:
         assert obs.leakage.max() > 1e-3
 
     @pytest.mark.parametrize(
+        "layout",
+        [lambda s: s, np.asfortranarray, lambda s: s[::2]],
+        ids=["C", "F", "every-other-row"],
+    )
+    @pytest.mark.parametrize(
         "params, kicks",
         [
             (SystemParams(), 600),
@@ -244,14 +249,24 @@ class TestAnnotateTrajectory:
         ],
         ids=["D225", "D20"],
     )
-    def test_norms_equal_per_row_vdot(self, params, kicks):
+    def test_norms_equal_per_row_vdot(self, params, kicks, layout):
         # the batched row norms equal one np.vdot per row bit for bit, so
-        # the leakage equals project_to_qubits' exactly
-        states = evolve(params, kicks)
+        # the leakage equals project_to_qubits' exactly, also where the rows
+        # are strided (a Fortran-ordered copy, every other row)
+        states = layout(evolve(params, kicks))
         obs = annotate_trajectory(states, params.dims)
         leakage = [project_to_qubits(psi, params.dims)[1] for psi in states]
         assert np.array_equal(obs.leakage, leakage)
         assert obs.leakage.max() > 0.0
+
+    def test_peak_memory_stays_below_a_quarter_block(self):
+        # the row norms take no conjugated copy of the block; what remains
+        # are the (K+1, 4) and (K+1,) observable arrays
+        params = SystemParams()
+        block = evolve(params, propagation.BLOCK_KICKS - 1)
+        assert block.shape == (propagation.BLOCK_KICKS, 225)
+        peak = traced_peak(lambda: annotate_trajectory(block, params.dims))
+        assert peak < 0.25 * block.nbytes, peak / block.nbytes
 
     def test_rejects_states_of_other_dimension(self):
         params = SystemParams(dims=ModeDims(4, 4))
