@@ -82,17 +82,13 @@ class RunConfig:
 _FLOAT = "%.12g"
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT % float(x)
-
-
 def _fmt_value(x) -> str:
     """A real or complex config value as text that parses back to it: a
     real one as _FLOAT writes it where that is exact, else as repr."""
     x = complex(x)
     if x.imag != 0:
         return str(x).strip("()")
-    text = _fmt(x.real)
+    text = _FLOAT % x.real
     return text if float(text) == x.real else repr(x.real)
 
 
@@ -374,11 +370,7 @@ def _output(path: str) -> Iterator[TextIO]:
     way.
     """
     existed = os.path.exists(path)
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except OSError as exc:
-        # the message names the path that was asked for
-        raise type(exc)(exc.errno, exc.strerror, path) from None
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     target = os.path.realpath(path)
     regular = stat.S_ISREG(os.fstat(fd).st_mode)
     spool_dir = os.path.dirname(target) if regular else None

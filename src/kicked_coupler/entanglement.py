@@ -66,9 +66,14 @@ def density_from_pure(amps: np.ndarray) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
-def _validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rho as a complex array and its eigenvalues and eigenvectors, after
-    the shape, Hermiticity, trace and positivity checks."""
+def concurrence(rho: np.ndarray) -> float:
+    """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4) of a 4x4 density
+    matrix, after the shape, Hermiticity, trace and positivity checks.
+
+    The l_i are the decreasing square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy).  With rho = w w^+, they are the singular
+    values of the complex-symmetric matrix w^T (sy x sy) w.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"two-qubit density must be 4x4, got {rho.shape}")
@@ -81,30 +86,9 @@ def _validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise ContractViolationError(
             f"density matrix has negative eigenvalue {np.min(eigenvalues):.3e}"
         )
-    return rho, eigenvalues, eigenvectors
-
-
-def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4).
-
-    The l_i are the decreasing square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).  They are obtained from the Hermitian
-    positive-semidefinite matrix sqrt(rho) rho~ sqrt(rho), which shares its
-    spectrum with rho rho~ but needs only the Hermitian eigensolver.
-    """
-    rho, rho_values, rho_vectors = _validate_density(rho)
-    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    sqrt_rho = (rho_vectors * np.sqrt(np.clip(rho_values, 0.0, None))) @ (
-        rho_vectors.conj().T
-    )
-    m = sqrt_rho @ rho_tilde @ sqrt_rho
-    m = 0.5 * (m + m.conj().T)  # symmetrize roundoff
-    eigenvalues = np.clip(hermitian_eigendecomposition(m)[0], 0.0, None)
-    # roundoff noise below the leading eigenvalue would be amplified by the
-    # square root; anything that far down is numerically zero
-    eigenvalues[eigenvalues < 1e-13 * eigenvalues.max()] = 0.0
-    lam = np.sqrt(np.sort(eigenvalues)[::-1])
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    w = eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    lam = np.linalg.svd(w.T @ _SY_SY @ w, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
 def concurrence_pure(amps: np.ndarray) -> np.ndarray:

@@ -117,10 +117,10 @@ def evolve_blocks(
     calls that share it until a parameter its generator reads
     (UNITARY_INPUTS) changes: a scan reuses the one its parameter skips.
 
-    The norm contract is checked against row 0 once the last block is
-    filled, before it is yielded: ContractViolationError is raised in place
-    of the last block, so a consumer that stops after it cannot skip the
-    check.
+    The norm contract is checked against 1, the vacuum's squared norm, once
+    the last block is filled, before it is yielded: ContractViolationError
+    is raised in place of the last block, so a consumer that stops after it
+    cannot skip the check.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
@@ -141,7 +141,6 @@ def _blocks(
     dims: ModeDims, n_kicks: int, factors: tuple[np.ndarray, ...]
 ) -> Iterator[tuple[int, np.ndarray]]:
     psi = basis_state(0, 0, dims)
-    initial_norm = np.vdot(psi, psi).real
     for start, stop in kick_blocks(n_kicks):
         block = np.empty((stop - start, psi.size), dtype=complex)
         # row 0 of the trajectory is the vacuum itself
@@ -153,10 +152,10 @@ def _blocks(
             block[k] = psi
         if stop == n_kicks + 1:
             final_norm = np.vdot(psi, psi).real
-            # written so that a NaN norm fails too
-            if not abs(final_norm - initial_norm) <= NORM_RTOL * initial_norm:
+            # the vacuum has squared norm 1; written so that a NaN norm fails too
+            if not abs(final_norm - 1.0) <= NORM_RTOL:
                 raise ContractViolationError(
-                    f"squared norm drifted from {initial_norm:.17g} to "
+                    "squared norm drifted from 1 to "
                     f"{final_norm:.17g} over {n_kicks} periods "
                     f"(relative tolerance {NORM_RTOL:g})"
                 )
@@ -175,7 +174,7 @@ def evolve(
     caller that needs one block at a time should iterate that instead.
 
     Raises ContractViolationError if the squared norm of the last state
-    differs from that of the first by more than NORM_RTOL, relative.
+    differs from that of the vacuum, 1, by more than NORM_RTOL.
     """
     blocks = evolve_blocks(params, n_kicks, ordering)
     # the operators are built before the trajectory is allocated, so their

@@ -21,13 +21,18 @@ from kicked_coupler.cli import (
     CSV_HEADER,
     ConfigError,
     RunConfig,
-    _fmt,
+    _FLOAT,
     echo_config,
     main,
     run,
 )
 from kicked_coupler.propagation import UNITARY_INPUTS
 from conftest import MATRIX_BYTES, drifting_norm, traced_peak
+
+
+def fmt(x):
+    """One CSV cell, as the CLI writes it."""
+    return _FLOAT % float(x)
 
 
 def parse_config(text):
@@ -367,7 +372,7 @@ class TestRunModes:
             k = int(np.argmax(obs.concurrence))
             value = getattr(params, param)
             assert row == [
-                param, _fmt(value), _fmt(obs.concurrence[k]), str(k), _fmt(obs.leakage.max())
+                param, fmt(value), fmt(obs.concurrence[k]), str(k), fmt(obs.leakage.max())
             ]
         # one cache for the whole scan, holding one unitary per kind
         caches = {id(cache) for _, _, cache in calls}
@@ -1102,21 +1107,21 @@ def csv_bytes(tmp_path, argv, name="run.csv"):
 
 class TestRowFormatting:
     def test_percent_format_equals_format(self, rng):
-        # _fmt and _csv_rows format with '%.12g'; the CSVs of earlier
-        # versions used format(x, '.12g'), so both must give the same text
-        # for every float
+        # _csv_rows and _fmt_value format with _FLOAT, '%.12g'; the CSVs of
+        # earlier versions used format(x, '.12g'), so both must give the same
+        # text for every float
         bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
         values = bits.view(np.float64).tolist() + [
             0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
             2.2250738585072009e-308, 1.7976931348623157e308, 1e-12, 0.1, 1 / 3,
         ]
-        assert [format(x, ".12g") for x in values] == [_fmt(x) for x in values]
+        assert [format(x, ".12g") for x in values] == [fmt(x) for x in values]
 
     def test_rows_equal_the_per_cell_format(self, rng):
         table = rng.normal(size=(9, 10))
         table[2, 3], table[4, 5] = -0.0, np.nan
         expected = "".join(
-            ",".join([str(k)] + [_fmt(v) for v in row]) + "\n"
+            ",".join([str(k)] + [fmt(v) for v in row]) + "\n"
             for k, row in enumerate(table.tolist(), 5)
         )
         assert cli._csv_rows(table, 5) == expected
@@ -1178,7 +1183,7 @@ class TestStreamedRuns:
             params = replace(config.params, T=float(value))
             obs = annotate_trajectory(evolve(params, 60), params.dims)
             k = int(np.argmax(obs.concurrence))
-            assert row[2:] == [_fmt(obs.concurrence[k]), str(k), _fmt(obs.leakage.max())]
+            assert row[2:] == [fmt(obs.concurrence[k]), str(k), fmt(obs.leakage.max())]
 
     @pytest.mark.parametrize("mode", ["simulate", "analytic", "compare"])
     def test_peak_memory_does_not_grow_with_kicks(self, tmp_path, mode):
@@ -1225,7 +1230,7 @@ class TestStreamedRuns:
         expected = np.linspace(start, stop, steps)
         assert np.array(values).tobytes() == expected.tobytes()
         _, rows = read_rows(tmp_path / "o.csv")
-        assert [row[1] for row in rows] == [_fmt(value) for value in expected]
+        assert [row[1] for row in rows] == [fmt(value) for value in expected]
         if stop == 1e-323:
             assert values[2] == 5e-324
 
@@ -1290,12 +1295,10 @@ def deny_writes_without_permission(monkeypatch):
 
     def checked_open(path, flags, mode=0o777, *, dir_fd=None):
         if flags & (os.O_WRONLY | os.O_RDWR):
-            try:
-                # an existing file, or the directory of an O_TMPFILE open
-                st = os.stat(path)
-            except FileNotFoundError:
-                st = os.stat(os.path.dirname(path) or ".")
-            if not st.st_mode & stat.S_IWUSR:
+            # an existing file, or the directory of an O_TMPFILE open or of
+            # a new file; if neither exists, the kernel's ENOENT names path
+            target = path if os.path.exists(path) else os.path.dirname(path) or "."
+            if os.path.exists(target) and not os.stat(target).st_mode & stat.S_IWUSR:
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
         return real_open(path, flags, mode, dir_fd=dir_fd)
 

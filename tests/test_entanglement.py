@@ -140,19 +140,35 @@ class TestConcurrence:
         with pytest.raises(ValueError, match="must be 4x4"):
             concurrence(np.zeros(shape))
 
-    def test_two_eigendecompositions_per_call(self, rng, monkeypatch):
-        # one of rho, shared by the positivity check and sqrt(rho), and one
-        # of sqrt(rho) rho~ sqrt(rho)
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (0.6, 0.4 - 1e-8, 1e-8, 0.0),
+            (0.7, 0.2, 0.1 - 1e-9, 1e-9),
+            (0.6, 0.4 - 1e-6, 1e-6, 0.0),
+        ]
+        # Werner states F |B1><B1| + (1 - F)/3 (1 - |B1><B1|)
+        + [(f,) + 3 * ((1 - f) / 3,) for f in (0.2, 1 / 3, 0.34, 0.5, 0.9)],
+    )
+    def test_exact_on_bell_diagonal_states(self, weights):
+        # sum p_i |Bi><Bi| has concurrence max(0, 2 max p - 1) exactly
+        rho = sum(p * density_from_pure(b) for p, b in zip(weights, bell_states()))
+        assert abs(concurrence(rho) - max(0.0, 2 * max(weights) - 1)) <= 1e-14
+
+    def test_one_eigendecomposition_per_call(self, rng, monkeypatch):
+        # of rho, shared by the positivity check and the factor w
         calls = []
         decompose = entanglement.hermitian_eigendecomposition
 
         def counting(h):
-            calls.append(h.shape)
+            calls.append(h)
             return decompose(h)
 
         monkeypatch.setattr(entanglement, "hermitian_eigendecomposition", counting)
-        concurrence(density_from_pure(random_qubit_state(rng)))
-        assert calls == [(4, 4), (4, 4)]
+        rho = density_from_pure(random_qubit_state(rng))
+        concurrence(rho)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], rho)
 
 
 class TestBellFidelities:

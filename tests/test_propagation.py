@@ -315,7 +315,7 @@ class TestNormContract:
     def test_drifting_norm_raises(self, monkeypatch):
         drifting_norm(monkeypatch)
         for ordering in Ordering:
-            with pytest.raises(ContractViolationError, match="norm"):
+            with pytest.raises(ContractViolationError, match="squared norm drifted from 1 to "):
                 evolve(SystemParams(dims=ModeDims(3, 3)), 5, ordering=ordering)
 
     def test_nan_norm_raises(self, monkeypatch):
