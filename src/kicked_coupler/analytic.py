@@ -97,7 +97,8 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
     The formulas hold at |alpha| and |epsilon|.  The gauge a -> a e^{i theta},
     b -> b e^{i phi}, with theta = arg alpha and phi = theta - arg epsilon,
     takes H and G to those magnitudes, so column |mn> carries the phase
-    e^{i (m theta + n phi)}; with no phase the rows keep their bits."""
+    e^{i (m theta + n phi)}.  Positive real inputs give factors of exactly
+    1 + 0j, so their rows keep their values."""
     ks = np.arange(float(start), float(stop))
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
@@ -149,8 +150,7 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
     theta = cmath.phase(complex(params.alpha))
     # columns |01> and |11> are 0 in the uncoupled forms, so phi is moot there
     phi = theta - cmath.phase(complex(params.epsilon))
-    if theta or phi:
-        amps *= np.exp(1j * np.array([0.0, phi, theta, theta + phi]))
+    amps *= np.exp(1j * np.array([0.0, phi, theta, theta + phi]))
     return amps
 
 

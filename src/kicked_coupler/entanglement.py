@@ -55,11 +55,6 @@ class QubitObservables:
     bell_fidelities: np.ndarray
 
 
-def _qubit_columns(dims: ModeDims) -> list[int]:
-    """Joint indices of |00>, |01>, |10>, |11>."""
-    return [joint_index(m, n, dims) for m in (0, 1) for n in (0, 1)]
-
-
 def density_from_pure(amps: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |psi><psi| of four qubit amplitudes."""
     amps = np.asarray(amps, dtype=complex)
@@ -121,12 +116,14 @@ def annotate_trajectory(states: np.ndarray, dims: ModeDims) -> QubitObservables:
     qubit subspace."""
     if states.ndim != 2 or states.shape[1] != dims.joint:
         raise ValueError(f"states have shape {states.shape}, expected (K+1, {dims.joint})")
-    raw = states[:, _qubit_columns(dims)]
-    if np.any(np.all(np.abs(raw) < _PROJECTION_FLOOR, axis=1)):
+    # the columns of |00>, |01>, |10>, |11>
+    raw = states[:, [joint_index(m, n, dims) for m in (0, 1) for n in (0, 1)]]
+    moduli = np.abs(raw)
+    if np.any(np.all(moduli < _PROJECTION_FLOOR, axis=1)):
         raise ContractViolationError(
             "a state has no numerical support on the qubit subspace"
         )
-    probs = np.abs(raw) ** 2
+    probs = moduli**2
     weight = np.sum(probs, axis=1)
     # <psi|psi> per row, the BLAS dot of np.vdot, so equal to it bit for bit
     # (tests/test_entanglement.py checks it)

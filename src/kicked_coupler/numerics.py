@@ -61,14 +61,10 @@ def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     gives it: (eigenvalues, eigenvectors), the eigenvalues real and
     ascending, the eigenvectors the columns of a unitary matrix.
 
-    Raises ValueError if the input is not a square matrix,
-    ContractViolationError if an entry is not finite or the input fails the
-    Hermiticity tolerance, and propagates LinAlgError if the eigensolver
-    does not converge.
+    Raises ContractViolationError if an entry is not finite or the input
+    fails the Hermiticity tolerance, and propagates LinAlgError if the
+    eigensolver does not converge.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
     scale = float(np.max(np.abs(h), initial=0.0))
     # written so that a NaN scale fails too; an overflowed entry would
     # otherwise pass the Hermiticity test below as a NaN defect
@@ -91,8 +87,8 @@ def unitary_from_generator(h: np.ndarray, t: float) -> np.ndarray:
     PHASE_ROUNDOFF_TOL (or is not a number).
     """
     eigenvalues, eigenvectors = hermitian_eigendecomposition(h)
-    # on CPython 3.11 and later a call hands its arguments over, so this
-    # frees a generator that the caller built only to pass it here
+    # a call hands its arguments over, so this frees a generator that the
+    # caller built only to pass it here
     del h
     check_phase_roundoff(
         float(np.max(np.abs(eigenvalues), initial=0.0)) * abs(t), "max|lambda t|"

@@ -13,11 +13,11 @@ import run as bench_run  # noqa: E402
 
 
 def blas_facts() -> str:
-    """The numpy version, BLAS build and OpenBLAS thread count, as the
-    benchmark records them (bench/run.py machine_facts)."""
+    """The Python and numpy versions, BLAS build and OpenBLAS thread count,
+    as the benchmark records them (bench/run.py machine_facts)."""
     facts = bench_run.machine_facts()
     return (
-        f"numpy {facts['numpy']} with BLAS {facts['blas']}, "
+        f"Python {facts['python']}, numpy {facts['numpy']} with BLAS {facts['blas']}, "
         f"{facts['blas_threads']} OpenBLAS threads"
     )
 

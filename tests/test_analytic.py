@@ -249,6 +249,7 @@ class TestTruncatedAmplitudes:
                 rows += len(amplitude_rows(start, stop, params))
         assert rows - 1 <= limit < rows + 6
         assert f"phase roundoff {rows + 6} * |alpha| * 2^-52" in str(info.value)
+        assert f"({rows + 6} * |alpha| = {(rows + 6) * 1e6:.3e})" in str(info.value)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_no_numpy_warning(self):
