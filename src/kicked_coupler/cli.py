@@ -120,13 +120,16 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
 
 # A runner yields the CSV text of a run piece by piece, header first, one
 # piece per block of kicks (per point for scan), so no mode holds more than
-# one block of states, closed-form amplitudes or formatted rows.
+# one block of states, closed-form amplitudes or formatted rows.  A block of
+# states is dropped once its observables are taken, before the next one is
+# asked for.
 
 
 def _run_simulate(config: RunConfig) -> Iterator[str]:
     yield CSV_HEADER + "\n"
     for k, block in evolve_blocks(config.params, config.n_kicks, ordering=config.ordering):
         obs = annotate_trajectory(block, config.params.dims)
+        del block
         yield _csv_rows(_observable_columns(obs), k)
 
 
@@ -152,7 +155,9 @@ def _run_compare(config: RunConfig) -> Iterator[str]:
     # the kicked dynamics to highest order
     for k, block in evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE):
         obs = annotate_trajectory(block, config.params.dims)
-        probs = np.abs(amplitude_rows(k, k + len(block), config.params)) ** 2
+        stop = k + len(block)
+        del block
+        probs = np.abs(amplitude_rows(k, stop, config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
         yield _csv_rows(np.column_stack((_observable_columns(obs), probs, dp_max)), k)
 
@@ -166,6 +171,7 @@ def _scan_point(
     k_at_max = 0
     for k, block in evolve_blocks(params, config.n_kicks, ordering=config.ordering, cache=cache):
         obs = annotate_trajectory(block, params.dims)
+        del block
         i = int(np.argmax(obs.concurrence))
         # strict '>': the first maximum wins across blocks, as in argmax
         if obs.concurrence[i] > max_concurrence:

@@ -42,12 +42,13 @@ DEFAULT_ORDERING = Ordering.FREE_THEN_KICK
 # about 1e-13 over 10 000 periods at D = 225.
 NORM_RTOL = 1e-9
 
-# Rows per block of a streamed trajectory (evolve_blocks).  A consumer
-# still holds the previous block while the next one is filled, so a run
-# holds its step unitaries (at most two) and two blocks.  At D = 225 a
-# block of 128 states is 0.46 MB, 0.57 of a D x D complex matrix, so the
-# run stays below the four matrices that building a step unitary needs.
-BLOCK_KICKS = 128
+# Rows per block of a streamed trajectory (evolve_blocks).  The loop keeps
+# no reference to a block once it is yielded, and every CLI mode drops it
+# once its observables are taken, so a run holds its step unitaries (at
+# most two) and one block.  At D = 225 a block of 256 states is 0.92 MB,
+# 1.14 D x D complex matrices, so the run stays below the four matrices
+# that building a step unitary needs.
+BLOCK_KICKS = 256
 
 
 # The parameters each step unitary's generator reads.  A cached unitary is
@@ -108,10 +109,12 @@ def evolve_blocks(
     The arguments are checked and the step operators built when this is
     called.  The returned iterator yields (start, block) for each
     kick_blocks range: the kick number of the block's first row and the
-    rows of the range, so a consumer that handles one block at a time holds
-    O(BLOCK_KICKS * D) states whatever n_kicks is.  Each row is computed
-    from the row before it through the same products in the same order as
-    in `evolve`, so the concatenated blocks equal its array bit for bit.
+    rows of the range.  The iterator drops its reference to a block once it
+    is yielded, so a consumer that drops each block before asking for the
+    next holds one block, BLOCK_KICKS * D states, whatever n_kicks is.  Each
+    row is computed from the row before it through the same products in the
+    same order as in `evolve`, so the concatenated blocks equal its array
+    bit for bit.
 
     ``cache``, a dict the caller owns, keeps each step unitary across the
     calls that share it until a parameter its generator reads
@@ -141,15 +144,22 @@ def _blocks(
     dims: ModeDims, n_kicks: int, factors: tuple[np.ndarray, ...]
 ) -> Iterator[tuple[int, np.ndarray]]:
     psi = basis_state(0, 0, dims)
+    # the leading factors write into one scratch vector and the last one
+    # straight into the block's row: the BLAS matvec of `u @ psi`, without
+    # a new array per factor or a copy per row
+    *leading, last = factors
+    scratch = np.empty_like(psi)
     for start, stop in kick_blocks(n_kicks):
         block = np.empty((stop - start, psi.size), dtype=complex)
         # row 0 of the trajectory is the vacuum itself
         first = 0 if start else 1
         block[:first] = psi
         for k in range(first, len(block)):
-            for u in factors:
-                psi = u @ psi
-            block[k] = psi
+            for u in leading:
+                psi = np.dot(u, psi, out=scratch)
+            psi = np.dot(last, psi, out=block[k])
+        # a copy, not a view, so that the next block does not keep this one
+        psi = block[-1].copy()
         if stop == n_kicks + 1:
             final_norm = np.vdot(psi, psi).real
             # the vacuum has squared norm 1; written so that a NaN norm fails too
@@ -160,6 +170,7 @@ def _blocks(
                     f"(relative tolerance {NORM_RTOL:g})"
                 )
         yield start, block
+        del block
 
 
 def evolve(

@@ -1259,8 +1259,8 @@ class TestStreamedRuns:
     )
     def test_peak_memory_is_four_matrices(self, tmp_path, document, kicks, rows):
         # at the reference cutoffs the peak is the build of a step unitary
-        # while the other one is alive; a run holds its unitaries and two
-        # blocks, which must stay below that (600 kicks: two full blocks)
+        # while the other one is alive; a run holds its unitaries and one
+        # block, which must stay below that (600 kicks: two full blocks)
         cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
         cfg.write_text(document)
         argv = ["--config", str(cfg), "--out", str(out)]

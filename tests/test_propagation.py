@@ -8,6 +8,7 @@ from kicked_coupler import (
     ModeDims,
     Ordering,
     SystemParams,
+    annotate_trajectory,
     build_coupler_hamiltonian,
     evolve,
     evolve_blocks,
@@ -139,6 +140,17 @@ class TestEvolve:
             loop_reference(params, 60, ordering),
         )
 
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("block", [7, propagation.BLOCK_KICKS])
+    def test_matches_loop_reference_across_block_edges(self, monkeypatch, ordering, block):
+        # the state carried from one block into the next is the loop's
+        monkeypatch.setattr(propagation, "BLOCK_KICKS", block)
+        params = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(5, 4))
+        n = 2 * block + 5
+        assert np.array_equal(
+            evolve(params, n, ordering=ordering), loop_reference(params, n, ordering)
+        )
+
     def test_determinism(self):
         params = SystemParams(dims=ModeDims(5, 5))
         assert np.array_equal(evolve(params, 40), evolve(params, 40))
@@ -230,6 +242,25 @@ class TestBuildPeakMemory:
         assert params.dims.joint ** 2 * 16 == MATRIX_BYTES
         peak = traced_peak(lambda: propagation._period_factors(params, ordering, {}))
         assert peak <= 4 * MATRIX_BYTES + 64 * 1024, peak / MATRIX_BYTES
+
+
+class TestLoopPeakMemory:
+    def test_a_consumer_that_drops_each_block_holds_one(self):
+        # the step unitaries are built by the call, before tracing starts;
+        # the loop then holds one block, its scratch vector and the
+        # observables' temporaries, as the CLI's simulate mode does
+        params = SystemParams()
+        blocks = evolve_blocks(params, 3 * B)
+        block_bytes = B * params.dims.joint * 16
+
+        def consume():
+            for _, block in blocks:
+                obs = annotate_trajectory(block, params.dims)
+                del block
+            return obs
+
+        peak = traced_peak(consume)
+        assert peak < 1.5 * block_bytes, peak / block_bytes
 
 
 def evolve_cached(params, n_kicks, cache, **kwargs):
