@@ -10,8 +10,6 @@ agree to the stated tolerance under mid-pulse sampling (see
 calibrate_sampling).
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from dataclasses import replace

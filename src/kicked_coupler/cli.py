@@ -19,8 +19,6 @@ Exit codes: 0 success, 2 configuration error (a run too large to allocate
 included), 3 numerical-contract violation, 1 I/O error.
 """
 
-from __future__ import annotations
-
 import os
 import shutil
 import stat
@@ -118,18 +116,26 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
     return "".join([line % (k, *row) for k, row in enumerate(table.tolist(), first_k)])
 
 
+def _observed_blocks(
+    params: SystemParams, n_kicks: int, ordering: Ordering, cache: dict | None = None
+) -> Iterator[tuple[int, QubitObservables]]:
+    """The first kick number and the observables of each block of the
+    run's trajectory (evolve_blocks).  A block of states is dropped once its
+    observables are taken, before the next one is asked for."""
+    for k, block in evolve_blocks(params, n_kicks, ordering=ordering, cache=cache):
+        obs = annotate_trajectory(block, params.dims)
+        del block
+        yield k, obs
+
+
 # A runner yields the CSV text of a run piece by piece, header first, one
 # piece per block of kicks (per point for scan), so no mode holds more than
-# one block of states, closed-form amplitudes or formatted rows.  A block of
-# states is dropped once its observables are taken, before the next one is
-# asked for.
+# one block of states, closed-form amplitudes or formatted rows.
 
 
 def _run_simulate(config: RunConfig) -> Iterator[str]:
     yield CSV_HEADER + "\n"
-    for k, block in evolve_blocks(config.params, config.n_kicks, ordering=config.ordering):
-        obs = annotate_trajectory(block, config.params.dims)
-        del block
+    for k, obs in _observed_blocks(config.params, config.n_kicks, config.ordering):
         yield _csv_rows(_observable_columns(obs), k)
 
 
@@ -153,11 +159,8 @@ def _run_compare(config: RunConfig) -> Iterator[str]:
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
-    for k, block in evolve_blocks(config.params, config.n_kicks, ordering=Ordering.MID_PULSE):
-        obs = annotate_trajectory(block, config.params.dims)
-        stop = k + len(block)
-        del block
-        probs = np.abs(amplitude_rows(k, stop, config.params)) ** 2
+    for k, obs in _observed_blocks(config.params, config.n_kicks, Ordering.MID_PULSE):
+        probs = np.abs(amplitude_rows(k, k + len(obs.leakage), config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
         yield _csv_rows(np.column_stack((_observable_columns(obs), probs, dp_max)), k)
 
@@ -169,9 +172,7 @@ def _scan_point(
     leakage of one scan point's run, taken block by block."""
     max_concurrence = max_leakage = -np.inf
     k_at_max = 0
-    for k, block in evolve_blocks(params, config.n_kicks, ordering=config.ordering, cache=cache):
-        obs = annotate_trajectory(block, params.dims)
-        del block
+    for k, obs in _observed_blocks(params, config.n_kicks, config.ordering, cache):
         i = int(np.argmax(obs.concurrence))
         # strict '>': the first maximum wins across blocks, as in argmax
         if obs.concurrence[i] > max_concurrence:

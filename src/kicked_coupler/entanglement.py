@@ -1,7 +1,5 @@
 """Qubit-subspace projection, concurrence, and Bell-state fidelities."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -11,8 +11,6 @@ quantum-scissors regime where only the lowest two levels of each mode
 take part in the dynamics.
 """
 
-from __future__ import annotations
-
 import cmath
 from dataclasses import dataclass, field
 

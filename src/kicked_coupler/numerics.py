@@ -10,8 +10,6 @@ nowhere else is freed before the product: V, its phase-scaled copy and the
 product are the three D x D complex arrays it holds at its peak.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 

@@ -11,8 +11,6 @@ three; it yields the trajectory in fixed blocks of rows, and `evolve`
 collects them into one array.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from enum import Enum
 

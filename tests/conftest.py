@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kicked_coupler import ModeDims, SystemParams, joint_index, propagation
+from kicked_coupler import SystemParams, joint_index, propagation
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -51,21 +51,12 @@ def default_params():
     return SystemParams()
 
 
-@pytest.fixture
-def small_dims():
-    return ModeDims(2, 2)
-
-
 # Dense single-mode operators, their lifts to the joint space and the
 # per-state qubit projection: the references the package's entrywise
 # operator builders and batched observables are checked against.
 def annihilation_op(dim):
     """a|n> = sqrt(n)|n-1>; its adjoint annihilates the top level |dim-1>."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def number_op(dim):
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def embed_mode_a(op, dims):

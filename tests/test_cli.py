@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kicked_coupler import Ordering, annotate_trajectory, evolve, evolve_blocks
+from kicked_coupler import Ordering, SystemParams, annotate_trajectory, evolve, evolve_blocks
 from kicked_coupler import analytic, cli, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
@@ -449,6 +449,18 @@ class TestMain:
         assert config.params.alpha == 0.05 and config.n_kicks == 7
         echoes = []
         for path in (plain, marked):
+            assert main(["--config", str(path), "--echo-config"]) == 0
+            echoes.append(capsys.readouterr())
+        assert echoes[0] == echoes[1]
+        assert "alpha = 0.05" in echoes[1].out.splitlines()
+
+    def test_config_file_with_crlf_line_ends(self, tmp_path, capsys):
+        text = "alpha = 0.05\nkicks = 7\n"
+        plain, crlf = tmp_path / "plain.cfg", tmp_path / "crlf.cfg"
+        plain.write_text(text, encoding="utf-8")
+        crlf.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+        echoes = []
+        for path in (plain, crlf):
             assert main(["--config", str(path), "--echo-config"]) == 0
             echoes.append(capsys.readouterr())
         assert echoes[0] == echoes[1]
@@ -1268,6 +1280,27 @@ class TestStreamedRuns:
         peak = traced_peak(lambda: main(argv + ["--kicks", str(kicks)]))
         assert len(out.read_text().splitlines()) == rows + 1
         assert peak <= 4 * MATRIX_BYTES + 128 * 1024, peak / MATRIX_BYTES
+
+    @pytest.mark.parametrize(
+        "ordering, cache",
+        [*((ordering, None) for ordering in Ordering), (Ordering.KICK_THEN_FREE, {})],
+        ids=[*(ordering.value for ordering in Ordering), "shared-cache"],
+    )
+    def test_observed_blocks_hold_one_block(self, ordering, cache):
+        # the first next() builds the step unitaries before tracing starts;
+        # the rest of the run then holds one block of states at a time
+        params = SystemParams()
+        b = propagation.BLOCK_KICKS
+        observed = cli._observed_blocks(params, 3 * b, ordering, cache)
+        next(observed)
+        block_bytes = b * params.dims.joint * 16
+
+        def drain():
+            for _ in observed:
+                pass
+
+        peak = traced_peak(drain)
+        assert peak < 1.5 * block_bytes, peak / block_bytes
 
     @pytest.mark.parametrize("mode", ["simulate", "analytic", "compare", "scan"])
     def test_default_blocks_equal_one_block(self, tmp_path, monkeypatch, mode):

@@ -7,7 +7,7 @@ import pytest
 from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
 from kicked_coupler.hamiltonians import basis_state, build_kick_generator
 from kicked_coupler.numerics import hermiticity_defect
-from conftest import annihilation_op, embed_mode_a, embed_mode_b, number_op
+from conftest import annihilation_op, embed_mode_a, embed_mode_b
 
 
 class TestModeDims:
@@ -53,9 +53,6 @@ class TestAnnihilation:
         comm = a @ a.conj().T - a.conj().T @ a
         interior = np.s_[: dim - 1, : dim - 1]
         np.testing.assert_allclose(comm[interior], np.eye(dim - 1), atol=1e-14)
-
-    def test_number_op(self):
-        np.testing.assert_allclose(number_op(4), np.diag([0, 1, 2, 3]), atol=0)
 
 
 class TestTensorProduct:
@@ -232,8 +229,8 @@ class TestCouplerHamiltonian:
         params = SystemParams(epsilon=0.04 + 0.02j, dims=ModeDims(8, 8))
         h = build_coupler_hamiltonian(params)
         dims = params.dims
-        n = embed_mode_a(number_op(dims.dim_a), dims) + embed_mode_b(
-            number_op(dims.dim_b), dims
+        n = embed_mode_a(np.diag(np.arange(dims.dim_a)), dims) + embed_mode_b(
+            np.diag(np.arange(dims.dim_b)), dims
         )
         comm = h @ n - n @ h
         assert np.max(np.abs(comm)) <= 1e-12 * np.max(np.abs(h))
