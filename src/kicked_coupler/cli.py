@@ -2,8 +2,8 @@
 
 Run configurations come from a flat ``key = value`` file (UTF-8, '#'
 comments), overridden by command-line flags.  One table, ``_KEYS``, says
-for each key how it is parsed, where it lands in a RunConfig, how
-``echo_config`` writes it back and whether it has a flag.  Four modes:
+for each key how it is parsed, where it lands in a RunConfig and, unless
+it is a scan key (config-file only), its flag help.  Four modes:
 
 simulate : full-basis stroboscopic evolution, one CSV row per kick.
 analytic : closed-form four-state amplitudes, same CSV schema.
@@ -80,10 +80,15 @@ class RunConfig:
 _FLOAT = "%.12g"
 
 
-def _fmt_value(x) -> str:
-    """A real or complex config value as text that parses back to it: a
-    real one as _FLOAT writes it where that is exact, else as repr."""
-    x = complex(x)
+def _render(value) -> str:
+    """A config value as text that parses back to it: an Ordering as its
+    value, an int or str as str, and a real or complex one as _FLOAT writes
+    it where that is exact, else as repr."""
+    if isinstance(value, Ordering):
+        return value.value
+    if not isinstance(value, float | complex):
+        return str(value)
+    x = complex(value)
     if x.imag != 0:
         return str(x).strip("()")
     text = _FLOAT % x.real
@@ -102,10 +107,10 @@ def _note_closed_forms(params: SystemParams) -> None:
         )
 
 
-def _observable_columns(obs: QubitObservables) -> np.ndarray:
-    """The CSV_HEADER columns after k, one row per kick."""
+def _observable_columns(obs: QubitObservables, *extra: np.ndarray) -> np.ndarray:
+    """The CSV_HEADER columns after k, then any extra columns, one row per kick."""
     return np.column_stack(
-        (obs.probs, obs.leakage, obs.concurrence, obs.bell_fidelities)
+        (obs.probs, obs.leakage, obs.concurrence, obs.bell_fidelities, *extra)
     )
 
 
@@ -162,7 +167,7 @@ def _run_compare(config: RunConfig) -> Iterator[str]:
     for k, obs in _observed_blocks(config.params, config.n_kicks, Ordering.MID_PULSE):
         probs = np.abs(amplitude_rows(k, k + len(obs.leakage), config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
-        yield _csv_rows(np.column_stack((_observable_columns(obs), probs, dp_max)), k)
+        yield _csv_rows(_observable_columns(obs, probs, dp_max), k)
 
 
 def _scan_point(
@@ -223,38 +228,31 @@ def _parse_out(raw: str) -> str:
 
 @dataclass(frozen=True)
 class _Key:
-    """How one config key is parsed, stored, written back and flagged."""
+    """How one config key is parsed, stored and flagged."""
 
     field: str  # attribute path from a RunConfig to the value
     parse: Callable[[str], object]  # raw text -> value; ValueError if malformed
-    render: Callable[[object], str]  # value -> the text echo_config writes
-    help: str | None  # flag help; None keeps the key config-file only
+    help: str = ""  # flag help; a scan key has no flag
     choices: tuple[str, ...] | None = None  # the raw values accepted, if a closed set
 
 
 # echo_config writes the keys in this order
 _KEYS = {
-    "mode": _Key("mode", str, str, "what to compute", MODES),
-    "alpha": _Key(
-        "params.alpha", complex, _fmt_value, "kick strength (complex accepted)"
-    ),
-    "epsilon": _Key(
-        "params.epsilon", complex, _fmt_value, "inter-mode coupling (complex accepted)"
-    ),
-    "T": _Key("params.T", float, _fmt_value, "pulse period"),
-    "chi_a": _Key("params.chi_a", float, _fmt_value, "Kerr constant of mode a"),
-    "chi_b": _Key("params.chi_b", float, _fmt_value, "Kerr constant of mode b"),
-    "kicks": _Key("n_kicks", int, str, "number of kicks to simulate"),
-    "cutoff_a": _Key("params.dims.dim_a", int, str, "Fock levels in mode a"),
-    "cutoff_b": _Key("params.dims.dim_b", int, str, "Fock levels in mode b"),
-    "ordering": _Key(
-        "ordering", Ordering, attrgetter("value"), "step ordering", ORDERINGS
-    ),
-    "out": _Key("out", _parse_out, str, "output CSV path"),
-    "scan_param": _Key("scan.param", str, str, None, SCAN_PARAMS),
-    "scan_start": _Key("scan.start", float, _fmt_value, None),
-    "scan_stop": _Key("scan.stop", float, _fmt_value, None),
-    "scan_steps": _Key("scan.steps", int, str, None),
+    "mode": _Key("mode", str, "what to compute", MODES),
+    "alpha": _Key("params.alpha", complex, "kick strength (complex accepted)"),
+    "epsilon": _Key("params.epsilon", complex, "inter-mode coupling (complex accepted)"),
+    "T": _Key("params.T", float, "pulse period"),
+    "chi_a": _Key("params.chi_a", float, "Kerr constant of mode a"),
+    "chi_b": _Key("params.chi_b", float, "Kerr constant of mode b"),
+    "kicks": _Key("n_kicks", int, "number of kicks to simulate"),
+    "cutoff_a": _Key("params.dims.dim_a", int, "Fock levels in mode a"),
+    "cutoff_b": _Key("params.dims.dim_b", int, "Fock levels in mode b"),
+    "ordering": _Key("ordering", Ordering, "step ordering", ORDERINGS),
+    "out": _Key("out", _parse_out, "output CSV path"),
+    "scan_param": _Key("scan.param", str, choices=SCAN_PARAMS),
+    "scan_start": _Key("scan.start", float),
+    "scan_stop": _Key("scan.stop", float),
+    "scan_steps": _Key("scan.steps", int),
 }
 _SCAN_KEYS = frozenset(k for k, spec in _KEYS.items() if spec.field.startswith("scan."))
 
@@ -345,7 +343,7 @@ def _parse_items(text: str) -> dict:
 def echo_config(config: RunConfig) -> str:
     """Render a config as a document that re-parses to an equal RunConfig."""
     lines = [
-        f"{key} = {spec.render(attrgetter(spec.field)(config))}"
+        f"{key} = {_render(attrgetter(spec.field)(config))}"
         for key, spec in _KEYS.items()
         if config.scan is not None or key not in _SCAN_KEYS
     ]
@@ -405,21 +403,17 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-# main's flags: --config, one per key that has help, and two that take no
+# main's flags: --config, one per key but the scan keys, and two that take no
 # value; none is a prefix of another, so a flag given in full names it alone
 _SWITCHES = ("--echo-config", "--help")
-_FLAGS = (
-    "--config",
-    *(_flag(key) for key, spec in _KEYS.items() if spec.help is not None),
-    *_SWITCHES,
-)
+_FLAGS = ("--config", *(_flag(key) for key in _KEYS if key not in _SCAN_KEYS), *_SWITCHES)
 
 
 def _help_text() -> str:
     """What -h and --help print: each flag, what it takes and what it does."""
     rows = [("-h, --help", "print this help and exit"), ("--config PATH", "key = value file")]
     for key, spec in _KEYS.items():
-        if spec.help is not None:
+        if key not in _SCAN_KEYS:
             takes = "{%s}" % ",".join(spec.choices) if spec.choices else key.upper()
             rows.append((f"{_flag(key)} {takes}", spec.help))
     rows.append(("--echo-config", "print the effective configuration and exit"))

@@ -46,7 +46,7 @@ def read_rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-FLAGGED_KEYS = [key for key, spec in cli._KEYS.items() if spec.help is not None]
+FLAGGED_KEYS = [key for key in cli._KEYS if key not in cli._SCAN_KEYS]
 SCAN_DOCUMENT = (
     "mode = scan\nscan_param = alpha\nscan_start = 0.01\nscan_stop = 0.05\n"
     "scan_steps = 3\n"
@@ -79,7 +79,7 @@ def other_raw(key, value):
         return next(raw for raw in spec.choices if spec.parse(raw) != value)
     if isinstance(value, str):
         return "other-" + value
-    return spec.render(value * (3 + 1j if spec.parse is complex else 3))
+    return cli._render(value * (3 + 1j if spec.parse is complex else 3))
 
 
 class TestParseConfig:
@@ -182,12 +182,12 @@ class TestParseConfig:
     def test_round_trip_every_key_non_default(self):
         default, base = parse_config(""), parse_config(SCAN_DOCUMENT)
         document = ""
-        for key, spec in cli._KEYS.items():
+        for key in cli._KEYS:
             value = value_of(base, key)
             if value == value_of(default, key):
                 document += f"{key} = {other_raw(key, value)}\n"
             else:
-                document += f"{key} = {spec.render(value)}\n"
+                document += f"{key} = {cli._render(value)}\n"
         config = parse_config(document)
         for key in cli._KEYS:
             assert value_of(config, key) != value_of(default, key), key
@@ -594,8 +594,8 @@ class TestMain:
         assert main(["--help"]) == 0
         text, err = capsys.readouterr()
         assert err == ""
-        for spec in cli._KEYS.values():
-            if spec.help is not None and spec.choices is not None:
+        for key, spec in cli._KEYS.items():
+            if key not in cli._SCAN_KEYS and spec.choices is not None:
                 assert "{" + ",".join(spec.choices) + "}" in text
         # -h and an abbreviation print the same, a bad value after them too
         for flag in ("-h", "--he"):
@@ -710,10 +710,10 @@ class TestMain:
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(SCAN_DOCUMENT)
         scan = parse_config(SCAN_DOCUMENT)
-        for key, spec in cli._KEYS.items():
+        for key in cli._KEYS:
             assert (key in FLAGGED_KEYS) == (not key.startswith("scan_")), key
             # each flag sets its key; a scan key has none
-            token = f"{cli._flag(key)}={spec.render(value_of(scan, key))}"
+            token = f"{cli._flag(key)}={cli._render(value_of(scan, key))}"
             code = main(["--config", str(cfg), token, "--echo-config"])
             expected = (0, (echo_config(scan), "")) if key in FLAGGED_KEYS else (
                 2, ("", f"configuration error: not a flag: {token!r}\n")
@@ -1001,7 +1001,7 @@ class TestArgvFuzz:
             return rng.choice(self.CONFIGS)
         key = flag[2:].replace("-", "_")
         default = value_of(self.DEFAULT, key)
-        good = [cli._KEYS[key].render(default), other_raw(key, default)]
+        good = [cli._render(default), other_raw(key, default)]
         return rng.choice(good * 3 + self.VALUES)
 
     def item(self, rng):
@@ -1119,7 +1119,7 @@ def csv_bytes(tmp_path, argv, name="run.csv"):
 
 class TestRowFormatting:
     def test_percent_format_equals_format(self, rng):
-        # _csv_rows and _fmt_value format with _FLOAT, '%.12g'; the CSVs of
+        # _csv_rows and _render format with _FLOAT, '%.12g'; the CSVs of
         # earlier versions used format(x, '.12g'), so both must give the same
         # text for every float
         bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
@@ -1266,13 +1266,23 @@ class TestStreamedRuns:
             ("mode = simulate\n", 600, 601),
             ("mode = compare\n", 600, 601),
             (SCAN_DOCUMENT.replace("scan_steps = 3", "scan_steps = 2"), 300, 2),
+            (
+                "mode = scan\nscan_param = epsilon\nscan_start = 0.01\n"
+                "scan_stop = 0.05\nscan_steps = 2\n", 300, 2,
+            ),
+            (
+                "mode = scan\nscan_param = T\nscan_start = 0.5\nscan_stop = 1.5\n"
+                "scan_steps = 2\n", 300, 2,
+            ),
         ],
-        ids=["simulate", "compare", "scan"],
+        ids=["simulate", "compare", "scan", "scan-epsilon", "scan-T"],
     )
     def test_peak_memory_is_four_matrices(self, tmp_path, document, kicks, rows):
         # at the reference cutoffs the peak is the build of a step unitary
-        # while the other one is alive; a run holds its unitaries and one
-        # block, which must stay below that (600 kicks: two full blocks)
+        # while the other one is alive (an alpha scan rebuilds the kick, an
+        # epsilon or T scan the free step, next to the cached other); a run
+        # holds its unitaries and one block, which must stay below that
+        # (600 kicks: two full blocks)
         cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
         cfg.write_text(document)
         argv = ["--config", str(cfg), "--out", str(out)]

@@ -167,6 +167,7 @@ class TestMatchesDenseProducts:
             (-1.3, 0.0, -0.02 - 0.005j),
             (0.5, -0.0, 0.0),
             (1.0, 2.0, complex(-0.0, 0.04)),
+            (1.0, 1.0, complex(-0.0, -0.0)),
         ],
     )
     def test_coupler_hamiltonian(self, cutoffs, chi_a, chi_b, epsilon):
@@ -181,7 +182,8 @@ class TestMatchesDenseProducts:
 
     @pytest.mark.parametrize("cutoffs", CUTOFFS)
     @pytest.mark.parametrize(
-        "alpha", [0.04, 0.0, -0.0, 0.03 - 0.02j, complex(-0.01, 0.05), 0.05j]
+        "alpha",
+        [0.04, 0.0, -0.0, 0.03 - 0.02j, complex(-0.01, 0.05), 0.05j, complex(-0.0, -0.0)],
     )
     def test_kick_generator(self, cutoffs, alpha):
         params = SystemParams(alpha=alpha, dims=ModeDims(*cutoffs))
