@@ -170,22 +170,6 @@ def _run_compare(config: RunConfig) -> Iterator[str]:
         yield _csv_rows(_observable_columns(obs, probs, dp_max), k)
 
 
-def _scan_point(
-    params: SystemParams, config: RunConfig, cache: dict
-) -> tuple[float, int, float]:
-    """The maximal concurrence, the first k that reaches it, and the maximal
-    leakage of one scan point's run, taken block by block."""
-    max_concurrence = max_leakage = -np.inf
-    k_at_max = 0
-    for k, obs in _observed_blocks(params, config.n_kicks, config.ordering, cache):
-        i = int(np.argmax(obs.concurrence))
-        # strict '>': the first maximum wins across blocks, as in argmax
-        if obs.concurrence[i] > max_concurrence:
-            max_concurrence, k_at_max = obs.concurrence[i], k + i
-        max_leakage = max(max_leakage, obs.leakage.max())
-    return max_concurrence, k_at_max, max_leakage
-
-
 def _run_scan(config: RunConfig) -> Iterator[str]:
     scan = config.scan
     yield SCAN_HEADER + "\n"
@@ -195,13 +179,21 @@ def _run_scan(config: RunConfig) -> Iterator[str]:
     cache: dict = {}
     div, span = scan.steps - 1, scan.stop - scan.start
     step = span / div
-    for k in range(scan.steps):
-        # np.linspace(start, stop, steps)[k] bit for bit, numpy's branch for
+    for j in range(scan.steps):
+        # np.linspace(start, stop, steps)[j] bit for bit, numpy's branch for
         # a step that underflows to 0 included, without the whole array
-        value = k / div * span if step == 0 else k * step
-        value = scan.stop if k == div else value + scan.start
+        value = j / div * span if step == 0 else j * step
+        value = scan.stop if j == div else value + scan.start
         params = replace(config.params, **{scan.param: value})
-        max_concurrence, k_at_max, max_leakage = _scan_point(params, config, cache)
+        max_concurrence = max_leakage = -np.inf
+        k_at_max = 0
+        for k, obs in _observed_blocks(params, config.n_kicks, config.ordering, cache):
+            i = int(np.argmax(obs.concurrence))
+            # strict '>': the first maximum wins across blocks, as in argmax
+            if obs.concurrence[i] > max_concurrence:
+                max_concurrence, k_at_max = obs.concurrence[i], k + i
+            max_leakage = max(max_leakage, obs.leakage.max())
+        del obs  # before the next point's unitaries are built
         yield row % (scan.param, value, max_concurrence, k_at_max, max_leakage)
 
 

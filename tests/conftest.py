@@ -24,8 +24,14 @@ def blas_facts() -> str:
 
 def machine_lines() -> list[str]:
     """The BLAS facts and the line count of src/, as the benchmark records
-    them."""
-    return [blas_facts(), f"src/ lines: {bench_run.machine_facts()['src_lines']}"]
+    them, and whether bytecode writing is off: then every fresh interpreter,
+    the benchmark's setup_s runs included, compiles any module whose cached
+    bytecode is missing or stale."""
+    return [
+        blas_facts(),
+        f"src/ lines: {bench_run.machine_facts()['src_lines']}",
+        f"bytecode writing off: {bool(sys.flags.dont_write_bytecode)}",
+    ]
 
 
 def pytest_report_header(config):

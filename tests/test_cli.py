@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kicked_coupler import Ordering, SystemParams, annotate_trajectory, evolve, evolve_blocks
+from kicked_coupler import (
+    Ordering,
+    QubitObservables,
+    SystemParams,
+    annotate_trajectory,
+    evolve,
+    evolve_blocks,
+)
 from kicked_coupler import analytic, cli, propagation
 from kicked_coupler.cli import (
     CSV_HEADER,
@@ -1248,9 +1255,13 @@ class TestStreamedRuns:
 
     def test_scan_peak_does_not_grow_with_steps(self, tmp_path, monkeypatch):
         # each point's own run is bounded by the four-matrix test below; with
-        # it stubbed out, the peak grows with scan_steps only if the values or
-        # the rows are held: 28 000 more values of np.linspace take 224 kB
-        monkeypatch.setattr(cli, "_scan_point", lambda params, config, cache: (0.5, 1, 0.25))
+        # it stubbed out as one fixed one-row block, the peak grows with
+        # scan_steps only if the values or the rows are held: 28 000 more
+        # values of np.linspace take 224 kB
+        obs = QubitObservables(
+            np.full((1, 4), 0.25), np.array([0.25]), np.array([0.5]), np.full((1, 4), 0.25)
+        )
+        monkeypatch.setattr(cli, "_observed_blocks", lambda *args: iter([(1, obs)]))
         peaks = []
         for steps in (2000, 30000):
             config = parse_config(

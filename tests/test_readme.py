@@ -1,5 +1,6 @@
-"""The numbers README.md states about the code: the constants it quotes,
-the size of the public API and the supported Python and numpy versions."""
+"""The numbers README.md states about the code (the constants it quotes,
+the size of the public API, the supported Python and numpy versions), and
+the package version, which both `__init__` and pyproject.toml state."""
 
 import importlib
 import re
@@ -10,6 +11,7 @@ import kicked_coupler
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
 
 
 def test_quoted_constants_match_the_code():
@@ -27,9 +29,12 @@ def test_export_count_matches_all():
 
 
 def test_version_floors_match_pyproject():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     ((python, numpy),) = re.findall(
         r"needs\s+Python\s+(\S+)\s+or\s+later\s+and\s+numpy\s+(\S+)\s+or\s+later", README
     )
-    assert project["requires-python"] == f">={python}"
-    assert f"numpy>={numpy}" in project["dependencies"]
+    assert PROJECT["requires-python"] == f">={python}"
+    assert f"numpy>={numpy}" in PROJECT["dependencies"]
+
+
+def test_version_matches_pyproject():
+    assert kicked_coupler.__version__ == PROJECT["version"]
