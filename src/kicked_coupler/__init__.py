@@ -19,12 +19,7 @@ from .entanglement import (
 )
 from .hamiltonians import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
 from .numerics import ContractViolationError
-from .propagation import (
-    DEFAULT_ORDERING,
-    Ordering,
-    evolve,
-    evolve_blocks,
-)
+from .propagation import DEFAULT_ORDERING, Ordering, evolve, evolve_blocks
 
 __all__ = [
     "ContractViolationError",
@@ -49,4 +44,4 @@ __all__ = [
     "truncated_map_states",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -34,15 +34,10 @@ from typing import TextIO
 import numpy as np
 
 from .analytic import amplitude_rows, uses_uncoupled_forms
-from .entanglement import (
-    QubitObservables,
-    annotate_trajectory,
-    bell_fidelities,
-    concurrence_pure,
-)
+from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
 from .hamiltonians import SystemParams
 from .numerics import ContractViolationError
-from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks
+from .propagation import DEFAULT_ORDERING, UNITARY_INPUTS, Ordering, evolve_blocks, kick_blocks
 
 SCAN_PARAMS = ("alpha", "epsilon", "T")
 # the full-basis runs record after each whole period; mid-pulse sampling is
@@ -122,12 +117,16 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
 
 
 def _observed_blocks(
-    params: SystemParams, n_kicks: int, ordering: Ordering, cache: dict | None = None
+    params: SystemParams, n_kicks: int, ordering: Ordering, cache: dict | None = None, drop=()
 ) -> Iterator[tuple[int, QubitObservables]]:
     """The first kick number and the observables of each block of the
-    run's trajectory (evolve_blocks).  A block of states is dropped once its
-    observables are taken, before the next one is asked for."""
-    for k, block in evolve_blocks(params, n_kicks, ordering=ordering, cache=cache):
+    run's trajectory (evolve_blocks), after the kinds in drop leave the
+    cache.  A block of states is dropped once its observables are taken,
+    before the next one is asked for."""
+    blocks = evolve_blocks(params, n_kicks, ordering=ordering, cache=cache)
+    for kind in drop:
+        cache.pop(kind, None)
+    for k, block in blocks:
         obs = annotate_trajectory(block, params.dims)
         del block
         yield k, obs
@@ -175,8 +174,10 @@ def _run_scan(config: RunConfig) -> Iterator[str]:
     yield SCAN_HEADER + "\n"
     row = f"%s,{_FLOAT},{_FLOAT},%d,{_FLOAT}\n"
     # the scanned parameter enters one generator only, so the other step
-    # unitary is built once and reused at every point
+    # unitary is built once and reused at every point; the scanned one is
+    # dropped once it is in the period matrix, as no later point uses it
     cache: dict = {}
+    scanned = [kind for kind, inputs in UNITARY_INPUTS.items() if scan.param in inputs]
     div, span = scan.steps - 1, scan.stop - scan.start
     step = span / div
     for j in range(scan.steps):
@@ -187,7 +188,7 @@ def _run_scan(config: RunConfig) -> Iterator[str]:
         params = replace(config.params, **{scan.param: value})
         max_concurrence = max_leakage = -np.inf
         k_at_max = 0
-        for k, obs in _observed_blocks(params, config.n_kicks, config.ordering, cache):
+        for k, obs in _observed_blocks(params, config.n_kicks, config.ordering, cache, scanned):
             i = int(np.argmax(obs.concurrence))
             # strict '>': the first maximum wins across blocks, as in argmax
             if obs.concurrence[i] > max_concurrence:
@@ -289,9 +290,7 @@ def _config_from_items(items: dict) -> RunConfig:
     scan_keys = _SCAN_KEYS & items.keys()
     if config.mode != "scan":
         if scan_keys:
-            raise ConfigError(
-                f"scan keys {sorted(scan_keys)} are only valid with mode = scan"
-            )
+            raise ConfigError(f"scan keys {sorted(scan_keys)} are only valid with mode = scan")
         return config
     missing = _SCAN_KEYS - scan_keys
     if missing:
@@ -300,9 +299,7 @@ def _config_from_items(items: dict) -> RunConfig:
     if scan.steps < 2:
         raise ConfigError(f"scan_steps must be >= 2, got {scan.steps}")
     if not scan.start < scan.stop:
-        raise ConfigError(
-            f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}"
-        )
+        raise ConfigError(f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}")
     # every scanned value lies between the endpoints if their difference,
     # the span of _run_scan, is finite (else the values are NaN), so checking
     # both rejects a non-finite or nonpositive-period scan before it runs

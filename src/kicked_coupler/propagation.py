@@ -7,10 +7,11 @@ kick and the free flight in either order, or halfway through each pulse
 (half kick - free flight - half kick), the convention under which the
 closed-form four-state amplitudes are reproduced most accurately (see
 analytic.calibrate_sampling).  `evolve_blocks` is the one map loop for all
-three; it yields the trajectory in fixed blocks of rows, and `evolve`
-collects them into one array.
+three: one unitary period matrix, one matrix-vector product per kick.  It
+yields the trajectory in fixed blocks of rows, and `evolve` collects them.
 """
 
+import functools
 from collections.abc import Iterator
 from enum import Enum
 
@@ -42,11 +43,16 @@ NORM_RTOL = 1e-9
 
 # Rows per block of a streamed trajectory (evolve_blocks).  The loop keeps
 # no reference to a block once it is yielded, and every CLI mode drops it
-# once its observables are taken, so a run holds its step unitaries (at
-# most two) and one block.  At D = 225 a block of 256 states is 0.92 MB,
-# 1.14 D x D complex matrices, so the run stays below the four matrices
-# that building a step unitary needs.
+# once its observables are taken, so a run holds its period matrix, the
+# step unitaries its caller caches (a scan keeps one) and one block.  At
+# D = 225 a block of 256 states is 0.92 MB, 1.14 D x D complex matrices, so
+# the run stays below the four matrices that building a step unitary needs.
 BLOCK_KICKS = 256
+
+# Largest allowed max |P^+ P v - v| of the period matrix P over the unit
+# vectors v_j[n] = exp(i j n) / sqrt(D), j = 1..4, which weigh every basis
+# state alike (evolve_blocks); criterion 6 bounds U^+ U - I by 1e-10 too.
+UNITARITY_TOL = 1e-10
 
 
 # The parameters each step unitary's generator reads.  A cached unitary is
@@ -85,15 +91,13 @@ def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
 def _period_factors(
     params: SystemParams, ordering: Ordering, cache: dict
 ) -> tuple[np.ndarray, ...]:
-    """The matrices one period applies to the state, first factor first."""
+    """The step unitaries one period applies to the state, first factor first."""
     u_free = _step_unitary("free", params, cache)
     if ordering is Ordering.MID_PULSE:
         u_half = _step_unitary("half", params, cache)
-        return (u_half @ u_free @ u_half,)
+        return (u_half, u_free, u_half)
     u_kick = _step_unitary("kick", params, cache)
-    if ordering is Ordering.KICK_THEN_FREE:
-        return (u_kick, u_free)
-    return (u_free, u_kick)
+    return (u_kick, u_free) if ordering is Ordering.KICK_THEN_FREE else (u_free, u_kick)
 
 
 def evolve_blocks(
@@ -104,15 +108,15 @@ def evolve_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The trajectory of `evolve`, as consecutive blocks of rows.
 
-    The arguments are checked and the step operators built when this is
-    called.  The returned iterator yields (start, block) for each
-    kick_blocks range: the kick number of the block's first row and the
-    rows of the range.  The iterator drops its reference to a block once it
-    is yielded, so a consumer that drops each block before asking for the
-    next holds one block, BLOCK_KICKS * D states, whatever n_kicks is.  Each
-    row is computed from the row before it through the same products in the
-    same order as in `evolve`, so the concatenated blocks equal its array
-    bit for bit.
+    The arguments are checked and the period matrix, the step unitaries
+    multiplied last one leftmost (u_half @ u_free @ u_half for mid-pulse),
+    built and probed for unitarity (UNITARITY_TOL) when this is called.  The
+    returned iterator yields (start, block) for each kick_blocks range: the
+    kick number of the block's first row and the rows of the range.  The
+    iterator drops its reference to a block once it is yielded, so a
+    consumer that drops each block before asking for the next holds one
+    block, BLOCK_KICKS * D states, whatever n_kicks is.  Each row is the
+    period matrix times the row before it, as in `evolve`, bit for bit.
 
     ``cache``, a dict the caller owns, keeps each step unitary across the
     calls that share it until a parameter its generator reads
@@ -126,7 +130,16 @@ def evolve_blocks(
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
     factors = _period_factors(params, ordering, {} if cache is None else cache)
-    return _blocks(params.dims, n_kicks, factors)
+    period = functools.reduce(np.matmul, reversed(factors))
+    probe = np.exp(1j * np.outer(np.arange(len(period)), np.arange(1, 5))) / len(period) ** 0.5
+    # P^+ P v as conj(P^T conj(P v)), without a conjugated copy of P;
+    # written so that a NaN defect fails too
+    defect = np.max(np.abs(np.conj(period.T @ np.conj(period @ probe)) - probe))
+    if not defect <= UNITARITY_TOL:
+        raise ContractViolationError(
+            f"period matrix is not unitary: max |P^+ P v - v| = {defect:.3e} > {UNITARITY_TOL:g}"
+        )
+    return _blocks(params.dims, n_kicks, period)
 
 
 def kick_blocks(n_kicks: int) -> Iterator[tuple[int, int]]:
@@ -138,24 +151,16 @@ def kick_blocks(n_kicks: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + BLOCK_KICKS, n_rows)
 
 
-def _blocks(
-    dims: ModeDims, n_kicks: int, factors: tuple[np.ndarray, ...]
-) -> Iterator[tuple[int, np.ndarray]]:
+def _blocks(dims: ModeDims, n_kicks: int, period: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     psi = basis_state(0, 0, dims)
-    # the leading factors write into one scratch vector and the last one
-    # straight into the block's row: the BLAS matvec of `u @ psi`, without
-    # a new array per factor or a copy per row
-    *leading, last = factors
-    scratch = np.empty_like(psi)
     for start, stop in kick_blocks(n_kicks):
         block = np.empty((stop - start, psi.size), dtype=complex)
         # row 0 of the trajectory is the vacuum itself
         first = 0 if start else 1
         block[:first] = psi
         for k in range(first, len(block)):
-            for u in leading:
-                psi = np.dot(u, psi, out=scratch)
-            psi = np.dot(last, psi, out=block[k])
+            # the BLAS matvec `period @ psi`, straight into the block's row
+            psi = np.dot(period, psi, out=block[k])
         # a copy, not a view, so that the next block does not keep this one
         psi = block[-1].copy()
         if stop == n_kicks + 1:

@@ -109,10 +109,20 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def drifting_norm(monkeypatch):
-    """Scale every step unitary built from now on by 1.001, so that a run's
-    norm drifts past propagation.NORM_RTOL."""
+def off_norm_vacuum(monkeypatch, scale=1.001):
+    """Start every run from now on at scale times the vacuum, so that its
+    final squared norm is off from 1 by more than propagation.NORM_RTOL
+    while its period matrix stays unitary: only the norm contract fails."""
+    original = propagation.basis_state
+    monkeypatch.setattr(
+        propagation, "basis_state", lambda m, n, dims: scale * original(m, n, dims)
+    )
+
+
+def scaled_steps(monkeypatch, scale):
+    """Multiply every step unitary built from now on by scale, so that the
+    period matrix is not unitary unless scale is 1."""
     original = propagation.unitary_from_generator
     monkeypatch.setattr(
-        propagation, "unitary_from_generator", lambda h, t: 1.001 * original(h, t)
+        propagation, "unitary_from_generator", lambda h, t: scale * original(h, t)
     )

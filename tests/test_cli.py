@@ -34,7 +34,7 @@ from kicked_coupler.cli import (
     run,
 )
 from kicked_coupler.propagation import UNITARY_INPUTS
-from conftest import MATRIX_BYTES, drifting_norm, traced_peak
+from conftest import MATRIX_BYTES, off_norm_vacuum, scaled_steps, traced_peak
 
 
 def fmt(x):
@@ -381,11 +381,13 @@ class TestRunModes:
             assert row == [
                 param, fmt(value), fmt(obs.concurrence[k]), str(k), fmt(obs.leakage.max())
             ]
-        # one cache for the whole scan, holding one unitary per kind
+        # one cache for the whole scan, holding only the unitary the scan
+        # reuses: the scanned one is in the period matrix and no later point
+        # uses it
         caches = {id(cache) for _, _, cache in calls}
         assert len(caches) == 1
         cache, last = calls[-1][2], calls[-1][0]
-        assert set(cache) == {"free", "kick"}
+        assert set(cache) == ({"free"} if param == "alpha" else {"kick"})
         for kind, (key, _) in cache.items():
             assert key == tuple(getattr(last, f) for f in UNITARY_INPUTS[kind])
 
@@ -928,11 +930,25 @@ class TestMain:
         assert list(tmp_path.iterdir()) == files
 
     def test_norm_drift_exit_code(self, tmp_path, capsys, monkeypatch):
-        drifting_norm(monkeypatch)
+        off_norm_vacuum(monkeypatch)
         out = tmp_path / "run.csv"
         assert main(["--kicks", "5", "--cutoff-a", "4", "--cutoff-b", "4", "--out", str(out)]) == 3
         assert "norm" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["simulate", "compare", "scan"])
+    def test_non_unitary_step_exit_code(self, tmp_path, capsys, monkeypatch, mode):
+        # the period matrix is probed once it is built, so the run stops
+        # there, before its first block
+        scaled_steps(monkeypatch, 1.001)
+        monkeypatch.setattr(propagation, "_blocks", failing_evolve_blocks)
+        cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+        cfg.write_text(SCAN_DOCUMENT if mode == "scan" else f"mode = {mode}\n")
+        assert main(["--config", str(cfg), "--kicks", "5", "--out", str(out)] + SMALL) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical contract violation: period matrix is not unitary: max |P^+ P v - v| = "
+        )
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("cutoff", ["100000", "4000000000"])
     def test_unindexable_cutoffs_exit_2(self, tmp_path, capsys, cutoff):
@@ -1378,7 +1394,7 @@ def record_spool_dirs(monkeypatch):
 
 class TestOutputFile:
     FAILING_RUNS = {
-        "norm-drift": (["--kicks", "30"] + SMALL, drifting_norm),
+        "norm-drift": (["--kicks", "30"] + SMALL, off_norm_vacuum),
         "closed-form": (["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1",
                          "--kicks", "30"] + SMALL, None),
     }
@@ -1448,7 +1464,7 @@ class TestOutputFile:
         try:
             deny_writes_without_permission(monkeypatch)
             with monkeypatch.context() as m:
-                drifting_norm(m)
+                off_norm_vacuum(m)
                 assert main(["--kicks", "9"] + SMALL + ["--out", str(out)]) == 3
             assert out.read_bytes() == b"earlier result\n"
             assert main(["--kicks", "9"] + SMALL + ["--out", str(out)]) == 0

@@ -18,7 +18,7 @@ from kicked_coupler import (
 from kicked_coupler import propagation
 from kicked_coupler.hamiltonians import basis_state, build_kick_generator
 from kicked_coupler.propagation import UNITARY_INPUTS, kick_blocks
-from conftest import MATRIX_BYTES, drifting_norm, traced_peak
+from conftest import MATRIX_BYTES, off_norm_vacuum, scaled_steps, traced_peak
 
 
 def step_unitaries(params):
@@ -60,16 +60,19 @@ class TestStepOperators:
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-10
 
 
-def loop_reference(params, n_kicks, ordering):
-    """The map loop written out step by step: the reference for evolve."""
+def period_matrix(params, ordering):
+    """One period's matrix, the step applied last leftmost, written out."""
     u_free, u_kick = step_unitaries(params)
     if ordering is Ordering.MID_PULSE:
         half = propagation._step_unitary("half", params, {})
-        factors = [half @ u_free @ half]
-    elif ordering is Ordering.KICK_THEN_FREE:
-        factors = [u_kick, u_free]
-    else:
-        factors = [u_free, u_kick]
+        return half @ u_free @ half
+    if ordering is Ordering.KICK_THEN_FREE:
+        return u_free @ u_kick
+    return u_kick @ u_free
+
+
+def iterate(factors, params, n_kicks):
+    """The states from the vacuum on, each factor applied in turn per kick."""
     psi = basis_state(0, 0, params.dims)
     states = [psi]
     for _ in range(n_kicks):
@@ -77,6 +80,20 @@ def loop_reference(params, n_kicks, ordering):
             psi = u @ psi
         states.append(psi)
     return np.array(states)
+
+
+def loop_reference(params, n_kicks, ordering):
+    """The map loop written out, one period matrix per kick: the reference
+    for evolve."""
+    return iterate([period_matrix(params, ordering)], params, n_kicks)
+
+
+def two_factor_loop(params, n_kicks, ordering):
+    """A plain ordering's map with its kick and free flight applied one
+    after the other, not multiplied into one matrix."""
+    u_free, u_kick = step_unitaries(params)
+    first_kick = ordering is Ordering.KICK_THEN_FREE
+    return iterate([u_kick, u_free] if first_kick else [u_free, u_kick], params, n_kicks)
 
 
 class TestMapStep:
@@ -151,6 +168,32 @@ class TestEvolve:
             evolve(params, n, ordering=ordering), loop_reference(params, n, ordering)
         )
 
+    @pytest.mark.parametrize("ordering", [Ordering.KICK_THEN_FREE, Ordering.FREE_THEN_KICK])
+    def test_period_matrix_keeps_the_two_factor_observables(self, ordering):
+        # one product per period instead of two matvecs moves only roundoff
+        # (1.6e-14 over 2000 kicks); a product taken in the wrong order
+        # moves the observables far more
+        params = SystemParams()
+        n = 2000
+        fast = annotate_trajectory(evolve(params, n, ordering=ordering), params.dims)
+        slow = annotate_trajectory(two_factor_loop(params, n, ordering), params.dims)
+        for field in fields(fast):
+            name = field.name
+            assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) <= 1e-13, name
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_one_matvec_per_kick(self, monkeypatch, ordering):
+        calls = []
+        original = np.dot
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", counted)
+        list(evolve_blocks(SystemParams(dims=ModeDims(5, 4)), 50, ordering=ordering))
+        assert calls == [(20, 20)] * 50
+
     def test_determinism(self):
         params = SystemParams(dims=ModeDims(5, 5))
         assert np.array_equal(evolve(params, 40), evolve(params, 40))
@@ -219,7 +262,7 @@ class TestEvolveBlocks:
             evolve_blocks(self.PARAMS, -1)
 
     def test_norm_contract_before_the_last_block(self, monkeypatch):
-        drifting_norm(monkeypatch)
+        off_norm_vacuum(monkeypatch)
         blocks = evolve_blocks(self.PARAMS, 2 * B + 3)
         assert [len(next(blocks)[1]) for _ in range(2)] == [B, B]
         with pytest.raises(ContractViolationError, match="norm"):
@@ -227,7 +270,7 @@ class TestEvolveBlocks:
 
     def test_consumer_that_stops_at_the_last_block_sees_the_violation(self, monkeypatch):
         # zip stops once range is exhausted, without asking for a fourth block
-        drifting_norm(monkeypatch)
+        off_norm_vacuum(monkeypatch)
         with pytest.raises(ContractViolationError, match="norm"):
             list(zip(range(3), evolve_blocks(self.PARAMS, 2 * B + 3)))
 
@@ -236,11 +279,18 @@ class TestBuildPeakMemory:
     @pytest.mark.parametrize("ordering", list(Ordering))
     def test_period_factors_peak_is_four_matrices(self, ordering):
         # the generator is freed when eigh returns, so the unitary built
-        # first, V, its phase-scaled copy and the product are the peak; the
-        # mid-pulse product u_half @ u_free @ u_half needs four as well
+        # first, V, its phase-scaled copy and the product are the peak
         params = SystemParams()
         assert params.dims.joint ** 2 * 16 == MATRIX_BYTES
         peak = traced_peak(lambda: propagation._period_factors(params, ordering, {}))
+        assert peak <= 4 * MATRIX_BYTES + 64 * 1024, peak / MATRIX_BYTES
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_period_matrix_peak_is_four_matrices(self, ordering):
+        # the factors and their product: three matrices for the plain
+        # orderings, four with mid-pulse's intermediate u_half @ u_free
+        params = SystemParams()
+        peak = traced_peak(lambda: evolve_blocks(params, 1, ordering=ordering))
         assert peak <= 4 * MATRIX_BYTES + 64 * 1024, peak / MATRIX_BYTES
 
 
@@ -344,19 +394,47 @@ class TestUnitaryCache:
 
 class TestNormContract:
     def test_drifting_norm_raises(self, monkeypatch):
-        drifting_norm(monkeypatch)
+        off_norm_vacuum(monkeypatch)
         for ordering in Ordering:
             with pytest.raises(ContractViolationError, match="squared norm drifted from 1 to "):
                 evolve(SystemParams(dims=ModeDims(3, 3)), 5, ordering=ordering)
 
     def test_nan_norm_raises(self, monkeypatch):
-        original = propagation.unitary_from_generator
-
-        def nan_unitary(h, t):
-            u = original(h, t)
-            u[1, 0] = np.nan
-            return u
-
-        monkeypatch.setattr(propagation, "unitary_from_generator", nan_unitary)
-        with pytest.raises(ContractViolationError, match="norm"):
+        off_norm_vacuum(monkeypatch, np.nan)
+        with pytest.raises(ContractViolationError, match="squared norm drifted from 1 to nan"):
             evolve(SystemParams(dims=ModeDims(3, 3)), 2)
+
+
+class TestUnitarityContract:
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("scale", [1.001, 1 + 1e-9, np.nan])
+    def test_non_unitary_period_is_refused_before_any_block(self, monkeypatch, ordering, scale):
+        # P^+ P is scale^4 (plain orderings) or scale^6 (mid-pulse) times
+        # the identity: at 1 + 1e-9 a defect of 4e-9 / sqrt(D) or more,
+        # 9e-10 at D = 20
+        scaled_steps(monkeypatch, scale)
+        with pytest.raises(ContractViolationError, match=r"period matrix is not unitary: max "):
+            evolve_blocks(SystemParams(dims=ModeDims(5, 4)), 10, ordering=ordering)
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_roundoff_passes(self, monkeypatch, ordering):
+        # a defect of 4e-13 / sqrt(D), a thousandth of the bound, passes
+        params = SystemParams(dims=ModeDims(5, 4))
+        expected = evolve(params, 10, ordering=ordering)
+        scaled_steps(monkeypatch, 1 + 1e-13)
+        assert np.allclose(evolve(params, 10, ordering=ordering), expected, rtol=1e-11)
+
+    def test_probe_sees_a_defect_in_any_column(self, monkeypatch):
+        # every probe vector has support on every basis state
+        params = SystemParams(dims=ModeDims(5, 4))
+        original = propagation.unitary_from_generator
+        for column in range(params.dims.joint):
+
+            def broken(h, t, _column=column):
+                u = original(h, t)
+                u[:, _column] *= 1 + 1e-8
+                return u
+
+            monkeypatch.setattr(propagation, "unitary_from_generator", broken)
+            with pytest.raises(ContractViolationError, match="not unitary"):
+                evolve_blocks(params, 1)
