@@ -35,7 +35,7 @@ import numpy as np
 
 from .analytic import amplitude_rows, uses_uncoupled_forms
 from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
-from .hamiltonians import SystemParams
+from .hamiltonians import SystemParams, edge_populations
 from .numerics import ContractViolationError
 from .propagation import DEFAULT_ORDERING, UNITARY_INPUTS, Ordering, evolve_blocks, kick_blocks
 
@@ -47,6 +47,11 @@ ORDERINGS = (Ordering.KICK_THEN_FREE.value, Ordering.FREE_THEN_KICK.value)
 CSV_HEADER = "k,P00,P01,P10,P11,leakage,concurrence,F_B1,F_B2,F_B3,F_B4"
 COMPARE_EXTRA = "A00,A01,A10,A11,dP_max"
 SCAN_HEADER = "param,value,max_concurrence,k_at_max,max_leakage"
+
+# Largest population at level dim - 1 of either mode a run passes without a
+# note: acceptance criterion 9 lets a probability move by 1e-6 between
+# cutoffs 10 and 15
+EDGE_TOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -76,11 +81,9 @@ _FLOAT = "%.12g"
 
 
 def _render(value) -> str:
-    """A config value as text that parses back to it: an Ordering as its
-    value, an int or str as str, and a real or complex one as _FLOAT writes
+    """A config value as text that parses back to it: an int or str (an
+    Ordering included) as str, and a real or complex one as _FLOAT writes
     it where that is exact, else as repr."""
-    if isinstance(value, Ordering):
-        return value.value
     if not isinstance(value, float | complex):
         return str(value)
     x = complex(value)
@@ -117,33 +120,39 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
 
 
 def _observed_blocks(
-    params: SystemParams, n_kicks: int, ordering: Ordering, cache: dict | None = None, drop=()
+    params: SystemParams, n_kicks: int, ordering: Ordering, edge, cache=None, drop=(), where=""
 ) -> Iterator[tuple[int, QubitObservables]]:
     """The first kick number and the observables of each block of the
     run's trajectory (evolve_blocks), after the kinds in drop leave the
-    cache.  A block of states is dropped once its observables are taken,
-    before the next one is asked for."""
+    cache.  edge[0] keeps the largest population at level dim - 1 of either
+    mode so far, as (value, k, mode, where).  A block of states is dropped
+    once its observables are taken, before the next one is asked for."""
     blocks = evolve_blocks(params, n_kicks, ordering=ordering, cache=cache)
     for kind in drop:
         cache.pop(kind, None)
     for k, block in blocks:
         obs = annotate_trajectory(block, params.dims)
+        pops = edge_populations(block, params.dims)
         del block
+        row, mode = divmod(int(pops.argmax()), 2)
+        edge[0] = max(edge[0], (pops[row, mode], k + row, "ab"[mode], where))
         yield k, obs
 
 
 # A runner yields the CSV text of a run piece by piece, header first, one
 # piece per block of kicks (per point for scan), so no mode holds more than
-# one block of states, closed-form amplitudes or formatted rows.
+# one block of states, closed-form amplitudes or formatted rows.  A
+# full-basis runner keeps its largest edge population in edge (see
+# _observed_blocks).
 
 
-def _run_simulate(config: RunConfig) -> Iterator[str]:
+def _run_simulate(config: RunConfig, edge: list) -> Iterator[str]:
     yield CSV_HEADER + "\n"
-    for k, obs in _observed_blocks(config.params, config.n_kicks, config.ordering):
+    for k, obs in _observed_blocks(config.params, config.n_kicks, config.ordering, edge):
         yield _csv_rows(_observable_columns(obs), k)
 
 
-def _run_analytic(config: RunConfig) -> Iterator[str]:
+def _run_analytic(config: RunConfig, edge: list) -> Iterator[str]:
     _note_closed_forms(config.params)
     yield CSV_HEADER + "\n"
     for start, stop in kick_blocks(config.n_kicks):
@@ -155,7 +164,7 @@ def _run_analytic(config: RunConfig) -> Iterator[str]:
         yield _csv_rows(_observable_columns(obs), start)
 
 
-def _run_compare(config: RunConfig) -> Iterator[str]:
+def _run_compare(config: RunConfig, edge: list) -> Iterator[str]:
     _note_closed_forms(config.params)
     # the first block's closed forms are checked before the full-basis run;
     # each later block's are checked when the run reaches it
@@ -163,13 +172,13 @@ def _run_compare(config: RunConfig) -> Iterator[str]:
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
-    for k, obs in _observed_blocks(config.params, config.n_kicks, Ordering.MID_PULSE):
+    for k, obs in _observed_blocks(config.params, config.n_kicks, Ordering.MID_PULSE, edge):
         probs = np.abs(amplitude_rows(k, k + len(obs.leakage), config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
         yield _csv_rows(_observable_columns(obs, probs, dp_max), k)
 
 
-def _run_scan(config: RunConfig) -> Iterator[str]:
+def _run_scan(config: RunConfig, edge: list) -> Iterator[str]:
     scan = config.scan
     yield SCAN_HEADER + "\n"
     row = f"%s,{_FLOAT},{_FLOAT},%d,{_FLOAT}\n"
@@ -188,7 +197,10 @@ def _run_scan(config: RunConfig) -> Iterator[str]:
         params = replace(config.params, **{scan.param: value})
         max_concurrence = max_leakage = -np.inf
         k_at_max = 0
-        for k, obs in _observed_blocks(params, config.n_kicks, config.ordering, cache, scanned):
+        where = f", {scan.param} = {_FLOAT % value}"
+        for k, obs in _observed_blocks(
+            params, config.n_kicks, config.ordering, edge, cache, scanned, where
+        ):
             i = int(np.argmax(obs.concurrence))
             # strict '>': the first maximum wins across blocks, as in argmax
             if obs.concurrence[i] > max_concurrence:
@@ -198,7 +210,7 @@ def _run_scan(config: RunConfig) -> Iterator[str]:
         yield row % (scan.param, value, max_concurrence, k_at_max, max_leakage)
 
 
-_RUNNERS: dict[str, Callable[[RunConfig], Iterator[str]]] = {
+_RUNNERS: dict[str, Callable[[RunConfig, list], Iterator[str]]] = {
     "simulate": _run_simulate,
     "analytic": _run_analytic,
     "compare": _run_compare,
@@ -385,10 +397,20 @@ def run(config: RunConfig) -> int:
     """Execute a validated config and write its CSV. Returns the exit status.
 
     The output is opened first, so an unwritable path fails before any
-    computation, and each block of rows is written as it is computed.
+    computation, and each block of rows is written as it is computed.  A
+    run that succeeds with more than EDGE_TOL at level dim - 1 of a mode
+    says so in one stderr line: its largest value, with its k and mode.
     """
+    edge = [(-np.inf, 0, "", "")]
     with _output(config.out) as fh:
-        fh.writelines(_RUNNERS[config.mode](config))
+        fh.writelines(_RUNNERS[config.mode](config, edge))
+    value, k, mode, where = edge[0]
+    if value > EDGE_TOL:
+        print(
+            f"note: the last Fock level of mode {mode} holds population {value:.3g} "
+            f"at k = {k}{where} (above {EDGE_TOL:g})",
+            file=sys.stderr,
+        )
     return 0
 
 

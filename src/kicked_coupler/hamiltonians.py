@@ -47,6 +47,13 @@ def joint_index(m: int, n: int, dims: ModeDims) -> int:
     return m * dims.dim_b + n
 
 
+def edge_populations(states: np.ndarray, dims: ModeDims) -> np.ndarray:
+    """The population at level dim - 1 of mode a and of mode b, the
+    truncation edges, in each row of (K, D) states: a (K, 2) array."""
+    cube = states.reshape(len(states), dims.dim_a, dims.dim_b)
+    return np.column_stack([np.vecdot(edge, edge).real for edge in (cube[:, -1], cube[:, :, -1])])
+
+
 def basis_state(m: int, n: int, dims: ModeDims) -> np.ndarray:
     """Unit vector for the joint Fock state |m>_a |n>_b."""
     psi = np.zeros(dims.joint, dtype=complex)

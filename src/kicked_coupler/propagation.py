@@ -13,7 +13,7 @@ yields the trajectory in fixed blocks of rows, and `evolve` collects them.
 
 import functools
 from collections.abc import Iterator
-from enum import Enum
+from enum import StrEnum
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .hamiltonians import (
 from .numerics import ContractViolationError, unitary_from_generator
 
 
-class Ordering(Enum):
+class Ordering(StrEnum):
     """Where within one drive period the state is recorded."""
 
     KICK_THEN_FREE = "kick_then_free"
@@ -88,16 +88,18 @@ def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
     return u
 
 
-def _period_factors(
-    params: SystemParams, ordering: Ordering, cache: dict
-) -> tuple[np.ndarray, ...]:
-    """The step unitaries one period applies to the state, first factor first."""
-    u_free = _step_unitary("free", params, cache)
-    if ordering is Ordering.MID_PULSE:
-        u_half = _step_unitary("half", params, cache)
-        return (u_half, u_free, u_half)
-    u_kick = _step_unitary("kick", params, cache)
-    return (u_kick, u_free) if ordering is Ordering.KICK_THEN_FREE else (u_free, u_kick)
+# The step unitaries one period applies to the state, first applied first
+_PERIOD_STEPS = {
+    Ordering.KICK_THEN_FREE: ("kick", "free"),
+    Ordering.FREE_THEN_KICK: ("free", "kick"),
+    Ordering.MID_PULSE: ("half", "free", "half"),
+}
+
+
+def _period_factors(params: SystemParams, ordering: Ordering, cache: dict) -> list:
+    """The step unitaries of the _PERIOD_STEPS row that an Ordering or its
+    value selects; anything else raises ValueError before one is built."""
+    return [_step_unitary(kind, params, cache) for kind in _PERIOD_STEPS[Ordering(ordering)]]
 
 
 def evolve_blocks(

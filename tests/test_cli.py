@@ -1100,7 +1100,9 @@ class TestModuleEntryPoint:
         done = self.run_module(
             tmp_path, "--kicks", "3", "--cutoff-a", "3", "--cutoff-b", "3", "--out", "run.csv"
         )
-        assert (done.returncode, done.stderr) == (0, "")
+        # level 2 is the last one at cutoffs 3/3, and it holds more than EDGE_TOL
+        edge_note = "note: the last Fock level of mode a holds population 6.39e-05 at k = 3"
+        assert (done.returncode, done.stderr) == (0, f"{edge_note} (above 1e-06)\n")
         lines = (tmp_path / "run.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER
         # the vacuum at k = 0, then one row per kick
@@ -1138,6 +1140,53 @@ def csv_bytes(tmp_path, argv, name="run.csv"):
     data = out.read_bytes()
     out.unlink()
     return data
+
+
+EDGE_NOTE = "note: the last Fock level of mode a holds population 0.0829 at k = 110"
+
+
+class TestEdgeNote:
+    """A run that succeeds with more than EDGE_TOL at level dim - 1 of a
+    mode says so in one stderr line; its exit code and CSV stay as they are."""
+
+    def test_strong_kick_names_the_value_its_k_and_mode(self, tmp_path, capsys):
+        assert main(["--alpha", "1", "--kicks", "2000", "--out", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"{EDGE_NOTE} (above 1e-06)"]
+
+    def test_reference_point_prints_none(self, tmp_path, capsys):
+        # simulate, 2000 kicks, at the reference point: 4.6e-30 at the edge
+        assert main(["--out", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("mode, lines", [("compare", 1), ("analytic", 0)])
+    def test_every_full_basis_mode_and_no_other(self, tmp_path, capsys, mode, lines):
+        argv = ["--mode", mode, "--alpha", "1", "--kicks", "300", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == lines and all(line.startswith("note: the last Fock") for line in err)
+
+    def test_the_note_leaves_the_csv_unchanged(self, tmp_path, capsys, monkeypatch):
+        argv = ["--alpha", "1", "--kicks", "2000"]
+        noted = csv_bytes(tmp_path, argv)
+        assert capsys.readouterr().err.startswith(EDGE_NOTE)
+        monkeypatch.setattr(cli, "EDGE_TOL", 2.0)
+        assert csv_bytes(tmp_path, argv) == noted
+        assert capsys.readouterr().err == ""
+
+    def test_a_scan_prints_one_line_naming_its_point(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(
+            "mode = scan\nkicks = 300\nscan_param = alpha\nscan_start = 0.5\n"
+            "scan_stop = 1\nscan_steps = 3\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"{EDGE_NOTE}, alpha = 1 (above 1e-06)"]
+
+    def test_a_failed_run_prints_its_failure_alone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(propagation, "NORM_RTOL", 0.0)
+        assert main(["--alpha", "1", "--kicks", "300", "--out", str(tmp_path / "o.csv")]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical contract violation: squared norm drifted")
 
 
 class TestRowFormatting:
@@ -1328,7 +1377,7 @@ class TestStreamedRuns:
         # the rest of the run then holds one block of states at a time
         params = SystemParams()
         b = propagation.BLOCK_KICKS
-        observed = cli._observed_blocks(params, 3 * b, ordering, cache)
+        observed = cli._observed_blocks(params, 3 * b, ordering, [(-np.inf, 0, "", "")], cache)
         next(observed)
         block_bytes = b * params.dims.joint * 16
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
-from kicked_coupler.hamiltonians import basis_state, build_kick_generator
+from kicked_coupler.hamiltonians import basis_state, build_kick_generator, edge_populations
 from kicked_coupler.numerics import hermiticity_defect
 from conftest import annihilation_op, embed_mode_a, embed_mode_b
 
@@ -127,6 +127,24 @@ class TestJointIndex:
             joint_index(2, 0, dims)
         with pytest.raises(IndexError):
             joint_index(0, 2, dims)
+
+
+class TestEdgePopulations:
+    def test_sums_each_modes_last_level(self):
+        # unequal cutoffs, so a swapped axis cannot pass
+        dims = ModeDims(5, 3)
+        rng = np.random.default_rng(7)
+        states = rng.normal(size=(6, dims.joint)) + 1j * rng.normal(size=(6, dims.joint))
+        probs = np.abs(states) ** 2
+        last_a = [joint_index(dims.dim_a - 1, n, dims) for n in range(dims.dim_b)]
+        last_b = [joint_index(m, dims.dim_b - 1, dims) for m in range(dims.dim_a)]
+        expected = np.column_stack([probs[:, last_a].sum(axis=1), probs[:, last_b].sum(axis=1)])
+        np.testing.assert_allclose(edge_populations(states, dims), expected, rtol=1e-14)
+
+    def test_basis_states(self):
+        dims = ModeDims(4, 3)
+        states = np.array([basis_state(m, n, dims) for m, n in [(0, 0), (3, 0), (1, 2), (3, 2)]])
+        assert edge_populations(states, dims).tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
 
 
 def elem(h, bra, ket, dims):

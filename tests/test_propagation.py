@@ -14,6 +14,7 @@ from kicked_coupler import (
     evolve_blocks,
     joint_index,
     truncated_amplitudes,
+    truncated_map_states,
 )
 from kicked_coupler import propagation
 from kicked_coupler.hamiltonians import basis_state, build_kick_generator
@@ -216,6 +217,42 @@ class TestEvolve:
         states = evolve(SystemParams(dims=ModeDims(4, 4)), 7, ordering=Ordering.MID_PULSE)
         assert states.shape == (8, 16)
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-10
+
+
+class TestOrderingTable:
+    """An Ordering or its value selects the row of propagation._PERIOD_STEPS;
+    anything else is refused before a generator is built."""
+
+    @pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.value)
+    def test_value_selects_its_member(self, ordering):
+        params = SystemParams()
+        by_value = evolve(params, 50, ordering=ordering.value)
+        assert type(ordering.value) is str
+        assert by_value.tobytes() == evolve(params, 50, ordering=ordering).tobytes()
+
+    @pytest.mark.parametrize("ordering", ["nonsense", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda params, ordering: evolve(params, 5, ordering=ordering),
+            lambda params, ordering: evolve_blocks(params, 5, ordering=ordering),
+            lambda params, ordering: truncated_map_states(5, params, ordering),
+        ],
+        ids=["evolve", "evolve_blocks", "truncated_map_states"],
+    )
+    def test_anything_else_is_refused_before_a_build(self, monkeypatch, call, ordering):
+        def no_build(params):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(propagation, "build_coupler_hamiltonian", no_build)
+        monkeypatch.setattr(propagation, "build_kick_generator", no_build)
+        with pytest.raises(ValueError, match="is not a valid Ordering"):
+            call(SystemParams(dims=ModeDims(3, 3)), ordering)
+
+    def test_one_row_per_member_and_one_half_kick(self):
+        assert set(propagation._PERIOD_STEPS) == set(Ordering)
+        factors = propagation._period_factors(SystemParams(), Ordering.MID_PULSE, {})
+        assert len(factors) == 3 and factors[0] is factors[-1]
 
 
 B = propagation.BLOCK_KICKS
