@@ -1,12 +1,14 @@
 """The joint Fock basis, the coupler Hamiltonian and the kick generator,
 checked against the dense ladder-operator references of conftest.py."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
 from kicked_coupler.hamiltonians import basis_state, build_kick_generator, edge_populations
-from kicked_coupler.numerics import hermiticity_defect
+from kicked_coupler.numerics import hermiticity_defect, unitary_from_generator
 from conftest import annihilation_op, embed_mode_a, embed_mode_b
 
 
@@ -152,7 +154,8 @@ def elem(h, bra, ket, dims):
 
 
 # The operators as dense products of the embedded ladder operators: the
-# reference the entrywise builders must reproduce byte for byte.
+# references the entrywise builders must reproduce (G byte for byte, H in
+# every value and in every zero the band leaves).
 def dense_coupler_hamiltonian(params):
     dims = params.dims
     a = embed_mode_a(annihilation_op(dims.dim_a), dims)
@@ -170,6 +173,17 @@ def dense_kick_generator(params):
     a = embed_mode_a(annihilation_op(dims.dim_a), dims)
     alpha = complex(params.alpha)
     return alpha * a.conj().T + np.conj(alpha) * a
+
+
+def coupler_band(dims):
+    """Mask of the entries H can make nonzero: the Kerr diagonal and the
+    a+ b and a b+ hops |m, n> <-> |m+1, n-1>."""
+    band = np.eye(dims.joint, dtype=bool)
+    for m in range(dims.dim_a - 1):
+        for n in range(1, dims.dim_b):
+            i, j = joint_index(m + 1, n - 1, dims), joint_index(m, n, dims)
+            band[i, j] = band[j, i] = True
+    return band
 
 
 CUTOFFS = [(15, 15), (15, 12), (6, 9), (2, 2)]
@@ -192,11 +206,45 @@ class TestMatchesDenseProducts:
         params = SystemParams(
             chi_a=chi_a, chi_b=chi_b, epsilon=epsilon, dims=ModeDims(*cutoffs)
         )
-        # tobytes: equal values and equal signs of every zero
+        h, dense = build_coupler_hamiltonian(params), dense_coupler_hamiltonian(params)
+        assert np.array_equal(h, dense)
+        # off the band every entry is the dense expression's +0+0j
+        off = ~coupler_band(params.dims)
+        assert h[off].tobytes() == dense[off].tobytes()
+        # a zero sign the band entries may differ in is not read by the
+        # free unitary: equal bytes
         assert (
-            build_coupler_hamiltonian(params).tobytes()
-            == dense_coupler_hamiltonian(params).tobytes()
+            unitary_from_generator(h, params.T).tobytes()
+            == unitary_from_generator(dense, params.T).tobytes()
         )
+
+    @pytest.mark.parametrize("cutoffs", [(4, 2), (7, 2), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("chi_a, chi_b", [(-1.3, -0.7), (-0.0, -1.3), (0.0, 1.0)])
+    @pytest.mark.parametrize(
+        "epsilon",
+        [complex(-0.0, 0.03), complex(-0.02, 0.0), complex(-0.0, -0.0), complex(-0.03, -0.0)],
+    )
+    def test_free_unitary_with_band_zero_signs(self, cutoffs, chi_a, chi_b, epsilon):
+        # in each case some zero part of a band entry of H has the other
+        # sign than in the dense expression; the unitary keeps every value
+        # (in a few such cases its own zero parts differ in sign)
+        params = SystemParams(
+            chi_a=chi_a, chi_b=chi_b, epsilon=epsilon, T=0.7, dims=ModeDims(*cutoffs)
+        )
+        h, dense = build_coupler_hamiltonian(params), dense_coupler_hamiltonian(params)
+        assert np.array_equal(
+            unitary_from_generator(h, params.T), unitary_from_generator(dense, params.T)
+        )
+
+    def test_dense_off_band_entries_are_positive_zero(self):
+        # why H may start from np.zeros: for every sign of every input, the
+        # dense expression leaves +0+0j off the band
+        dims = ModeDims(3, 3)
+        off = ~coupler_band(dims)
+        positive_zero = np.zeros(off.sum(), dtype=complex).tobytes()
+        for chi_a, chi_b, re, im in itertools.product([1.5, -1.5, 0.0, -0.0], repeat=4):
+            params = SystemParams(chi_a=chi_a, chi_b=chi_b, epsilon=complex(re, im), dims=dims)
+            assert dense_coupler_hamiltonian(params)[off].tobytes() == positive_zero
 
     @pytest.mark.parametrize("cutoffs", CUTOFFS)
     @pytest.mark.parametrize(
