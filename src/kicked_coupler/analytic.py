@@ -117,10 +117,9 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
         # an overflow or 0 * inf gives a non-finite entry, which the finiteness
         # contract below reports
         with np.errstate(over="ignore", invalid="ignore"):
-            cos1 = np.cos(ks * om1 / _SQRT2)
-            cos2 = np.cos(ks * om2 / _SQRT2)
-            sin1 = np.sin(ks * om1 / _SQRT2)
-            sin2 = np.sin(ks * om2 / _SQRT2)
+            phase1, phase2 = ks * om1 / _SQRT2, ks * om2 / _SQRT2
+            cos1, sin1 = np.cos(phase1), np.sin(phase1)
+            cos2, sin2 = np.cos(phase2), np.sin(phase2)
 
             amps[:, 0] = (
                 (2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2

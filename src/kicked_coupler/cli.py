@@ -116,7 +116,8 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
     """One CSV line per table row, prefixed with its kick number, counted
     from first_k."""
     line = "%d," + ",".join([_FLOAT] * table.shape[1]) + "\n"
-    return "".join([line % (k, *row) for k, row in enumerate(table.tolist(), first_k)])
+    ks = range(first_k, first_k + len(table))
+    return "".join(map(line.__mod__, zip(ks, *table.T.tolist())))
 
 
 def _observed_blocks(

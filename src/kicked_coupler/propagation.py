@@ -45,9 +45,9 @@ NORM_RTOL = 1e-9
 # no reference to a block once it is yielded, and every CLI mode drops it
 # once its observables are taken, so a run holds its period matrix, the
 # step unitaries its caller caches (a scan keeps one) and one block.  At
-# D = 225 a block of 256 states is 0.92 MB, 1.14 D x D complex matrices, so
-# the run stays below the four matrices that building a step unitary needs.
-BLOCK_KICKS = 256
+# D = 225 a block of 384 states is 1.71 D x D complex matrices, and a scan's
+# loop holds about 3.94, below the four that building a step unitary needs.
+BLOCK_KICKS = 384
 
 # Largest allowed max |P^+ P v - v| of the period matrix P over the unit
 # vectors v_j[n] = exp(i j n) / sqrt(D), j = 1..4, which weigh every basis
