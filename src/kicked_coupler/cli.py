@@ -37,7 +37,7 @@ from .analytic import amplitude_rows, uses_uncoupled_forms
 from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
 from .hamiltonians import SystemParams, edge_populations
 from .numerics import ContractViolationError
-from .propagation import DEFAULT_ORDERING, UNITARY_INPUTS, Ordering, evolve_blocks, kick_blocks
+from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks
 
 SCAN_PARAMS = ("alpha", "epsilon", "T")
 # the full-basis runs record after each whole period; mid-pulse sampling is
@@ -121,17 +121,14 @@ def _csv_rows(table: np.ndarray, first_k: int) -> str:
 
 
 def _observed_blocks(
-    params: SystemParams, n_kicks: int, ordering: Ordering, edge, cache=None, drop=(), where=""
+    params: SystemParams, n_kicks: int, ordering: Ordering, edge, cache=None, scanned=None, where=""
 ) -> Iterator[tuple[int, QubitObservables]]:
     """The first kick number and the observables of each block of the
-    run's trajectory (evolve_blocks), after the kinds in drop leave the
-    cache.  edge[0] keeps the largest population at level dim - 1 of either
-    mode so far, as (value, k, mode, where).  A block of states is dropped
-    once its observables are taken, before the next one is asked for."""
-    blocks = evolve_blocks(params, n_kicks, ordering=ordering, cache=cache)
-    for kind in drop:
-        cache.pop(kind, None)
-    for k, block in blocks:
+    run's trajectory (evolve_blocks, which takes cache and scanned).
+    edge[0] keeps the largest population at level dim - 1 of either mode
+    so far, as (value, k, mode, where).  A block of states is dropped once
+    its observables are taken, before the next one is asked for."""
+    for k, block in evolve_blocks(params, n_kicks, ordering=ordering, cache=cache, scanned=scanned):
         obs = annotate_trajectory(block, params.dims)
         pops = edge_populations(block, params.dims)
         del block
@@ -183,11 +180,7 @@ def _run_scan(config: RunConfig, edge: list) -> Iterator[str]:
     scan = config.scan
     yield SCAN_HEADER + "\n"
     row = f"%s,{_FLOAT},{_FLOAT},%d,{_FLOAT}\n"
-    # the scanned parameter enters one generator only, so the other step
-    # unitary is built once and reused at every point; the scanned one is
-    # dropped once it is in the period matrix, as no later point uses it
-    cache: dict = {}
-    scanned = [kind for kind, inputs in UNITARY_INPUTS.items() if scan.param in inputs]
+    cache: dict = {}  # the step unitary scan.param does not enter is built once
     div, span = scan.steps - 1, scan.stop - scan.start
     step = span / div
     for j in range(scan.steps):
@@ -200,7 +193,7 @@ def _run_scan(config: RunConfig, edge: list) -> Iterator[str]:
         k_at_max = 0
         where = f", {scan.param} = {_FLOAT % value}"
         for k, obs in _observed_blocks(
-            params, config.n_kicks, config.ordering, edge, cache, scanned, where
+            params, config.n_kicks, config.ordering, edge, cache, scan.param, where
         ):
             i = int(np.argmax(obs.concurrence))
             # strict '>': the first maximum wins across blocks, as in argmax

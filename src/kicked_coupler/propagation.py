@@ -107,6 +107,7 @@ def evolve_blocks(
     n_kicks: int,
     ordering: Ordering = DEFAULT_ORDERING,
     cache: dict | None = None,
+    scanned: str | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The trajectory of `evolve`, as consecutive blocks of rows.
 
@@ -123,6 +124,9 @@ def evolve_blocks(
     ``cache``, a dict the caller owns, keeps each step unitary across the
     calls that share it until a parameter its generator reads
     (UNITARY_INPUTS) changes: a scan reuses the one its parameter skips.
+    ``scanned``, the SystemParams field a scan varies, names the unitaries
+    no later point reuses: they leave the cache once the period matrix is
+    formed, before the probe and the first block.
 
     The norm contract is checked against 1, the vacuum's squared norm, once
     the last block is filled, before it is yielded: ContractViolationError
@@ -131,8 +135,11 @@ def evolve_blocks(
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
-    factors = _period_factors(params, ordering, {} if cache is None else cache)
-    period = functools.reduce(np.matmul, reversed(factors))
+    cache = {} if cache is None else cache
+    period = functools.reduce(np.matmul, reversed(_period_factors(params, ordering, cache)))
+    for kind, inputs in UNITARY_INPUTS.items():
+        if scanned in inputs:
+            cache.pop(kind, None)
     probe = np.exp(1j * np.outer(np.arange(len(period)), np.arange(1, 5))) / len(period) ** 0.5
     # P^+ P v as conj(P^T conj(P v)), without a conjugated copy of P;
     # written so that a NaN defect fails too

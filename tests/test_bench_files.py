@@ -1,16 +1,20 @@
 """The committed benchmark results, `BENCH_<n>.json` at the repository root.
 Each file holds one untraced `bench/run.py` record per BENCHMARK.json
 workload, with the end-to-end metrics and units BENCHMARK.json declares, no
-failed run, and the machine facts that make two files comparable."""
+failed run, and the machine facts that make two files comparable.  A file's
+records measured one commit, and the newest file measured the current
+`src/` line count, so a change to `src/` comes with a file of its own."""
 
 import json
 from pathlib import Path
 
 import pytest
 
+from conftest import bench_run
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
 MACHINE_FACTS = {"nproc", "python", "numpy", "blas", "blas_threads", "git_commit", "src_lines"}
 
 
@@ -36,3 +40,12 @@ def test_bench_file_holds_every_workload(path):
         assert MACHINE_FACTS <= record["machine"].keys()
         src_lines = record["machine"]["src_lines"]
         assert isinstance(src_lines, int) and src_lines > 0
+        assert src_lines == records[0]["machine"]["src_lines"]
+        assert record["machine"]["git_commit"] == records[0]["machine"]["git_commit"]
+
+
+def test_newest_bench_file_counts_the_current_src_lines():
+    # the highest number by value: BENCH_100 follows BENCH_99
+    records = json.loads(BENCH_FILES[-1].read_text(encoding="utf-8"))["records"]
+    src_lines = bench_run.machine_facts()["src_lines"]
+    assert {record["machine"]["src_lines"] for record in records} == {src_lines}

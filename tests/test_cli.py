@@ -33,6 +33,7 @@ from kicked_coupler.cli import (
     main,
     run,
 )
+from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
 from kicked_coupler.propagation import UNITARY_INPUTS
 from conftest import MATRIX_BYTES, off_norm_vacuum, scaled_steps, traced_peak
 
@@ -749,12 +750,16 @@ class TestMain:
         self, tmp_path, capsys, monkeypatch
     ):
         # the first block's closed forms pass; a later block's phases keep no
-        # digit, and the run exits 3 when it reaches that block
+        # digit, and the run exits 3 when it reaches that block.  At large
+        # alpha, omega1 / sqrt2 is about alpha, so the phase roundoff first
+        # exceeds its bound near k = 1.5 B, inside the second block
+        b = propagation.BLOCK_KICKS
+        alpha = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / (1.5 * b)
         out = tmp_path / "run.csv"
-        argv = ["--mode", "compare", "--alpha", "1e7", "--kicks", "600"]
+        argv = ["--mode", "compare", "--alpha", str(alpha), "--kicks", str(2 * b)]
         argv += ["--cutoff-a", "3", "--cutoff-b", "3"]
         params = cli.config_from_args(argv)[0].params
-        first, (_, second_stop) = list(propagation.kick_blocks(600))[:2]
+        first, (_, second_stop) = list(propagation.kick_blocks(2 * b))[:2]
         analytic.amplitude_rows(*first, params)
         assert main(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(

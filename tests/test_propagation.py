@@ -1,4 +1,10 @@
+import functools
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +355,64 @@ class TestLoopPeakMemory:
         peak = traced_peak(consume)
         assert peak < 1.5 * block_bytes, peak / block_bytes
 
+    def test_an_alpha_scan_loop_holds_below_four_matrices(self):
+        # each point's loop holds the cached free step, the period matrix
+        # and one block (3.72 matrices at 384 rows); the kick unitary of the
+        # point, were it kept for a later point, would add one more (4.71)
+        cache, peaks = {}, []
+
+        def scan():
+            for alpha in (0.03, 0.04, 0.05):
+                params = SystemParams(alpha=alpha)
+                blocks = evolve_blocks(params, 2 * B + 1, cache=cache, scanned="alpha")
+                tracemalloc.reset_peak()
+                for _, block in blocks:
+                    del block
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        traced_peak(scan)
+        assert max(peaks) <= 4 * MATRIX_BYTES, [peak / MATRIX_BYTES for peak in peaks]
+
+
+# Hashes the blocks of a 2 B + 1 kick loop from the vacuum under each
+# period matrix saved at the paths it is given, one line per matrix
+BLOCK_HASHES = """
+import hashlib, sys
+import numpy as np
+from kicked_coupler import SystemParams, propagation
+for path in sys.argv[1:]:
+    digest = hashlib.sha256()
+    n_kicks = 2 * propagation.BLOCK_KICKS + 1
+    for _, block in propagation._blocks(SystemParams().dims, n_kicks, np.load(path)):
+        digest.update(block.tobytes())
+    print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_loop_bits_do_not_depend_on_the_thread_count(self, tmp_path):
+        # the period matrices are built once and loaded by both runs: their
+        # builds (eigh, zgemm) change bits with the thread count, the loop's
+        # matrix-vector products must not
+        paths = []
+        for ordering in Ordering:
+            factors = propagation._period_factors(SystemParams(), ordering, {})
+            paths.append(tmp_path / f"{ordering.value}.npy")
+            np.save(paths[-1], functools.reduce(np.matmul, reversed(factors)))
+        src = Path(__file__).resolve().parent.parent / "src"
+        hashes = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", BLOCK_HASHES, *map(str, paths)],
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            hashes.append(done.stdout.split())
+        assert len(hashes[0]) == len(Ordering)
+        assert hashes[0] == hashes[1]
+
 
 def evolve_cached(params, n_kicks, cache, **kwargs):
     """evolve's array, with the step unitaries taken from a shared cache."""
@@ -388,6 +452,20 @@ class TestUnitaryCache:
             for kind, (key, u) in cache.items():
                 assert key == tuple(getattr(params, f) for f in UNITARY_INPUTS[kind])
                 assert u.shape == (params.dims.joint, params.dims.joint)
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize(
+        "scanned, kept",
+        [("alpha", {"free"}), ("epsilon", {"kick"}), ("T", {"kick"}), (None, {"free", "kick"})],
+    )
+    def test_scanned_unitary_leaves_the_cache(self, ordering, scanned, kept):
+        # the kick kind is the half kick under mid-pulse sampling
+        if ordering == Ordering.MID_PULSE:
+            kept = {"half" if kind == "kick" else kind for kind in kept}
+        cache = {}
+        states = evolve_cached(self.BASE, 3, cache, ordering=ordering, scanned=scanned)
+        assert set(cache) == kept
+        assert np.array_equal(states, evolve(self.BASE, 3, ordering=ordering))
 
     def test_rebuilds_only_the_generator_a_change_enters(self, monkeypatch):
         built = []
