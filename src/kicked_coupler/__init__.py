@@ -44,4 +44,4 @@ __all__ = [
     "truncated_map_states",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

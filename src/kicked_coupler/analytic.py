@@ -20,10 +20,9 @@ from .hamiltonians import ModeDims, SystemParams
 from .numerics import ContractViolationError, check_phase_roundoff
 from .propagation import Ordering, evolve
 
-SINGULAR_COUPLING_THRESHOLD = 1e-12
-# Largest allowed |P00 + P01 + P10 + P11 - 1| of the closed forms.  Where
-# they are valid the defect is roundoff (2e-15 at the reference point, 8e-9
-# at epsilon = 1e-9); past it they are finite but wrong.
+# Largest allowed |P00 + P01 + P10 + P11 - 1| of the closed forms, a safety
+# check: at every input tried the defect is roundoff (below 1e-15 over 2000
+# kicks at the reference point, at epsilon = 0 and at |alpha| << |epsilon T|).
 CLOSED_FORM_NORM_TOL = 1e-6
 # Kicks over which calibrate_sampling compares the orderings.
 CALIBRATION_KICKS = 50
@@ -36,10 +35,11 @@ def kick_frequencies(params: SystemParams) -> tuple[float, float, float]:
 
     omega  = sqrt(eps^2 T^2 + 4 alpha^2)
     omega1 = sqrt(eps^2 T^2 + 2 alpha^2 + eps T omega)
-    omega2 = sqrt(eps^2 T^2 + 2 alpha^2 - eps T omega)
+    omega2 = sqrt(eps^2 T^2 + 2 alpha^2 - eps T omega) = 2 alpha^2 / omega1
 
-    The radicand of omega2 equals (eps^2 T^2 + 2 alpha^2)^2 - eps^2 T^2 omega^2
-    = 4 alpha^4 >= 0 after squaring, so omega2 is always real.
+    omega2 is taken in its second form, since omega1 omega2 = 2 alpha^2:
+    the first cancels all its digits once alpha^2 << eps^2 T^2.  It is 0
+    where omega1 is, which needs alpha^2 to underflow too.
 
     Raises ContractViolationError if a frequency is not finite, which
     happens when |epsilon T| or |alpha| is so large that a square or a sum
@@ -47,13 +47,11 @@ def kick_frequencies(params: SystemParams) -> tuple[float, float, float]:
     """
     eps_t = np.float64(abs(params.epsilon) * params.T)
     alpha = np.float64(abs(params.alpha))
-    # an overflowed square gives inf, and inf - inf in omega2's radicand NaN
+    # an overflowed square gives inf, and inf / inf in omega2 NaN
     with np.errstate(over="ignore", invalid="ignore"):
         omega = np.sqrt(eps_t**2 + 4 * alpha**2)
         omega1 = np.sqrt(eps_t**2 + 2 * alpha**2 + eps_t * omega)
-        # radicand equals 4 alpha^4 / (eps_t^2 + 2 alpha^2 + eps_t * omega) >= 0;
-        # clip to guard against roundoff at alpha = 0
-        omega2 = np.sqrt(max(eps_t**2 + 2 * alpha**2 - eps_t * omega, 0.0))
+        omega2 = 2 * alpha**2 / omega1 if omega1 else 0.0
     if not all(map(math.isfinite, (omega, omega1, omega2))):
         raise ContractViolationError(
             f"kick frequencies are not finite at |epsilon T| = {eps_t:g}, "
@@ -62,23 +60,17 @@ def kick_frequencies(params: SystemParams) -> tuple[float, float, float]:
     return float(omega), float(omega1), float(omega2)
 
 
-def uses_uncoupled_forms(params: SystemParams) -> bool:
-    """Whether the closed forms use the uncoupled amplitudes at params."""
-    return abs(params.epsilon) * params.T <= SINGULAR_COUPLING_THRESHOLD
-
-
 def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
     """Four-state amplitudes after 0..n_kicks pulses, starting from the vacuum.
 
     Returns an (n_kicks + 1, 4) complex array, row k in basis order
-    (|00>, |01>, |10>, |11>).  When |epsilon T| is at most
-    SINGULAR_COUPLING_THRESHOLD, where the 1/(eps T) prefactors lose all
-    precision, the uncoupled amplitudes are returned: mode b stays in vacuum
-    and mode a Rabi-oscillates between |0> and |1> with angle k |alpha|.
-    With no drive (|alpha| < 1e-300) those rows are the stationary vacuum.
+    (|00>, |01>, |10>, |11>).  No term of the formulas divides by eps T or
+    by alpha, so one form holds at every epsilon: at epsilon = 0 mode b
+    stays in vacuum and mode a Rabi-oscillates between |0> and |1> with
+    angle k |alpha|.  Where omega underflows to 0 the rows are the vacuum.
 
     Raises ContractViolationError when a frequency or an amplitude is not
-    finite, when omega2 cancels to 0 at nonzero drive, or when the
+    finite, when the phases keep no significant digit, or when the
     probabilities of a row sum to 1 only within more than
     CLOSED_FORM_NORM_TOL.
     """
@@ -100,20 +92,14 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
     ks = np.arange(float(start), float(stop))
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
+    om, om1, om2 = kick_frequencies(params)
+    # omega2 <= omega1: the largest phase is k * omega1 / sqrt2 at the last k
+    check_phase_roundoff((stop - 1) * om1 / _SQRT2, f"{stop - 1} * omega1 / sqrt2")
     amps = np.zeros((len(ks), 4), dtype=complex)
-    # no drive: the coupled formulas hit 0/0, and the uncoupled rows are the vacuum
-    if uses_uncoupled_forms(params) or alpha < 1e-300:
-        check_phase_roundoff((stop - 1) * alpha, f"{stop - 1} * |alpha|")
-        amps[:, 0] = np.cos(ks * alpha)
-        amps[:, 2] = -1j * np.sin(ks * alpha)
+    # no drive: the formulas hit 0/0, and the rows are the vacuum
+    if om == 0.0:
+        amps[:, 0] = 1.0
     else:
-        om, om1, om2 = kick_frequencies(params)
-        if om2 <= 0.0:
-            raise ContractViolationError(
-                f"omega2 cancels to 0 at |epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
-            )
-        # omega2 <= omega1: the largest phase is k * omega1 / sqrt2 at the last k
-        check_phase_roundoff((stop - 1) * om1 / _SQRT2, f"{stop - 1} * omega1 / sqrt2")
         # an overflow or 0 * inf gives a non-finite entry, which the finiteness
         # contract below reports
         with np.errstate(over="ignore", invalid="ignore"):
@@ -121,15 +107,12 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
             cos1, sin1 = np.cos(phase1), np.sin(phase1)
             cos2, sin2 = np.cos(phase2), np.sin(phase2)
 
-            amps[:, 0] = (
-                (2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2
-            ) / (2 * eps_t * om)
+            amps[:, 0] = ((om - eps_t) * cos1 + (om + eps_t) * cos2) / (2 * om)
             amps[:, 1] = (alpha / om) * (cos1 - cos2)
-            amps[:, 2] = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
-                (om2**2 - 2 * (eps_t**2 + alpha**2)) * om2 * sin1
-                + eps_t * (eps_t - om) * om1 * sin2
+            amps[:, 2] = (-1j * alpha / (_SQRT2 * om)) * (
+                (eps_t + om) / om1 * sin1 + 2 * om1 / (eps_t + om) * sin2
             )
-            amps[:, 3] = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
+            amps[:, 3] = (1j / (_SQRT2 * om)) * (om1 * sin2 - om2 * sin1)
     finite = np.isfinite(amps).all(axis=1)
     if not finite.all():
         raise ContractViolationError(
@@ -145,7 +128,8 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
             f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
         )
     theta = cmath.phase(complex(params.alpha))
-    # columns |01> and |11> are 0 in the uncoupled forms, so phi is moot there
+    # at epsilon = 0 mode b is not coupled, and its columns |01> and |11> are
+    # 0 to roundoff, so phi is moot there
     phi = theta - cmath.phase(complex(params.epsilon))
     amps *= np.exp(1j * np.array([0.0, phi, theta, theta + phi]))
     return amps

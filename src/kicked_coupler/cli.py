@@ -33,7 +33,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .analytic import amplitude_rows, uses_uncoupled_forms
+from .analytic import amplitude_rows
 from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
 from .hamiltonians import SystemParams, edge_populations
 from .numerics import ContractViolationError
@@ -93,18 +93,6 @@ def _render(value) -> str:
     return text if float(text) == x.real else repr(x.real)
 
 
-def _note_closed_forms(params: SystemParams) -> None:
-    """Say on stderr when the closed forms depart from params: below the
-    coupling threshold the uncoupled amplitudes stand in.  Each closed-form
-    run calls it once."""
-    if uses_uncoupled_forms(params):
-        print(
-            "note: |epsilon*T| below the coupled-formula threshold; "
-            "using the uncoupled (epsilon = 0) amplitudes",
-            file=sys.stderr,
-        )
-
-
 def _observable_columns(obs: QubitObservables, *extra: np.ndarray) -> np.ndarray:
     """The CSV_HEADER columns after k, then any extra columns, one row per kick."""
     return np.column_stack(
@@ -151,7 +139,6 @@ def _run_simulate(config: RunConfig, edge: list) -> Iterator[str]:
 
 
 def _run_analytic(config: RunConfig, edge: list) -> Iterator[str]:
-    _note_closed_forms(config.params)
     yield CSV_HEADER + "\n"
     for start, stop in kick_blocks(config.n_kicks):
         block = amplitude_rows(start, stop, config.params)
@@ -163,7 +150,6 @@ def _run_analytic(config: RunConfig, edge: list) -> Iterator[str]:
 
 
 def _run_compare(config: RunConfig, edge: list) -> Iterator[str]:
-    _note_closed_forms(config.params)
     # the first block's closed forms are checked before the full-basis run;
     # each later block's are checked when the run reaches it
     amplitude_rows(*next(kick_blocks(config.n_kicks)), config.params)

@@ -11,6 +11,7 @@ three: one unitary period matrix, one matrix-vector product per kick.  It
 yields the trajectory in fixed blocks of rows, and `evolve` collects them.
 """
 
+import dataclasses
 import functools
 from collections.abc import Iterator
 from enum import StrEnum
@@ -126,7 +127,8 @@ def evolve_blocks(
     (UNITARY_INPUTS) changes: a scan reuses the one its parameter skips.
     ``scanned``, the SystemParams field a scan varies, names the unitaries
     no later point reuses: they leave the cache once the period matrix is
-    formed, before the probe and the first block.
+    formed, before the probe and the first block; a name that is not a
+    SystemParams field raises ValueError before a generator is built.
 
     The norm contract is checked against 1, the vacuum's squared norm, once
     the last block is filled, before it is yielded: ContractViolationError
@@ -135,6 +137,8 @@ def evolve_blocks(
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
+    if scanned is not None and scanned not in {f.name for f in dataclasses.fields(SystemParams)}:
+        raise ValueError(f"scanned is not a SystemParams field: {scanned!r}")
     cache = {} if cache is None else cache
     period = functools.reduce(np.matmul, reversed(_period_factors(params, ordering, cache)))
     for kind, inputs in UNITARY_INPUTS.items():

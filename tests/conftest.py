@@ -2,6 +2,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,39 @@ def default_params():
     """The reference working point: chi_a = chi_b = 1, alpha = 1/25,
     epsilon = 1/100, T = 1, cutoffs 15 per mode."""
     return SystemParams()
+
+
+def oracle_probabilities(ks, params, digits=40):
+    """|c_mn|^2 at kicks ks, from the closed forms in the algebraically
+    distinct form that divides by eps T and by omega2, evaluated in mpmath
+    at the given digits from the doubles params holds.  At eps T = 0 the
+    rows are the uncoupled ones, and at alpha = 0 the vacuum.  The form
+    cancels about 2 log10(alpha / eps T) digits when alpha > eps T."""
+    with mpmath.workdps(digits):
+        eps = mpmath.mpf(abs(params.epsilon)) * mpmath.mpf(params.T)
+        alpha = mpmath.mpf(abs(params.alpha))
+        if eps == 0 or alpha == 0:
+            return np.array([
+                [float(mpmath.cos(k * alpha) ** 2), 0.0, float(mpmath.sin(k * alpha) ** 2), 0.0]
+                for k in ks
+            ])
+        om = mpmath.sqrt(eps**2 + 4 * alpha**2)
+        om1 = mpmath.sqrt(eps**2 + 2 * alpha**2 + eps * om)
+        om2 = 2 * alpha**2 / om1
+        sqrt2 = mpmath.sqrt(2)
+        rows = []
+        for k in ks:
+            cos1, sin1 = mpmath.cos(k * om1 / sqrt2), mpmath.sin(k * om1 / sqrt2)
+            cos2, sin2 = mpmath.cos(k * om2 / sqrt2), mpmath.sin(k * om2 / sqrt2)
+            rows.append([
+                ((2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2)
+                / (2 * eps * om),
+                (alpha / om) * (cos1 - cos2),
+                (alpha / (sqrt2 * eps * om * om1 * om2))
+                * ((om2**2 - 2 * (eps**2 + alpha**2)) * om2 * sin1 + eps * (eps - om) * om1 * sin2),
+                (sqrt2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1),
+            ])
+        return np.array([[float(c**2) for c in row] for row in rows])
 
 
 # Dense single-mode operators, their lifts to the joint space and the

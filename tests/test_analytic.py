@@ -1,4 +1,5 @@
 import cmath
+import math
 import warnings
 from dataclasses import replace
 
@@ -17,10 +18,11 @@ from kicked_coupler import (
     truncated_amplitudes,
     truncated_map_states,
 )
-from kicked_coupler import propagation
-from kicked_coupler.analytic import SINGULAR_COUPLING_THRESHOLD, amplitude_rows
+from kicked_coupler import analytic, propagation
+from kicked_coupler.analytic import amplitude_rows
 from kicked_coupler.propagation import kick_blocks
 from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
+from conftest import oracle_probabilities
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -48,24 +50,19 @@ def scalar_magnitude_amplitudes(k, params):
     """The closed forms at |alpha| and |epsilon| for one kick."""
     eps_t = abs(params.epsilon) * params.T
     alpha = abs(params.alpha)
-    if eps_t <= SINGULAR_COUPLING_THRESHOLD:
-        return [complex(np.cos(k * alpha)), 0j, -1j * np.sin(k * alpha), 0j]
-    if alpha < 1e-300:
-        return [1.0 + 0j, 0j, 0j, 0j]
     om, om1, om2 = kick_frequencies(params)
+    if om == 0.0:
+        return [1.0 + 0j, 0j, 0j, 0j]
     cos1 = np.cos(k * om1 / _SQRT2)
     cos2 = np.cos(k * om2 / _SQRT2)
     sin1 = np.sin(k * om1 / _SQRT2)
     sin2 = np.sin(k * om2 / _SQRT2)
-    c00 = ((2 * alpha**2 - om2**2) * cos1 - (2 * alpha**2 - om1**2) * cos2) / (
-        2 * eps_t * om
-    )
+    c00 = ((om - eps_t) * cos1 + (om + eps_t) * cos2) / (2 * om)
     c01 = (alpha / om) * (cos1 - cos2)
-    c10 = (1j * alpha / (_SQRT2 * eps_t * om * om1 * om2)) * (
-        (om2**2 - 2 * (eps_t**2 + alpha**2)) * om2 * sin1
-        + eps_t * (eps_t - om) * om1 * sin2
+    c10 = (-1j * alpha / (_SQRT2 * om)) * (
+        (eps_t + om) / om1 * sin1 + 2 * om1 / (eps_t + om) * sin2
     )
-    c11 = (1j * _SQRT2 * alpha**2 / om) * (sin2 / om2 - sin1 / om1)
+    c11 = (1j / (_SQRT2 * om)) * (om1 * sin2 - om2 * sin1)
     return [complex(c00), complex(c01), complex(c10), complex(c11)]
 
 
@@ -75,7 +72,9 @@ def scalar_reference(n_kicks, params):
 
 def uncoupled(n_kicks, alpha):
     """The epsilon = 0 amplitudes: mode a Rabi-oscillates with angle k*alpha."""
-    return truncated_amplitudes(n_kicks, SystemParams(epsilon=0.0, alpha=alpha))
+    angles = alpha * np.arange(n_kicks + 1)
+    zeros = np.zeros_like(angles)
+    return np.column_stack((np.cos(angles), zeros, -1j * np.sin(angles), zeros))
 
 
 # inputs that are not positive reals, each with its own phases
@@ -178,10 +177,6 @@ class TestTruncatedAmplitudes:
         defect = np.max(np.abs(1.0 - np.sum(np.abs(amps) ** 2, axis=1)))
         assert defect < 1e-12
 
-    def test_below_singular_coupling_gives_uncoupled_amplitudes(self):
-        amps = truncated_amplitudes(3, SystemParams(epsilon=1e-13))
-        assert np.array_equal(amps, uncoupled(3, 0.04))
-
     def test_zero_drive_is_stationary_vacuum(self):
         amps = truncated_amplitudes(17, SystemParams(alpha=0.0))
         np.testing.assert_allclose(amps, np.tile([1, 0, 0, 0], (18, 1)), atol=0)
@@ -189,35 +184,37 @@ class TestTruncatedAmplitudes:
     @pytest.mark.parametrize(
         "params, match",
         [
-            # |alpha| << |epsilon T|: omega2 rounds to 0, 1/omega2 would blow up
-            (SystemParams(alpha=1e-5, epsilon=1.0), "omega2"),
+            # overflowed squares in the frequencies
+            (SystemParams(alpha=1e160), "kick frequencies are not finite"),
             # phases k * omega1 / sqrt2 that keep no significant digit; the
             # phase contract is checked before the amplitudes are evaluated
             (SystemParams(alpha=1e150), "phase roundoff"),
             (SystemParams(alpha=1e100), "phase roundoff"),
-            # finite closed forms whose probabilities do not sum to 1
-            (SystemParams(alpha=17.0, epsilon=1e-11), "sum to 1"),
         ],
-        ids=["omega2-cancels", "alpha-1e150", "alpha-1e100", "alpha-17-epsilon-1e-11"],
+        ids=["alpha-1e160", "alpha-1e150", "alpha-1e100"],
     )
     def test_contract_violations(self, params, match):
-        with np.errstate(all="ignore"):
-            with pytest.raises(ContractViolationError, match=match):
-                truncated_amplitudes(3, params)
+        with pytest.raises(ContractViolationError, match=match):
+            truncated_amplitudes(3, params)
 
-    def test_finiteness_contract_at_k0(self):
-        # the frequencies fit, but the |10> prefactor's denominator overflows
-        # and its bracket is inf * sin(0), so the row is NaN
+    def test_finiteness_contract_at_k0(self, monkeypatch):
+        # no input whose frequencies are finite gives a non-finite amplitude;
+        # a NaN omega2 stands in for one, and makes every row NaN from k = 0
+        om, om1, _ = kick_frequencies(SystemParams())
+        monkeypatch.setattr(analytic, "kick_frequencies", lambda params: (om, om1, math.nan))
         with pytest.raises(
             ContractViolationError, match="closed-form amplitudes are not finite at k = 0"
         ):
-            truncated_amplitudes(0, SystemParams(epsilon=1e150, alpha=1e149))
+            truncated_amplitudes(0, SystemParams())
 
-    @pytest.mark.parametrize("alpha", [1e100, 1e150])
-    def test_normalization_contract_at_k0(self, alpha):
-        # k = 0 has no phase to lose, but om1^2 - om2^2 cancels all digits
-        with pytest.raises(ContractViolationError, match="sum to 1"):
-            truncated_amplitudes(0, SystemParams(alpha=alpha))
+    def test_normalization_contract(self, monkeypatch):
+        # the defect is roundoff at every input; with the tolerance set below
+        # it, the contract reports the row of the largest defect
+        amps = truncated_amplitudes(50, SystemParams())
+        defect = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)
+        monkeypatch.setattr(analytic, "CLOSED_FORM_NORM_TOL", defect.max() / 2)
+        with pytest.raises(ContractViolationError, match=f"sum to 1 .* at k = {defect.argmax()},"):
+            truncated_amplitudes(50, SystemParams())
 
     @pytest.mark.parametrize(
         "params",
@@ -225,12 +222,9 @@ class TestTruncatedAmplitudes:
         ids=["coupled", "uncoupled"],
     )
     def test_phase_roundoff_contract(self, params):
-        # the largest phase of k kicks is k * omega1 / sqrt2 (k * |alpha|
-        # uncoupled); the bound is the full-basis unitaries' one
-        if params.epsilon:
-            frequency = kick_frequencies(params)[1] / _SQRT2
-        else:
-            frequency = abs(params.alpha)
+        # the largest phase of k kicks is k * omega1 / sqrt2 (about
+        # k * |alpha| uncoupled); the bound is the full-basis unitaries' one
+        frequency = kick_frequencies(params)[1] / _SQRT2
         limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / frequency
         assert 1000 < limit < 5000
         truncated_amplitudes(int(0.99 * limit), params)
@@ -242,28 +236,30 @@ class TestTruncatedAmplitudes:
         # raises and reports its last k
         monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
         params = SystemParams(alpha=1e6, epsilon=0.0)
-        limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / 1e6
+        om1 = kick_frequencies(params)[1]
+        limit = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / (om1 / _SQRT2)
         rows = 0
         with pytest.raises(ContractViolationError, match="phase roundoff") as info:
             for start, stop in kick_blocks(int(limit) + 30):
                 rows += len(amplitude_rows(start, stop, params))
         assert rows - 1 <= limit < rows + 6
-        assert f"phase roundoff {rows + 6} * |alpha| * 2^-52" in str(info.value)
-        assert f"({rows + 6} * |alpha| = {(rows + 6) * 1e6:.3e})" in str(info.value)
+        name = f"{rows + 6} * omega1 / sqrt2"
+        assert f"phase roundoff {name} * 2^-52" in str(info.value)
+        assert f"({name} = {(rows + 6) * om1 / _SQRT2:.3e})" in str(info.value)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_no_numpy_warning(self):
-        # at k = 0 the phases are 0, and _SQRT2 * eps_t * om * om1 * om2
-        # overflows; the finite row that results passes every contract
+        # at k = 0 the phases are 0; the squares in the frequencies reach
+        # 1e196, and the vacuum row that results passes every contract
         amps = truncated_amplitudes(0, SystemParams(T=1e100, alpha=1e98))
-        assert np.isfinite(amps).all()
+        assert np.array_equal(amps, [[1, 0, 0, 0]])
 
     def test_normalization_passes_where_the_forms_hold(self):
-        # measured defects over 2000 kicks: 2.8e-12 at epsilon = 1e-6 and
-        # 8e-9 at epsilon = 1e-9, both well inside CLOSED_FORM_NORM_TOL
-        for epsilon in (1e-6, 1e-9):
+        # the forms hold at every epsilon: measured defects over 2000 kicks
+        # are 4.4e-16 at epsilon = 0 and 5.6e-16 at each of the others
+        for epsilon in (1e-6, 1e-9, 1.5e-12, 0.0):
             amps = truncated_amplitudes(2000, SystemParams(epsilon=epsilon))
-            assert np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1)) < 1e-7
+            assert np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1)) < 1e-14
 
     def test_rejects_negative_kick_count(self, default_params):
         with pytest.raises(ValueError):
@@ -287,9 +283,48 @@ class TestUncoupledAmplitudes:
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-15)
 
 
+class TestMatchesOracle:
+    """The closed forms against conftest.oracle_probabilities: their form
+    that divides by eps T and cancels in 2 alpha^2 - omega2^2, evaluated in
+    mpmath, where at 40 digits that costs nothing.  The double-precision
+    rows keep every probability within 1e-12 at every epsilon, down to 0,
+    and at |alpha| << |epsilon T|."""
+
+    @pytest.mark.parametrize(
+        "alpha, epsilon",
+        [(0.04, 0.01), (0.04, 1e-7), (0.04, 1e-9), (0.04, 1e-10), (0.04, 1.5e-12),
+         (0.04, 0.0), (0.001, 10.0), (1e-5, 1.0)],
+    )
+    def test_ten_thousand_kicks(self, alpha, epsilon):
+        params = SystemParams(alpha=alpha, epsilon=epsilon)
+        ks = np.arange(0, 10001, 10)
+        probs = np.abs(truncated_amplitudes(10000, params)[ks]) ** 2
+        assert np.max(np.abs(probs - oracle_probabilities(ks, params))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "params, n_kicks",
+        [
+            # |alpha| << |epsilon T| and |alpha| >> |epsilon T|
+            (SystemParams(alpha=1e-5, epsilon=1.0), 3),
+            (SystemParams(alpha=17.0, epsilon=1e-11), 3),
+            # k = 0 at frequencies near the top of the range
+            (SystemParams(alpha=1e100), 0),
+            (SystemParams(alpha=1e150), 0),
+            (SystemParams(epsilon=1e150, alpha=1e149), 0),
+        ],
+        ids=["omega2-cancels", "alpha-17-epsilon-1e-11", "k0-alpha-1e100", "k0-alpha-1e150",
+             "k0-epsilon-1e150"],
+    )
+    def test_extreme_inputs(self, params, n_kicks):
+        # 400 digits outlast the oracle's cancellation at alpha 1e150
+        ks = np.arange(n_kicks + 1)
+        probs = np.abs(truncated_amplitudes(n_kicks, params)) ** 2
+        assert np.max(np.abs(probs - oracle_probabilities(ks, params, 400))) < 1e-12
+
+
 class TestMatchesScalarFormulas:
     """The columnar closed forms equal the per-kick scalar formulas bit for
-    bit, in every branch."""
+    bit, the no-drive rows included."""
 
     def test_coupled(self, rng, default_params):
         cases = [default_params, SystemParams(alpha=0.3, epsilon=0.05, T=1.7)]
@@ -354,18 +389,16 @@ class TestAmplitudeBlocks:
     @pytest.mark.parametrize(
         "params, match",
         [
-            (SystemParams(alpha=1e-5, epsilon=1.0), "omega2"),
+            (SystemParams(alpha=1e160), "kick frequencies are not finite"),
             (SystemParams(alpha=1e100), "phase roundoff"),
-            (SystemParams(alpha=17.0, epsilon=1e-11), "sum to 1"),
         ],
-        ids=["omega2-cancels", "alpha-1e100", "alpha-17-epsilon-1e-11"],
+        ids=["alpha-1e160", "alpha-1e100"],
     )
     def test_first_block_checks_the_contracts(self, monkeypatch, params, match):
         monkeypatch.setattr(propagation, "BLOCK_KICKS", 7)
         start, stop = next(kick_blocks(30))
-        with np.errstate(all="ignore"):
-            with pytest.raises(ContractViolationError, match=match):
-                amplitude_rows(start, stop, params)
+        with pytest.raises(ContractViolationError, match=match):
+            amplitude_rows(start, stop, params)
 
 
 class TestPhaseGauge:

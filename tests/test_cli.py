@@ -35,7 +35,7 @@ from kicked_coupler.cli import (
 )
 from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
 from kicked_coupler.propagation import UNITARY_INPUTS
-from conftest import MATRIX_BYTES, off_norm_vacuum, scaled_steps, traced_peak
+from conftest import MATRIX_BYTES, off_norm_vacuum, oracle_probabilities, scaled_steps, traced_peak
 
 
 def fmt(x):
@@ -411,43 +411,24 @@ class TestRunModes:
         assert caches[0] is not caches[2]
 
 
-CLOSED_FORM_NOTE = (
-    "note: |epsilon*T| below the coupled-formula threshold; "
-    "using the uncoupled (epsilon = 0) amplitudes"
-)
-
-
 class TestMain:
     @pytest.mark.parametrize("mode", ["analytic", "compare"])
     @pytest.mark.parametrize(
-        "flags, lines",
+        "flags",
         [
-            ([], []),
-            (["--epsilon", "0"], [CLOSED_FORM_NOTE]),
+            [],
             # the closed forms follow the phases of alpha and epsilon, so a
-            # complex input needs no warning
-            (["--alpha", "0.04+0.01j"], []),
-            (["--alpha", "0.04+0.01j", "--epsilon", "0"], [CLOSED_FORM_NOTE]),
+            # complex input needs no warning, and one formula holds at every
+            # epsilon, 0 included
+            ["--alpha", "0.04+0.01j"],
+            ["--alpha", "0.04+0.01j", "--epsilon", "0"],
         ],
-        ids=["plain", "uncoupled", "complex", "both"],
+        ids=["plain", "complex", "both"],
     )
-    def test_closed_form_notes_print_once(self, tmp_path, capsys, mode, flags, lines):
+    def test_closed_form_runs_print_nothing(self, tmp_path, capsys, mode, flags):
         argv = ["--mode", mode, "--kicks", "5", *SMALL, "--out", str(tmp_path / "o.csv")]
         assert main(argv + flags) == 0
-        assert capsys.readouterr().err.splitlines() == lines
-
-    def test_note_follows_the_branch_taken(self, tmp_path, capsys, monkeypatch):
-        # one predicate decides both: with the threshold raised past
-        # |epsilon T| = 0.01, the note prints and the rows are the uncoupled ones
-        monkeypatch.setattr(analytic, "SINGULAR_COUPLING_THRESHOLD", 0.02)
-        csvs = []
-        for epsilon in ("0.01", "0"):
-            out = tmp_path / f"{epsilon}.csv"
-            argv = ["--mode", "analytic", "--kicks", "5", "--epsilon", epsilon]
-            assert main(argv + SMALL + ["--out", str(out)]) == 0
-            assert capsys.readouterr().err.splitlines() == [CLOSED_FORM_NOTE]
-            csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1]
+        assert capsys.readouterr().err == ""
 
     def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
         text = "alpha = 0.05\nkicks = 7\n"
@@ -742,7 +723,7 @@ class TestMain:
     def test_compare_checks_closed_forms_before_evolving(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "evolve_blocks", failing_evolve_blocks)
         out = tmp_path / "run.csv"
-        argv = ["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1", "--kicks", "3"]
+        argv = ["--mode", "compare", "--alpha", "1e160", "--kicks", "3"]
         assert main(argv + ["--out", str(out)]) == 3
         assert not out.exists()
 
@@ -790,31 +771,46 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--mode", "analytic", "--alpha", "1e200"],
-            ["--mode", "analytic", "--alpha", "1e160"],
-            ["--mode", "compare", "--epsilon", "1e200"],
-            ["--mode", "analytic", "--epsilon", "1e150"],
-            # omega2 cancels to 0 when |alpha| << |epsilon T|
-            ["--mode", "analytic", "--alpha", "1e-5", "--epsilon", "1"],
-            ["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1"],
-            # finite closed forms whose phases keep no digit (alpha 1e150 and
-            # 1e100 at k = 3) or whose probabilities do not sum to 1
-            ["--mode", "analytic", "--alpha", "1e150"],
-            ["--mode", "analytic", "--alpha", "1e100"],
-            ["--mode", "compare", "--alpha", "1e100"],
-            ["--mode", "analytic", "--alpha", "17", "--epsilon", "1e-11"],
+            # a square in the frequencies overflows
+            (["--mode", "analytic", "--alpha", "1e200"], "kick frequencies are not finite"),
+            (["--mode", "analytic", "--alpha", "1e160"], "kick frequencies are not finite"),
+            (["--mode", "compare", "--epsilon", "1e200"], "kick frequencies are not finite"),
+            # finite closed forms whose phases keep no digit at k = 3
+            (["--mode", "analytic", "--epsilon", "1e150"], "phase roundoff"),
+            (["--mode", "analytic", "--alpha", "1e150"], "phase roundoff"),
+            (["--mode", "analytic", "--alpha", "1e100"], "phase roundoff"),
+            (["--mode", "compare", "--alpha", "1e100"], "phase roundoff"),
+            # alpha^2 underflows, with or without omega: the vacuum, to
+            # double precision
+            (["--mode", "analytic", "--alpha", "1e-170", "--epsilon", "0"], None),
+            (["--mode", "analytic", "--alpha", "0", "--epsilon", "0"], None),
+            (["--mode", "analytic", "--alpha", "1e-160"], None),
+            # |alpha| << |epsilon T| and |alpha| >> |epsilon T|: rows that
+            # sum to 1
+            (["--mode", "analytic", "--alpha", "1e-5", "--epsilon", "1"], None),
+            (["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1"], None),
+            (["--mode", "analytic", "--alpha", "17", "--epsilon", "1e-11"], None),
         ],
     )
-    def test_overflowing_closed_forms_exit_code(self, tmp_path, capsys, argv):
+    def test_overflowing_closed_forms_exit_code(self, tmp_path, capsys, argv, message):
+        # the closed forms at the ends of the float range exit 3 with the
+        # contract they break, or 0 with the oracle's probabilities
         out = tmp_path / "run.csv"
-        with np.errstate(all="ignore"):
-            assert main(argv + ["--kicks", "3", "--out", str(out)]) == 3
+        code = main(argv + ["--kicks", "3", "--out", str(out)])
         err = capsys.readouterr().err
-        assert "numerical contract violation" in err
         assert "Traceback" not in err
-        assert not out.exists()
+        if message is not None:
+            assert code == 3 and err.startswith(f"numerical contract violation: {message}")
+            assert not out.exists()
+            return
+        assert (code, err) == (0, "")
+        _, rows = read_rows(out)
+        first = 1 if argv[1] == "analytic" else 11
+        probs = np.array(rows, dtype=float)[:, first : first + 4]
+        params = cli.config_from_args(argv)[0].params
+        assert np.max(np.abs(probs - oracle_probabilities(range(4), params, 400))) < 1e-12
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -843,7 +839,7 @@ class TestMain:
             (["--mode", "analytic", "--T", "1e12", "--alpha", "1e10"],
              f"{propagation.BLOCK_KICKS - 1} * omega1 / sqrt2"),
             (["--mode", "analytic", "--epsilon", "0", "--alpha", "1e15", "--kicks", "3"],
-             "3 * |alpha|"),
+             "3 * omega1 / sqrt2"),
             (["--mode", "compare", "--T", "1e17", "--alpha", "1e15", "--kicks", "3"],
              "3 * omega1 / sqrt2"),
             (["--mode", "compare", "--T", "1e12", "--alpha", "1e10"],
@@ -852,7 +848,7 @@ class TestMain:
     )
     def test_closed_form_phase_roundoff_exit_code(self, tmp_path, capsys, argv, phase):
         # the closed forms stay finite and sum to 1, but their phases
-        # k * omega1 / sqrt2 (k * |alpha| uncoupled) keep no significant digit;
+        # k * omega1 / sqrt2 keep no significant digit;
         # compare refuses them before the full-basis run
         out = tmp_path / "run.csv"
         assert main(argv + ["--out", str(out)]) == 3
@@ -1475,8 +1471,8 @@ def record_spool_dirs(monkeypatch):
 class TestOutputFile:
     FAILING_RUNS = {
         "norm-drift": (["--kicks", "30"] + SMALL, off_norm_vacuum),
-        "closed-form": (["--mode", "compare", "--alpha", "1e-5", "--epsilon", "1",
-                         "--kicks", "30"] + SMALL, None),
+        "closed-form": (["--mode", "compare", "--alpha", "1e160", "--kicks", "30"] + SMALL,
+                        None),
     }
 
     @pytest.mark.parametrize("failure", sorted(FAILING_RUNS))

@@ -467,6 +467,20 @@ class TestUnitaryCache:
         assert set(cache) == kept
         assert np.array_equal(states, evolve(self.BASE, 3, ordering=ordering))
 
+    @pytest.mark.parametrize("scanned", ["Alpha", "eps", "", "kick"])
+    def test_scanned_must_name_a_field(self, monkeypatch, scanned):
+        # a misspelt field would drop nothing and leave the stale unitary in
+        # the cache; it is refused before a generator is built
+        def no_build(params):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(propagation, "build_coupler_hamiltonian", no_build)
+        monkeypatch.setattr(propagation, "build_kick_generator", no_build)
+        cache = {}
+        with pytest.raises(ValueError, match=f"not a SystemParams field: {scanned!r}"):
+            evolve_blocks(self.BASE, 3, cache=cache, scanned=scanned)
+        assert cache == {}
+
     def test_rebuilds_only_the_generator_a_change_enters(self, monkeypatch):
         built = []
         for name in ("build_coupler_hamiltonian", "build_kick_generator"):
