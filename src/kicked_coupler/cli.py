@@ -93,16 +93,12 @@ def _render(value) -> str:
     return text if float(text) == x.real else repr(x.real)
 
 
-def _observable_columns(obs: QubitObservables, *extra: np.ndarray) -> np.ndarray:
-    """The CSV_HEADER columns after k, then any extra columns, one row per kick."""
-    return np.column_stack(
+def _csv_rows(obs: QubitObservables, first_k: int, *extra: np.ndarray) -> str:
+    """One CSV line per kick: its number, counted from first_k, the
+    CSV_HEADER columns after k, then any extra columns."""
+    table = np.column_stack(
         (obs.probs, obs.leakage, obs.concurrence, obs.bell_fidelities, *extra)
     )
-
-
-def _csv_rows(table: np.ndarray, first_k: int) -> str:
-    """One CSV line per table row, prefixed with its kick number, counted
-    from first_k."""
     line = "%d," + ",".join([_FLOAT] * table.shape[1]) + "\n"
     ks = range(first_k, first_k + len(table))
     return "".join(map(line.__mod__, zip(ks, *table.T.tolist())))
@@ -135,10 +131,18 @@ def _observed_blocks(
 def _run_simulate(config: RunConfig, edge: list) -> Iterator[str]:
     yield CSV_HEADER + "\n"
     for k, obs in _observed_blocks(config.params, config.n_kicks, config.ordering, edge):
-        yield _csv_rows(_observable_columns(obs), k)
+        yield _csv_rows(obs, k)
+
+
+def _check_closed_forms(config: RunConfig) -> None:
+    """Refuse a closed-form run bound to fail before its first row: check
+    the first block and the last kick, whose phases are the largest."""
+    amplitude_rows(*next(kick_blocks(config.n_kicks)), config.params)
+    amplitude_rows(config.n_kicks, config.n_kicks + 1, config.params)
 
 
 def _run_analytic(config: RunConfig, edge: list) -> Iterator[str]:
+    _check_closed_forms(config)
     yield CSV_HEADER + "\n"
     for start, stop in kick_blocks(config.n_kicks):
         block = amplitude_rows(start, stop, config.params)
@@ -146,20 +150,18 @@ def _run_analytic(config: RunConfig, edge: list) -> Iterator[str]:
         obs = QubitObservables(
             probs, 1.0 - probs.sum(axis=1), concurrence_pure(block), bell_fidelities(block)
         )
-        yield _csv_rows(_observable_columns(obs), start)
+        yield _csv_rows(obs, start)
 
 
 def _run_compare(config: RunConfig, edge: list) -> Iterator[str]:
-    # the first block's closed forms are checked before the full-basis run;
-    # each later block's are checked when the run reaches it
-    amplitude_rows(*next(kick_blocks(config.n_kicks)), config.params)
+    _check_closed_forms(config)
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
     for k, obs in _observed_blocks(config.params, config.n_kicks, Ordering.MID_PULSE, edge):
         probs = np.abs(amplitude_rows(k, k + len(obs.leakage), config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
-        yield _csv_rows(_observable_columns(obs, probs, dp_max), k)
+        yield _csv_rows(obs, k, probs, dp_max)
 
 
 def _run_scan(config: RunConfig, edge: list) -> Iterator[str]:

@@ -727,29 +727,14 @@ class TestMain:
         assert main(argv + ["--out", str(out)]) == 3
         assert not out.exists()
 
-    def test_compare_checks_later_closed_forms_with_their_block(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("mode", ["compare", "analytic"])
+    def test_closed_forms_check_the_last_kick_before_any_row(
+        self, tmp_path, capsys, monkeypatch, mode
     ):
-        # the first block's closed forms pass; a later block's phases keep no
-        # digit, and the run exits 3 when it reaches that block.  At large
-        # alpha, omega1 / sqrt2 is about alpha, so the phase roundoff first
-        # exceeds its bound near k = 1.5 B, inside the second block
-        b = propagation.BLOCK_KICKS
-        alpha = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / (1.5 * b)
-        out = tmp_path / "run.csv"
-        argv = ["--mode", "compare", "--alpha", str(alpha), "--kicks", str(2 * b)]
-        argv += ["--cutoff-a", "3", "--cutoff-b", "3"]
-        params = cli.config_from_args(argv)[0].params
-        first, (_, second_stop) = list(propagation.kick_blocks(2 * b))[:2]
-        analytic.amplitude_rows(*first, params)
-        assert main(argv + ["--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith(
-            f"numerical contract violation: phase roundoff {second_stop - 1} * omega1 / sqrt2"
-            " * 2^-52"
-        )
-        assert list(tmp_path.iterdir()) == []
-        # a run that passes evaluates the first block once before the
-        # full-basis run, then each block once beside its states
+        # the first block's closed forms pass; the last kick's phases keep no
+        # digit, and the run exits 3 before the full-basis run and before any
+        # row.  At large alpha, omega1 / sqrt2 is about alpha, so the phase
+        # roundoff first exceeds its bound near k = 1.5 B, inside the second block
         calls = []
 
         def counted(start, stop, params):
@@ -757,9 +742,25 @@ class TestMain:
             return analytic.amplitude_rows(start, stop, params)
 
         monkeypatch.setattr(cli, "amplitude_rows", counted)
-        assert main(["--mode", "compare", "--kicks", "300", *SMALL, "--out", str(out)]) == 0
+        monkeypatch.setattr(cli, "evolve_blocks", failing_evolve_blocks)
+        n = 2 * propagation.BLOCK_KICKS
+        alpha = PHASE_ROUNDOFF_TOL / np.finfo(float).eps / (0.75 * n)
+        out = tmp_path / "run.csv"
+        argv = ["--mode", mode, "--alpha", str(alpha), "--kicks", str(n)]
+        argv += ["--cutoff-a", "3", "--cutoff-b", "3"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"numerical contract violation: phase roundoff {n} * omega1 / sqrt2 * 2^-52"
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert calls == [next(propagation.kick_blocks(n)), (n, n + 1)]
+        # a run that passes evaluates the first block and the last kick
+        # before its rows, then each block once
+        monkeypatch.setattr(cli, "evolve_blocks", evolve_blocks)
+        calls.clear()
+        assert main(["--mode", mode, "--kicks", "300", *SMALL, "--out", str(out)]) == 0
         blocks = list(propagation.kick_blocks(300))
-        assert calls == blocks[:1] + blocks
+        assert calls == blocks[:1] + [(300, 301)] + blocks
 
     @pytest.mark.parametrize(
         "flag, value", [("--alpha", "nan"), ("--epsilon", "inf"), ("--T", "inf")]
@@ -1227,13 +1228,17 @@ class TestRowFormatting:
         assert [format(x, ".12g") for x in values] == [fmt(x) for x in values]
 
     def test_rows_equal_the_per_cell_format(self, rng):
-        table = rng.normal(size=(9, 10))
-        table[2, 3], table[4, 5] = -0.0, np.nan
-        expected = "".join(
-            ",".join([str(k)] + [fmt(v) for v in row]) + "\n"
-            for k, row in enumerate(table.tolist(), 5)
-        )
-        assert cli._csv_rows(table, 5) == expected
+        # the ten CSV_HEADER columns after k, then compare's (K, 4) and (K,)
+        # extra columns
+        table = rng.normal(size=(9, 15))
+        table[2, 3], table[4, 5], table[6, 12] = -0.0, np.nan, -0.0
+        obs = QubitObservables(table[:, :4], table[:, 4], table[:, 5], table[:, 6:10])
+        for width, extra in [(10, ()), (15, (table[:, 10:14], table[:, 14]))]:
+            expected = "".join(
+                ",".join([str(k)] + [fmt(v) for v in row]) + "\n"
+                for k, row in enumerate(table[:, :width].tolist(), 5)
+            )
+            assert cli._csv_rows(obs, 5, *extra) == expected
 
 
 class TestStreamedRuns:

@@ -480,6 +480,10 @@ class TestUnitaryCache:
         with pytest.raises(ValueError, match=f"not a SystemParams field: {scanned!r}"):
             evolve_blocks(self.BASE, 3, cache=cache, scanned=scanned)
         assert cache == {}
+        # the names accepted are those UNITARY_INPUTS lists, so a field that no
+        # generator reads would be refused: every field must be listed
+        listed = set().union(*UNITARY_INPUTS.values())
+        assert listed == {f.name for f in fields(SystemParams)}
 
     def test_rebuilds_only_the_generator_a_change_enters(self, monkeypatch):
         built = []
