@@ -59,20 +59,15 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScanSpec:
-    param: str
-    start: float
-    stop: float
-    steps: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
     params: SystemParams
     n_kicks: int = 2000
     ordering: Ordering = DEFAULT_ORDERING
     mode: str = "simulate"
-    scan: ScanSpec | None = None
+    scan_param: str | None = None  # the four scan keys, None unless mode is scan
+    scan_start: float | None = None
+    scan_stop: float | None = None
+    scan_steps: int | None = None
     out: str = "output.csv"
 
 
@@ -165,23 +160,23 @@ def _run_compare(config: RunConfig, edge: list) -> Iterator[str]:
 
 
 def _run_scan(config: RunConfig, edge: list) -> Iterator[str]:
-    scan = config.scan
+    param, start, stop = config.scan_param, config.scan_start, config.scan_stop
     yield SCAN_HEADER + "\n"
     row = f"%s,{_FLOAT},{_FLOAT},%d,{_FLOAT}\n"
-    cache: dict = {}  # the step unitary scan.param does not enter is built once
-    div, span = scan.steps - 1, scan.stop - scan.start
+    cache: dict = {}  # the step unitary param does not enter is built once
+    div, span = config.scan_steps - 1, stop - start
     step = span / div
-    for j in range(scan.steps):
+    for j in range(config.scan_steps):
         # np.linspace(start, stop, steps)[j] bit for bit, numpy's branch for
         # a step that underflows to 0 included, without the whole array
         value = j / div * span if step == 0 else j * step
-        value = scan.stop if j == div else value + scan.start
-        params = replace(config.params, **{scan.param: value})
+        value = stop if j == div else value + start
+        params = replace(config.params, **{param: value})
         max_concurrence = max_leakage = -np.inf
         k_at_max = 0
-        where = f", {scan.param} = {_FLOAT % value}"
+        where = f", {param} = {_FLOAT % value}"
         for k, obs in _observed_blocks(
-            params, config.n_kicks, config.ordering, edge, cache, scan.param, where
+            params, config.n_kicks, config.ordering, edge, cache, param, where
         ):
             i = int(np.argmax(obs.concurrence))
             # strict '>': the first maximum wins across blocks, as in argmax
@@ -189,7 +184,7 @@ def _run_scan(config: RunConfig, edge: list) -> Iterator[str]:
                 max_concurrence, k_at_max = obs.concurrence[i], k + i
             max_leakage = max(max_leakage, obs.leakage.max())
         del obs  # before the next point's unitaries are built
-        yield row % (scan.param, value, max_concurrence, k_at_max, max_leakage)
+        yield row % (param, value, max_concurrence, k_at_max, max_leakage)
 
 
 _RUNNERS: dict[str, Callable[[RunConfig, list], Iterator[str]]] = {
@@ -236,12 +231,12 @@ _KEYS = {
     "cutoff_b": _Key("params.dims.dim_b", int, "Fock levels in mode b"),
     "ordering": _Key("ordering", Ordering, "step ordering", ORDERINGS),
     "out": _Key("out", _parse_out, "output CSV path"),
-    "scan_param": _Key("scan.param", str, choices=SCAN_PARAMS),
-    "scan_start": _Key("scan.start", float),
-    "scan_stop": _Key("scan.stop", float),
-    "scan_steps": _Key("scan.steps", int),
+    "scan_param": _Key("scan_param", str, choices=SCAN_PARAMS),
+    "scan_start": _Key("scan_start", float),
+    "scan_stop": _Key("scan_stop", float),
+    "scan_steps": _Key("scan_steps", int),
 }
-_SCAN_KEYS = frozenset(k for k, spec in _KEYS.items() if spec.field.startswith("scan."))
+_SCAN_KEYS = frozenset(key for key in _KEYS if key.startswith("scan_"))
 
 
 def _flag(key: str) -> str:
@@ -289,22 +284,22 @@ def _config_from_items(items: dict) -> RunConfig:
     missing = _SCAN_KEYS - scan_keys
     if missing:
         raise ConfigError(f"mode = scan requires keys: {', '.join(sorted(missing))}")
-    scan = ScanSpec(**fields["scan"])
-    if scan.steps < 2:
-        raise ConfigError(f"scan_steps must be >= 2, got {scan.steps}")
-    if not scan.start < scan.stop:
-        raise ConfigError(f"scan_start must be < scan_stop, got {scan.start} >= {scan.stop}")
+    start, stop = config.scan_start, config.scan_stop
+    if config.scan_steps < 2:
+        raise ConfigError(f"scan_steps must be >= 2, got {config.scan_steps}")
+    if not start < stop:
+        raise ConfigError(f"scan_start must be < scan_stop, got {start} >= {stop}")
     # every scanned value lies between the endpoints if their difference,
     # the span of _run_scan, is finite (else the values are NaN), so checking
     # both rejects a non-finite or nonpositive-period scan before it runs
     try:
-        for value in (scan.start, scan.stop):
-            replace(params, **{scan.param: value})
+        for value in (start, stop):
+            replace(params, **{config.scan_param: value})
     except ValueError as exc:
         raise ConfigError(f"scan endpoint: {exc}")
-    if not np.isfinite(scan.stop - scan.start):
-        raise ConfigError(f"scan span {scan.start:g} to {scan.stop:g} overflows")
-    return replace(config, scan=scan)
+    if not np.isfinite(stop - start):
+        raise ConfigError(f"scan span {start:g} to {stop:g} overflows")
+    return config
 
 
 def _parse_items(text: str) -> dict:
@@ -328,7 +323,7 @@ def echo_config(config: RunConfig) -> str:
     lines = [
         f"{key} = {_render(attrgetter(spec.field)(config))}"
         for key, spec in _KEYS.items()
-        if config.scan is not None or key not in _SCAN_KEYS
+        if config.mode == "scan" or key not in _SCAN_KEYS
     ]
     return "\n".join(lines) + "\n"
 

@@ -64,10 +64,7 @@ SCAN_DOCUMENT = (
 def value_of(config, key):
     """The value a config holds for a key; None for a scan key of a config
     without a scan."""
-    try:
-        return attrgetter(cli._KEYS[key].field)(config)
-    except AttributeError:
-        return None
+    return attrgetter(cli._KEYS[key].field)(config)
 
 
 def field_paths(obj, prefix=""):
@@ -99,7 +96,9 @@ class TestParseConfig:
         assert (p.dims.dim_a, p.dims.dim_b) == (15, 15)
         assert config.mode == "simulate"
         assert config.n_kicks == 2000
-        assert config.scan is None
+        assert (config.scan_param, config.scan_start, config.scan_stop, config.scan_steps) == (
+            None, None, None, None
+        )
 
     def test_reference_parameters(self):
         config = parse_config("alpha = 0.04\nepsilon = 0.01\nT = 1")
