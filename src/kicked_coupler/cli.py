@@ -35,7 +35,7 @@ import numpy as np
 
 from .analytic import amplitude_rows
 from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
-from .hamiltonians import SystemParams, edge_populations
+from .hamiltonians import ModeDims, SystemParams, edge_populations
 from .numerics import ContractViolationError
 from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks
 
@@ -52,6 +52,11 @@ SCAN_HEADER = "param,value,max_concurrence,k_at_max,max_leakage"
 # note: acceptance criterion 9 lets a probability move by 1e-6 between
 # cutoffs 10 and 15
 EDGE_TOL = 1e-6
+
+# Peak RSS of a full-basis run above the imported package, in D x D complex
+# matrices: the least of 6.4-7.9 measured for simulate, compare and scan at
+# cutoffs 20/20, 30/30 and 40/40, so that no run that fits is refused
+PEAK_MATRICES = 6.4
 
 
 class ConfigError(ValueError):
@@ -370,14 +375,38 @@ def _output(path: str) -> Iterator[TextIO]:
         raise
 
 
+def _physical_memory() -> int | None:
+    """This machine's memory in bytes, or None where os.sysconf cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+def _check_fits(dims: ModeDims) -> None:
+    """Refuse a full-basis run whose estimated peak, PEAK_MATRICES D x D
+    complex matrices, is more than this machine's memory."""
+    need, have = PEAK_MATRICES * 16 * dims.joint**2, _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"too large for this machine: cutoffs {dims.dim_a} x {dims.dim_b} "
+            f"(D = {dims.joint}) need about {need / 1e9:.3g} GB, it has {have / 1e9:.3g} GB"
+        )
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated config and write its CSV. Returns the exit status.
 
-    The output is opened first, so an unwritable path fails before any
-    computation, and each block of rows is written as it is computed.  A
-    run that succeeds with more than EDGE_TOL at level dim - 1 of a mode
-    says so in one stderr line: its largest value, with its k and mode.
+    A full-basis run too large for this machine is refused first
+    (_check_fits).  The output is opened next, so an unwritable path fails
+    before any computation, and each block of rows is written as it is
+    computed.  A run that succeeds with more than EDGE_TOL at level dim - 1
+    of a mode says so in one stderr line: its largest value, with its k and
+    mode.
     """
+    if config.mode != "analytic":
+        _check_fits(config.params.dims)
     edge = [(-np.inf, 0, "", "")]
     with _output(config.out) as fh:
         fh.writelines(_RUNNERS[config.mode](config, edge))

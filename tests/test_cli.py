@@ -989,6 +989,55 @@ class TestMain:
         assert err == f"configuration error: too large for this machine{detail}\n"
         assert sorted(tmp_path.iterdir()) == ([cfg] if mode == "scan" else [])
 
+    @pytest.mark.parametrize("mode", ["simulate", "compare", "scan"])
+    def test_run_beyond_physical_memory_is_refused_first(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        # a machine of 10 kB: at cutoffs 4/4 the estimate is 6.4 x 16 x 16^2 B
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 10_000)
+        calls = []
+        monkeypatch.setattr(cli, "evolve_blocks", lambda *args, **kwargs: calls.append(args))
+        argv = ["--kicks", "3"] + SMALL + ["--out", str(tmp_path / "run.csv")]
+        if mode == "scan":
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(SCAN_DOCUMENT)
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--mode", mode]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: too large for this machine: cutoffs 4 x 4 (D = 16) "
+            "need about 2.62e-05 GB, it has 1e-05 GB\n"
+        )
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == ([cfg] if mode == "scan" else [])
+
+    def test_analytic_and_echo_are_never_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 1)
+        out = tmp_path / "run.csv"
+        assert main(["--mode", "analytic", "--kicks", "3"] + SMALL + ["--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5
+        assert main(["--cutoff-a", "100", "--cutoff-b", "100", "--echo-config"]) == 0
+        assert "cutoff_a = 100\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sysconf", [-1, ValueError, OSError])
+    def test_unknown_physical_memory_skips_the_check(self, tmp_path, monkeypatch, sysconf):
+        def unknown(name):
+            if isinstance(sysconf, int):
+                return sysconf
+            raise sysconf(name)
+
+        monkeypatch.setattr(cli.os, "sysconf", unknown)
+        assert cli._physical_memory() is None
+        out = tmp_path / "run.csv"
+        assert main(["--kicks", "3"] + SMALL + ["--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5
+
+    def test_reference_cutoffs_fit(self):
+        # this machine's memory, when it can be read, holds the reference run
+        memory = cli._physical_memory()
+        assert memory is None or memory > cli.PEAK_MATRICES * 16 * 225**2
+
     def test_flag_overrides_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 0.01\nkicks = 5\ncutoff_a = 4\ncutoff_b = 4\n")
@@ -1151,9 +1200,16 @@ class TestModuleEntryPoint:
         assert "--echo-config" in done.stdout
 
     def test_import_leaves_argparse_out(self, tmp_path):
-        code = "import sys, kicked_coupler.cli; print('argparse' in sys.modules)"
+        # after numpy, the CLI's import may add only the standard library
+        # (no argparse) and the package itself: no scipy, no mpmath
+        code = (
+            "import sys, numpy; before = set(sys.modules); import kicked_coupler.cli; "
+            "added = set(sys.modules) - before; print('argparse' in sys.modules); "
+            "print(sorted(name for name in added if name.split('.')[0] not in "
+            "{'kicked_coupler', *sys.stdlib_module_names}))"
+        )
         done = self.run_python(tmp_path, "-c", code)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n[]\n", "")
 
 
 SMALL = ["--cutoff-a", "4", "--cutoff-b", "4"]
