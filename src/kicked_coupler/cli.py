@@ -55,7 +55,8 @@ EDGE_TOL = 1e-6
 
 # Peak RSS of a full-basis run above the imported package, in D x D complex
 # matrices: the least of 6.4-7.9 measured for simulate, compare and scan at
-# cutoffs 20/20, 30/30 and 40/40, so that no run that fits is refused
+# cutoffs 20/20, 30/30 and 40/40, so that no run that fits is refused by
+# _check_fits, the one size refusal, which run applies to every RunConfig
 PEAK_MATRICES = 6.4
 
 
@@ -270,13 +271,6 @@ def _config_from_items(items: dict) -> RunConfig:
         params = SystemParams(dims=dims, **fields["params"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    # numpy indexes no array of more than np.intp bytes, whatever the
-    # memory; a smaller one that does not fit fails in run (MemoryError)
-    if 16 * dims.joint**2 > np.iinfo(np.intp).max:
-        raise ConfigError(
-            f"cutoffs {dims.dim_a} x {dims.dim_b}: a D x D complex matrix "
-            f"(D = {dims.joint}) is more than numpy's largest array"
-        )
     config = RunConfig(params=params, **fields[""])
     if config.n_kicks < 1:
         raise ConfigError(f"kicks must be positive, got {config.n_kicks}")
@@ -385,25 +379,29 @@ def _physical_memory() -> int | None:
 
 
 def _check_fits(dims: ModeDims) -> None:
-    """Refuse a full-basis run whose estimated peak, PEAK_MATRICES D x D
-    complex matrices, is more than this machine's memory."""
-    need, have = PEAK_MATRICES * 16 * dims.joint**2, _physical_memory()
+    """Refuse a full-basis run whose D x D complex matrix numpy cannot index
+    (more than np.intp bytes) or whose estimated peak, PEAK_MATRICES such
+    matrices, is more than this machine's memory where os.sysconf tells it.
+    The index test comes first and keeps the memory test's floats finite."""
+    matrix, have = 16 * dims.joint**2, _physical_memory()
+    size = f"too large for this machine: cutoffs {dims.dim_a} x {dims.dim_b} (D = {dims.joint})"
+    if matrix > np.iinfo(np.intp).max:
+        raise ConfigError(f"{size}: a D x D complex matrix is more than numpy's largest array")
+    need = PEAK_MATRICES * matrix
     if have is not None and need > have:
-        raise ConfigError(
-            f"too large for this machine: cutoffs {dims.dim_a} x {dims.dim_b} "
-            f"(D = {dims.joint}) need about {need / 1e9:.3g} GB, it has {have / 1e9:.3g} GB"
-        )
+        raise ConfigError(f"{size} need about {need / 1e9:.3g} GB, it has {have / 1e9:.3g} GB")
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated config and write its CSV. Returns the exit status.
 
-    A full-basis run too large for this machine is refused first
-    (_check_fits).  The output is opened next, so an unwritable path fails
-    before any computation, and each block of rows is written as it is
-    computed.  A run that succeeds with more than EDGE_TOL at level dim - 1
-    of a mode says so in one stderr line: its largest value, with its k and
-    mode.
+    A full-basis run too large for this machine is refused first by
+    _check_fits, the one size refusal, so a RunConfig built without the
+    parser is refused as a parsed one is.  The output is opened next, so an
+    unwritable path fails before any computation, and each block of rows is
+    written as it is computed.  A run that succeeds with more than EDGE_TOL
+    at level dim - 1 of a mode says so in one stderr line: its largest
+    value, with its k and mode.
     """
     if config.mode != "analytic":
         _check_fits(config.params.dims)

@@ -235,19 +235,36 @@ class TestParseConfig:
         assert main([flag, value, "--echo-config"]) == 0
         assert line in capsys.readouterr().out.splitlines()
 
+    # 16 D^2 > np.intp bytes; (2, 379625063) is one past the largest such D
     @pytest.mark.parametrize(
         "cutoffs", [(100000, 100000), (4000000000, 4000000000), (2, 379625063)]
     )
-    def test_cutoffs_beyond_numpy_index_range(self, cutoffs):
-        document = "cutoff_a = %d\ncutoff_b = %d\n" % cutoffs
-        with pytest.raises(ConfigError, match="more than numpy's largest array"):
-            parse_config(document)
+    def test_cutoffs_beyond_numpy_index_range(self, capsys, cutoffs):
+        # size is run's to refuse (cli._check_fits); parsing and
+        # --echo-config take any valid cutoffs
+        config = parse_config("cutoff_a = %d\ncutoff_b = %d\n" % cutoffs)
+        assert (config.params.dims.dim_a, config.params.dims.dim_b) == cutoffs
+        argv = ["--cutoff-a", str(cutoffs[0]), "--cutoff-b", str(cutoffs[1]), "--echo-config"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "cutoff_a = %d" % cutoffs[0] in out and "cutoff_b = %d" % cutoffs[1] in out
 
-    def test_largest_indexable_cutoffs_are_accepted(self):
-        # D = 759250124 is the largest D with 16 D^2 bytes within np.intp
+    @pytest.mark.parametrize("memory", [None, 2**62])
+    def test_largest_indexable_cutoffs_are_accepted(self, monkeypatch, memory):
+        # D = 759250124 is the largest D with 16 D^2 bytes within np.intp:
+        # with no memory probe the run's guard passes it and refuses D + 2
+        # (cutoffs 2 x 379625063); with one, memory decides
         config = parse_config("cutoff_a = 2\ncutoff_b = 379625062\n")
         assert 16 * config.params.dims.joint**2 <= np.iinfo(np.intp).max
         assert 16 * (config.params.dims.joint + 1) ** 2 > np.iinfo(np.intp).max
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        if memory is None:
+            cli._check_fits(config.params.dims)
+        else:
+            with pytest.raises(ConfigError, match="need about 5.9e\\+10 GB, it has 4.61e\\+09 GB"):
+                cli._check_fits(config.params.dims)
+        with pytest.raises(ConfigError, match="more than numpy's largest array"):
+            cli._check_fits(cli.ModeDims(2, 379625063))
 
 
 class TestRunModes:
@@ -953,14 +970,45 @@ class TestMain:
         )
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.parametrize("cutoff", ["100000", "4000000000"])
-    def test_unindexable_cutoffs_exit_2(self, tmp_path, capsys, cutoff):
-        out = tmp_path / "run.csv"
-        argv = ["--cutoff-a", cutoff, "--cutoff-b", cutoff, "--out", str(out)]
+    @pytest.mark.parametrize("probe", ["real", "none"])
+    @pytest.mark.parametrize("mode", ["simulate", "compare", "scan"])
+    # 10^200: 6.4 x 16 D^2 bytes is more than the largest float
+    @pytest.mark.parametrize(
+        "cutoff", ["100000", "4000000000", "1" + "0" * 200], ids=["1e5", "4e9", "1e200"]
+    )
+    def test_unindexable_cutoffs_exit_2(self, tmp_path, capsys, monkeypatch, cutoff, mode, probe):
+        if probe == "none":
+            monkeypatch.setattr(cli, "_physical_memory", lambda: None)
+        argv = ["--cutoff-a", cutoff, "--cutoff-b", cutoff, "--out", str(tmp_path / "run.csv")]
+        if mode == "scan":
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(SCAN_DOCUMENT)
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--mode", mode]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: cutoffs ")
+        assert err.startswith(f"configuration error: too large for this machine: cutoffs {cutoff}")
         assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == ([cfg] if mode == "scan" else [])
+
+    @pytest.mark.parametrize("mode", ["simulate", "compare", "scan"])
+    def test_unparsed_config_beyond_numpy_index_range_is_refused(
+        self, tmp_path, monkeypatch, mode
+    ):
+        # a RunConfig built without the parser meets the same guard, before
+        # the output is opened, even where the memory cannot be read
+        monkeypatch.setattr(cli, "_physical_memory", lambda: None)
+        monkeypatch.setattr(cli, "_output", lambda path: pytest.fail(f"opened {path}"))
+        scan = dict(scan_param="alpha", scan_start=0.01, scan_stop=0.05, scan_steps=3)
+        config = RunConfig(
+            params=SystemParams(dims=cli.ModeDims(2, 379625063)),
+            mode=mode,
+            out=str(tmp_path / "run.csv"),
+            **(scan if mode == "scan" else {}),
+        )
+        with pytest.raises(ConfigError, match="more than numpy's largest array"):
+            run(config)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["simulate", "compare", "scan"])
@@ -1013,10 +1061,14 @@ class TestMain:
         assert sorted(tmp_path.iterdir()) == ([cfg] if mode == "scan" else [])
 
     def test_analytic_and_echo_are_never_refused(self, tmp_path, capsys, monkeypatch):
+        # the closed forms live on the four qubit states, whatever the cutoffs
         monkeypatch.setattr(cli, "_physical_memory", lambda: 1)
-        out = tmp_path / "run.csv"
-        assert main(["--mode", "analytic", "--kicks", "3"] + SMALL + ["--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 5
+        outs = [tmp_path / "unindexable.csv", tmp_path / "reference.csv"]
+        for cutoff, out in zip(["100000", "15"], outs):
+            argv = ["--mode", "analytic", "--kicks", "50", "--out", str(out)]
+            assert main(argv + ["--cutoff-a", cutoff, "--cutoff-b", cutoff]) == 0
+        assert len(outs[0].read_text().splitlines()) == 52
+        assert outs[0].read_bytes() == outs[1].read_bytes()
         assert main(["--cutoff-a", "100", "--cutoff-b", "100", "--echo-config"]) == 0
         assert "cutoff_a = 100\n" in capsys.readouterr().out
 
