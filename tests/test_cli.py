@@ -235,7 +235,7 @@ class TestParseConfig:
         assert main([flag, value, "--echo-config"]) == 0
         assert line in capsys.readouterr().out.splitlines()
 
-    # 16 D^2 > np.intp bytes; (2, 379625063) is one past the largest such D
+    # 16 D^2 > np.intp bytes; (2, 379625063) are the least such cutoffs with cutoff_a = 2
     @pytest.mark.parametrize(
         "cutoffs", [(100000, 100000), (4000000000, 4000000000), (2, 379625063)]
     )
