@@ -66,15 +66,49 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run.  Construction refuses every value the parser refuses; run checks only the size."""
+
     params: SystemParams
     n_kicks: int = 2000
     ordering: Ordering = DEFAULT_ORDERING
     mode: str = "simulate"
-    scan_param: str | None = None  # the four scan keys, None unless mode is scan
+    scan_param: str | None = None  # the four scan keys: set if and only if mode is scan
     scan_start: float | None = None
     scan_stop: float | None = None
     scan_steps: int | None = None
     out: str = "output.csv"
+
+    def __post_init__(self) -> None:
+        for key, spec in _KEYS.items():
+            value = attrgetter(spec.field)(self)
+            raw = _render(value)
+            if spec.choices and raw not in spec.choices and (key, value) != ("scan_param", None):
+                raise ConfigError(f"bad value for '{key}': {raw!r} (must be one of {spec.choices})")
+        if self.n_kicks < 1:
+            raise ConfigError(f"kicks must be positive, got {self.n_kicks}")
+        scan_keys = sorted(key for key in _SCAN_KEYS if getattr(self, key) is not None)
+        if self.mode != "scan":
+            if scan_keys:
+                raise ConfigError(f"scan keys {scan_keys} are only valid with mode = scan")
+            return
+        missing = _SCAN_KEYS.difference(scan_keys)
+        if missing:
+            raise ConfigError(f"mode = scan requires keys: {', '.join(sorted(missing))}")
+        start, stop = self.scan_start, self.scan_stop
+        if self.scan_steps < 2:
+            raise ConfigError(f"scan_steps must be >= 2, got {self.scan_steps}")
+        if not start < stop:
+            raise ConfigError(f"scan_start must be < scan_stop, got {start} >= {stop}")
+        # every scanned value lies between the endpoints if their difference,
+        # the span of _run_scan, is finite (else the values are NaN), so checking
+        # both rejects a non-finite or nonpositive-period scan before it runs
+        try:
+            for value in (start, stop):
+                replace(self.params, **{self.scan_param: value})
+        except ValueError as exc:
+            raise ConfigError(f"scan endpoint: {exc}")
+        if not np.isfinite(stop - start):
+            raise ConfigError(f"scan span {start:g} to {stop:g} overflows")
 
 
 # every float in a CSV row, and in a config value where it round-trips
@@ -221,7 +255,7 @@ class _Key:
     field: str  # attribute path from a RunConfig to the value
     parse: Callable[[str], object]  # raw text -> value; ValueError if malformed
     help: str = ""  # flag help; a scan key has no flag
-    choices: tuple[str, ...] | None = None  # the raw values accepted, if a closed set
+    choices: tuple[str, ...] | None = None  # closed set of raw values; parser and RunConfig read it
 
 
 # echo_config writes the keys in this order
@@ -260,8 +294,8 @@ def _parse_value(key: str, raw: str, where: str):
 
 
 def _config_from_items(items: dict) -> RunConfig:
-    """Build and validate a RunConfig from parsed key/value pairs.  A key
-    that is not given keeps the default its dataclass field declares."""
+    """Assemble a RunConfig, which checks itself, from parsed key/value
+    pairs.  A key not given keeps the default its dataclass field declares."""
     fields: dict[str, dict] = defaultdict(dict)
     for key, value in items.items():
         owner, _, name = _KEYS[key].field.rpartition(".")
@@ -271,34 +305,7 @@ def _config_from_items(items: dict) -> RunConfig:
         params = SystemParams(dims=dims, **fields["params"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    config = RunConfig(params=params, **fields[""])
-    if config.n_kicks < 1:
-        raise ConfigError(f"kicks must be positive, got {config.n_kicks}")
-
-    scan_keys = _SCAN_KEYS & items.keys()
-    if config.mode != "scan":
-        if scan_keys:
-            raise ConfigError(f"scan keys {sorted(scan_keys)} are only valid with mode = scan")
-        return config
-    missing = _SCAN_KEYS - scan_keys
-    if missing:
-        raise ConfigError(f"mode = scan requires keys: {', '.join(sorted(missing))}")
-    start, stop = config.scan_start, config.scan_stop
-    if config.scan_steps < 2:
-        raise ConfigError(f"scan_steps must be >= 2, got {config.scan_steps}")
-    if not start < stop:
-        raise ConfigError(f"scan_start must be < scan_stop, got {start} >= {stop}")
-    # every scanned value lies between the endpoints if their difference,
-    # the span of _run_scan, is finite (else the values are NaN), so checking
-    # both rejects a non-finite or nonpositive-period scan before it runs
-    try:
-        for value in (start, stop):
-            replace(params, **{config.scan_param: value})
-    except ValueError as exc:
-        raise ConfigError(f"scan endpoint: {exc}")
-    if not np.isfinite(stop - start):
-        raise ConfigError(f"scan span {start:g} to {stop:g} overflows")
-    return config
+    return RunConfig(params=params, **fields[""])
 
 
 def _parse_items(text: str) -> dict:
@@ -393,15 +400,14 @@ def _check_fits(dims: ModeDims) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated config and write its CSV. Returns the exit status.
+    """Execute a config and write its CSV. Returns the exit status.
 
-    A full-basis run too large for this machine is refused first by
-    _check_fits, the one size refusal, so a RunConfig built without the
-    parser is refused as a parsed one is.  The output is opened next, so an
-    unwritable path fails before any computation, and each block of rows is
-    written as it is computed.  A run that succeeds with more than EDGE_TOL
-    at level dim - 1 of a mode says so in one stderr line: its largest
-    value, with its k and mode.
+    Its one check is _check_fits, applied first to a full-basis run: the
+    RunConfig checked all else when it was built.  The output is opened
+    next, so an unwritable path fails before any computation, and each
+    block of rows is written as it is computed.  A run that succeeds with
+    more than EDGE_TOL at level dim - 1 of a mode says so in one stderr
+    line: its largest value, with its k and mode.
     """
     if config.mode != "analytic":
         _check_fits(config.params.dims)

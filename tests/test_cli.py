@@ -168,6 +168,43 @@ class TestParseConfig:
                     base + f"scan_param = {param}\nscan_start = -1.7e308\nscan_stop = 1.7e308"
                 )
 
+    SCAN_FIELDS = dict(scan_param="alpha", scan_start=0.01, scan_stop=0.05, scan_steps=3)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(mode="scan"),
+            dict(mode="scan", **{**SCAN_FIELDS, "scan_steps": 1}),
+            dict(mode="bogus"),
+            dict(n_kicks=-1),
+            dict(n_kicks=0),
+            dict(ordering=Ordering.MID_PULSE),
+            dict(SCAN_FIELDS, mode="scan", scan_param="chi_a"),
+            dict(mode="scan", **{**SCAN_FIELDS, "scan_start": 0.05, "scan_stop": 0.01}),
+            dict(SCAN_FIELDS),
+        ],
+        ids=[
+            "scan-without-scan-fields", "one-scan-step", "unknown-mode", "negative-kicks",
+            "zero-kicks", "mid-pulse-ordering", "chi_a-scan", "descending-scan",
+            "scan-fields-in-simulate",
+        ],
+    )
+    def test_hand_built_config_is_refused_as_parsed(self, fields):
+        # a RunConfig built in Python meets the parser's refusal, at
+        # construction; a closed-set value's text lacks only the line number
+        with pytest.raises(ConfigError) as built:
+            RunConfig(params=SystemParams(), **fields)
+        key_of = {spec.field: key for key, spec in cli._KEYS.items()}
+        document = "".join(f"{key_of[f]} = {cli._render(v)}\n" for f, v in fields.items())
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(document)
+        assert str(parsed.value) in (str(built.value), f"line 1: {built.value}")
+
+    def test_replace_into_another_mode_is_refused(self):
+        config = RunConfig(params=SystemParams(), mode="scan", **self.SCAN_FIELDS)
+        with pytest.raises(ConfigError, match="only valid with mode = scan"):
+            replace(config, mode="analytic")
+
     def test_round_trip(self):
         text = (
             "mode = scan\nalpha = 0.05\nepsilon = 0.02\nT = 1.5\nkicks = 500\n"
