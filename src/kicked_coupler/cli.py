@@ -66,7 +66,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run.  Construction refuses every value the parser refuses; run checks only the size."""
+    """One run.  Construction refuses what the parser refuses but an out path; run checks size."""
 
     params: SystemParams
     n_kicks: int = 2000
@@ -403,7 +403,7 @@ def run(config: RunConfig) -> int:
     """Execute a config and write its CSV. Returns the exit status.
 
     Its one check is _check_fits, applied first to a full-basis run: the
-    RunConfig checked all else when it was built.  The output is opened
+    RunConfig checked its invariants when it was built.  The output is opened
     next, so an unwritable path fails before any computation, and each
     block of rows is written as it is computed.  A run that succeeds with
     more than EDGE_TOL at level dim - 1 of a mode says so in one stderr

@@ -174,13 +174,13 @@ class TestParseConfig:
         "fields",
         [
             dict(mode="scan"),
-            dict(mode="scan", **{**SCAN_FIELDS, "scan_steps": 1}),
+            dict(SCAN_FIELDS, mode="scan", scan_steps=1),
             dict(mode="bogus"),
             dict(n_kicks=-1),
             dict(n_kicks=0),
             dict(ordering=Ordering.MID_PULSE),
             dict(SCAN_FIELDS, mode="scan", scan_param="chi_a"),
-            dict(mode="scan", **{**SCAN_FIELDS, "scan_start": 0.05, "scan_stop": 0.01}),
+            dict(SCAN_FIELDS, mode="scan", scan_start=0.05, scan_stop=0.01),
             dict(SCAN_FIELDS),
         ],
         ids=[
