@@ -28,6 +28,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from numbers import Integral
 from operator import attrgetter
 from typing import TextIO
 
@@ -66,7 +67,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run.  Construction refuses what the parser refuses but an out path; run checks size."""
+    """One run.  Construction refuses a value its key's parser does not give; run checks size."""
 
     params: SystemParams
     n_kicks: int = 2000
@@ -81,9 +82,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for key, spec in _KEYS.items():
             value = attrgetter(spec.field)(self)
-            raw = _render(value)
-            if spec.choices and raw not in spec.choices and (key, value) != ("scan_param", None):
-                raise ConfigError(f"bad value for '{key}': {raw!r} (must be one of {spec.choices})")
+            if value is not None or key not in _SCAN_KEYS:  # else left to the scan checks
+                _parse_value(key, _render(value), held=value)
         if self.n_kicks < 1:
             raise ConfigError(f"kicks must be positive, got {self.n_kicks}")
         scan_keys = sorted(key for key in _SCAN_KEYS if getattr(self, key) is not None)
@@ -255,7 +255,7 @@ class _Key:
     field: str  # attribute path from a RunConfig to the value
     parse: Callable[[str], object]  # raw text -> value; ValueError if malformed
     help: str = ""  # flag help; a scan key has no flag
-    choices: tuple[str, ...] | None = None  # closed set of raw values; parser and RunConfig read it
+    choices: tuple[str, ...] | None = None  # closed set of raw values; _parse_value reads it
 
 
 # echo_config writes the keys in this order
@@ -283,14 +283,20 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _parse_value(key: str, raw: str, where: str):
+def _parse_value(key: str, raw: str, where: str = "", held=None):
+    """key's parse of raw, else a ConfigError after where.  With no where, raw is
+    _render(held), and held must be that parse (or NaN), as an integer for an int key."""
     spec = _KEYS[key]
     try:
         if spec.choices is not None and raw not in spec.choices:
             raise ValueError(f"must be one of {spec.choices}")
-        return spec.parse(raw)
+        value = spec.parse(raw)
+        if not where and (value != held and held == held or spec.parse is int
+                          and not isinstance(held, Integral)):
+            raise ValueError(f"given as {held!r}, not as its parse {value!r}")
+        return value
     except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for '{key}': {raw!r} ({exc})")
+        raise ConfigError(f"{where}bad value for '{key}': {raw!r} ({exc})")
 
 
 def _config_from_items(items: dict) -> RunConfig:
@@ -320,7 +326,7 @@ def _parse_items(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
-        items[key] = _parse_value(key, raw, f"line {line_no}")
+        items[key] = _parse_value(key, raw, f"line {line_no}: ")
     return items
 
 
@@ -480,7 +486,7 @@ def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig | None, s
     # the document format
     for key in _KEYS:
         if _flag(key) in given:
-            items[key] = _parse_value(key, given[_flag(key)], _flag(key))
+            items[key] = _parse_value(key, given[_flag(key)], f"{_flag(key)}: ")
     config = _config_from_items(items)
     return config, echo_config(config) if "--echo-config" in given else None
 

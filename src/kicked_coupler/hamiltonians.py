@@ -13,6 +13,7 @@ take part in the dynamics.
 
 import cmath
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -29,10 +30,10 @@ class ModeDims:
     dim_b: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.dim_a, Integral) and isinstance(self.dim_b, Integral)):
+            raise ValueError(f"mode dimensions must be integers, got {(self.dim_a, self.dim_b)}")
         if self.dim_a < 2 or self.dim_b < 2:
-            raise ValueError(
-                f"mode dimensions must be >= 2, got ({self.dim_a}, {self.dim_b})"
-            )
+            raise ValueError(f"mode dimensions must be >= 2, got ({self.dim_a}, {self.dim_b})")
 
     @property
     def joint(self) -> int:

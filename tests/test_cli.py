@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import os
 import random
@@ -14,8 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kicked_coupler import (
+    ContractViolationError,
+    ModeDims,
     Ordering,
     QubitObservables,
     SystemParams,
@@ -182,11 +186,17 @@ class TestParseConfig:
             dict(SCAN_FIELDS, mode="scan", scan_param="chi_a"),
             dict(SCAN_FIELDS, mode="scan", scan_start=0.05, scan_stop=0.01),
             dict(SCAN_FIELDS),
+            dict(out=""),
+            dict(out="a\0b"),
+            dict(n_kicks=2.5),
+            dict(n_kicks=float("nan")),
+            dict(n_kicks=True),
         ],
         ids=[
             "scan-without-scan-fields", "one-scan-step", "unknown-mode", "negative-kicks",
             "zero-kicks", "mid-pulse-ordering", "chi_a-scan", "descending-scan",
-            "scan-fields-in-simulate",
+            "scan-fields-in-simulate", "empty-out", "nul-out", "fractional-kicks", "nan-kicks",
+            "bool-kicks",
         ],
     )
     def test_hand_built_config_is_refused_as_parsed(self, fields):
@@ -199,6 +209,72 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as parsed:
             parse_config(document)
         assert str(parsed.value) in (str(built.value), f"line 1: {built.value}")
+
+    @pytest.mark.parametrize("out", [" x.csv", "a#b.csv"], ids=["edge-space", "hash"])
+    def test_hand_built_out_is_refused_as_flagged(self, out):
+        # a document strips a value and cuts a '#' comment, so such a path
+        # reaches the parser only as a flag value, which it takes verbatim
+        with pytest.raises(ConfigError) as built:
+            RunConfig(params=SystemParams(), out=out)
+        with pytest.raises(ConfigError) as flagged:
+            cli.config_from_args(["--out", out])
+        assert str(flagged.value) == f"--out: {built.value}"
+
+    def test_hand_built_scan_steps_is_refused_as_parsed(self):
+        fields = dict(self.SCAN_FIELDS, mode="scan", scan_steps=2.5)
+        with pytest.raises(ConfigError) as built:
+            RunConfig(params=SystemParams(), **fields)
+        key_of = {spec.field: key for key, spec in cli._KEYS.items()}
+        document = "".join(f"{key_of[f]} = {cli._render(v)}\n" for f, v in fields.items())
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(document)
+        assert str(parsed.value) == f"line 4: {built.value}"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n_kicks=3.0),
+            dict(n_kicks=np.float64(3)),
+            dict(n_kicks="3"),
+            dict(out=Path("x.csv")),
+            dict(SCAN_FIELDS, mode="scan", scan_start="0.01"),
+        ],
+        ids=["float-kicks", "numpy-float-kicks", "text-kicks", "path-out", "text-scan-start"],
+    )
+    def test_hand_built_value_of_another_type_is_refused(self, fields):
+        # its text parses ("kicks = 3"), but not back to the value itself
+        with pytest.raises(ConfigError, match=r"^bad value for .* \(given as .*, not as its parse "):
+            RunConfig(params=SystemParams(), **fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n_kicks=np.int64(3)),
+            dict(SCAN_FIELDS, mode="scan", scan_start=0),
+            dict(ordering="kick_then_free"),
+        ],
+        ids=["numpy-int-kicks", "int-scan-start", "ordering-text"],
+    )
+    def test_hand_built_value_equal_to_its_parse_is_accepted(self, fields):
+        config = RunConfig(params=SystemParams(), **fields)
+        assert parse_config(echo_config(config)) == config
+
+    @pytest.mark.parametrize("endpoint", ["scan_start", "scan_stop"])
+    def test_nan_scan_endpoint_is_left_to_the_scan_checks(self, endpoint):
+        # a NaN is unequal to its parse, yet it is what its text gives
+        fields = dict(self.SCAN_FIELDS, mode="scan", **{endpoint: float("nan")})
+        document = SCAN_DOCUMENT.replace(f"{endpoint} = ", f"{endpoint} = nan  # ")
+        for build in (lambda: RunConfig(params=SystemParams(), **fields), lambda: parse_config(document)):
+            with pytest.raises(ConfigError, match="^scan_start must be < scan_stop, got "):
+                build()
+
+    def test_hand_built_float_cutoff_is_refused_by_its_dims(self):
+        # ModeDims refuses it before a RunConfig holds it; as a cutoff_a
+        # value it reaches the config as the dims' refusal
+        with pytest.raises(ValueError, match=r"must be integers, got \(3.0, 3\)"):
+            RunConfig(params=SystemParams(dims=ModeDims(3.0, 3)))
+        with pytest.raises(ConfigError, match=r"must be integers, got \(3.0, 15\)"):
+            cli._config_from_items({"cutoff_a": 3.0})
 
     def test_replace_into_another_mode_is_refused(self):
         config = RunConfig(params=SystemParams(), mode="scan", **self.SCAN_FIELDS)
@@ -1216,6 +1292,58 @@ class TestArgvFuzz:
             codes.append(result[0])
         # both outcomes are drawn often
         assert min(codes.count(0), codes.count(2)) > self.CASES // 10
+
+
+class TestHandBuiltFuzz:
+    """Hypothesis-drawn RunConfigs at cutoffs 3/3 with near-valid and
+    wrong-typed kicks, scan fields and out paths.  Each is refused with a
+    ConfigError when it is built, or its echo re-parses to it and it runs to
+    exit 0 or to an error main maps to a documented exit code."""
+
+    NAN = float("nan")
+    COUNTS = [-1, 0, 1, 2.5, 3.0, NAN, True, np.int64(2), np.float64(2), "3", None]
+    ENDPOINTS = [0, 1, -1.0, NAN, float("inf"), "0.5", np.float64(0.25), True, None]
+    OUTS = [
+        "-x.csv", "", "a\0b", " x.csv", "x.csv ", "a#b.csv", "a\nb", "no/run.csv", ".",
+        Path("run.csv"), 5, None,
+    ]
+    @staticmethod
+    def near(valid, wrong):
+        """A field drawn from valid seven times in eight, else from wrong."""
+        return st.sampled_from([valid] * 7 + [st.sampled_from(wrong)]).flatmap(lambda s: s)
+
+    BASE = st.fixed_dictionaries({
+        "n_kicks": near(st.integers(1, 4), COUNTS),
+        "mode": near(st.sampled_from([*cli.MODES, "scan", "scan"]), ["bogus", None]),
+        "ordering": near(st.sampled_from([*Ordering][:2]), [Ordering.MID_PULSE, "bogus"]),
+        "out": near(st.just("run.csv"), OUTS),
+    })
+    SCAN = st.fixed_dictionaries({
+        "scan_param": near(st.sampled_from(cli.SCAN_PARAMS), ["chi_a", None]),
+        "scan_start": near(st.floats(0, 1), ENDPOINTS),
+        "scan_stop": near(st.floats(1, 2), ENDPOINTS),
+        "scan_steps": near(st.integers(2, 3), COUNTS),
+    })
+
+    # a failure report imports libcst, whose import warns; under "error" that
+    # warning would end the whole session in place of this test's report
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(base=BASE, scan=SCAN, matched=st.sampled_from([True, True, True, False]))
+    def test_built_config_is_refused_or_runs(self, base, scan, matched):
+        # scan fields go with mode = scan, unless the draw mismatches them
+        fields = base | (scan if (base["mode"] == "scan") == matched else {})
+        try:
+            config = RunConfig(params=SystemParams(dims=ModeDims(3, 3)), **fields)
+        except ConfigError:
+            return
+        assert parse_config(echo_config(config)) == config
+        # a fixture would outlive the example: each run gets its own directory
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            try:
+                assert run(config) == 0
+            except (ConfigError, ContractViolationError, OSError, MemoryError):
+                pass
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -21,6 +21,15 @@ class TestModeDims:
         with pytest.raises(ValueError):
             ModeDims(*dims)
 
+    @pytest.mark.parametrize("dims", [(3.0, 3), (3, 2.5), ("3", 3), (None, 3)])
+    def test_rejects_non_integer_dimensions(self, dims):
+        # before numpy sees one: a float cutoff ended in a TypeError there
+        with pytest.raises(ValueError, match="must be integers"):
+            ModeDims(*dims)
+
+    def test_accepts_numpy_integers(self):
+        assert ModeDims(np.int64(3), np.int32(2)).joint == 6
+
 
 class TestAnnihilation:
     def test_action_on_two_photon_state(self):
