@@ -10,7 +10,6 @@ agree to the stated tolerance under mid-pulse sampling (see
 calibrate_sampling).
 """
 
-import cmath
 import math
 from dataclasses import replace
 
@@ -127,10 +126,11 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
             f"(tolerance {CLOSED_FORM_NORM_TOL:g}) at k = {start + np.argmax(defect)}, "
             f"|epsilon T| = {eps_t:g}, |alpha| = {alpha:g}"
         )
-    theta = cmath.phase(complex(params.alpha))
+    # atan2 gives cmath.phase's bits, and 0 where cmath.phase raises on an underflow
+    theta = math.atan2(params.alpha.imag, params.alpha.real)
     # at epsilon = 0 mode b is not coupled, and its columns |01> and |11> are
     # 0 to roundoff, so phi is moot there
-    phi = theta - cmath.phase(complex(params.epsilon))
+    phi = theta - math.atan2(params.epsilon.imag, params.epsilon.real)
     amps *= np.exp(1j * np.array([0.0, phi, theta, theta + phi]))
     return amps
 

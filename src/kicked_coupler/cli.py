@@ -80,6 +80,8 @@ class RunConfig:
     out: str = "output.csv"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, SystemParams):
+            raise ConfigError(f"params must be a SystemParams, got {self.params!r}")
         for key, spec in _KEYS.items():
             value = attrgetter(spec.field)(self)
             if value is not None or key not in _SCAN_KEYS:  # else left to the scan checks
@@ -170,9 +172,8 @@ def _run_simulate(config: RunConfig, edge: list) -> Iterator[str]:
 
 
 def _check_closed_forms(config: RunConfig) -> None:
-    """Refuse a closed-form run bound to fail before its first row: check
-    the first block and the last kick, whose phases are the largest."""
-    amplitude_rows(*next(kick_blocks(config.n_kicks)), config.params)
+    """Refuse a closed-form run bound to fail before its first row: check its last
+    kick, whose phases are the largest; every other contract is the same at each k."""
     amplitude_rows(config.n_kicks, config.n_kicks + 1, config.params)
 
 
@@ -284,15 +285,15 @@ def _flag(key: str) -> str:
 
 
 def _parse_value(key: str, raw: str, where: str = "", held=None):
-    """key's parse of raw, else a ConfigError after where.  With no where, raw is
-    _render(held), and held must be that parse (or NaN), as an integer for an int key."""
+    """key's parse of raw, else a ConfigError after where.  With no where, raw is _render(held),
+    and held must be that parse (or NaN) in its type too, as an integer for an int key."""
     spec = _KEYS[key]
     try:
         if spec.choices is not None and raw not in spec.choices:
             raise ValueError(f"must be one of {spec.choices}")
         value = spec.parse(raw)
-        if not where and (value != held and held == held or spec.parse is int
-                          and not isinstance(held, Integral)):
+        if not where and ((value != held or type(value)(held) != value) and held == held
+                          or spec.parse is int and not isinstance(held, Integral)):
             raise ValueError(f"given as {held!r}, not as its parse {value!r}")
         return value
     except ValueError as exc:

@@ -13,7 +13,7 @@ take part in the dynamics.
 
 import cmath
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Number
 
 import numpy as np
 
@@ -81,9 +81,14 @@ class SystemParams:
     dims: ModeDims = field(default_factory=lambda: ModeDims(15, 15))
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dims, ModeDims):
+            raise ValueError(f"dims must be a ModeDims, got {self.dims!r}")
         for name in ("chi_a", "chi_b", "epsilon", "alpha", "T"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, Number):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.T <= 0:
             raise ValueError(f"pulse period T must be positive, got {self.T}")
 

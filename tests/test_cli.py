@@ -10,6 +10,7 @@ import tempfile
 import threading
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
+from numbers import Number
 from operator import attrgetter
 from pathlib import Path
 
@@ -238,14 +239,22 @@ class TestParseConfig:
             dict(n_kicks="3"),
             dict(out=Path("x.csv")),
             dict(SCAN_FIELDS, mode="scan", scan_start="0.01"),
+            # numpy compares 0.01 with float32(0.01) in float32 and finds them
+            # equal, but the run would compute in float32
+            dict(SCAN_FIELDS, mode="scan", scan_start=np.float32(0.01)),
+            dict(params=SystemParams(alpha=np.float32(0.04))),
+            dict(params=SystemParams(epsilon=np.complex64(0.01))),
         ],
-        ids=["float-kicks", "numpy-float-kicks", "text-kicks", "path-out", "text-scan-start"],
+        ids=[
+            "float-kicks", "numpy-float-kicks", "text-kicks", "path-out", "text-scan-start",
+            "float32-scan-start", "float32-alpha", "complex64-epsilon",
+        ],
     )
     def test_hand_built_value_of_another_type_is_refused(self, fields):
         # its text parses ("kicks = 3"), but not back to the value itself
         message = r"^bad value for .* \(given as .*, not as its parse "
         with pytest.raises(ConfigError, match=message):
-            RunConfig(params=SystemParams(), **fields)
+            RunConfig(**dict(params=SystemParams()) | fields)
 
     @pytest.mark.parametrize(
         "fields",
@@ -253,12 +262,18 @@ class TestParseConfig:
             dict(n_kicks=np.int64(3)),
             dict(SCAN_FIELDS, mode="scan", scan_start=0),
             dict(ordering="kick_then_free"),
+            dict(params=SystemParams(alpha=np.float64(0.04))),
         ],
-        ids=["numpy-int-kicks", "int-scan-start", "ordering-text"],
+        ids=["numpy-int-kicks", "int-scan-start", "ordering-text", "float64-alpha"],
     )
     def test_hand_built_value_equal_to_its_parse_is_accepted(self, fields):
-        config = RunConfig(params=SystemParams(), **fields)
+        config = RunConfig(**dict(params=SystemParams()) | fields)
         assert parse_config(echo_config(config)) == config
+
+    @pytest.mark.parametrize("params", [None, "alpha = 0.04", ModeDims(3, 3)])
+    def test_hand_built_params_of_another_type_is_refused(self, params):
+        with pytest.raises(ConfigError, match="^params must be a SystemParams, got "):
+            RunConfig(params=params)
 
     @pytest.mark.parametrize("endpoint", ["scan_start", "scan_stop"])
     def test_nan_scan_endpoint_is_left_to_the_scan_checks(self, endpoint):
@@ -862,8 +877,8 @@ class TestMain:
     def test_closed_forms_check_the_last_kick_before_any_row(
         self, tmp_path, capsys, monkeypatch, mode
     ):
-        # the first block's closed forms pass; the last kick's phases keep no
-        # digit, and the run exits 3 before the full-basis run and before any
+        # the first block's closed forms would pass; the last kick's phases keep
+        # no digit, and the run exits 3 before the full-basis run and before any
         # row.  At large alpha, omega1 / sqrt2 is about alpha, so the phase
         # roundoff first exceeds its bound near k = 1.5 B, inside the second block
         calls = []
@@ -884,14 +899,30 @@ class TestMain:
             f"numerical contract violation: phase roundoff {n} * omega1 / sqrt2 * 2^-52"
         )
         assert list(tmp_path.iterdir()) == []
-        assert calls == [next(propagation.kick_blocks(n)), (n, n + 1)]
-        # a run that passes evaluates the first block and the last kick
-        # before its rows, then each block once
+        assert calls == [(n, n + 1)]
+        # a run that passes evaluates the last kick before its rows, then
+        # each block once
         monkeypatch.setattr(cli, "evolve_blocks", evolve_blocks)
         calls.clear()
         assert main(["--mode", mode, "--kicks", "300", *SMALL, "--out", str(out)]) == 0
         blocks = list(propagation.kick_blocks(300))
-        assert calls == blocks[:1] + [(300, 301)] + blocks
+        assert calls == [(300, 301)] + blocks
+
+    @pytest.mark.parametrize("mode", ["analytic", "compare"])
+    def test_underflowing_gauge_phase_runs(self, tmp_path, capsys, mode):
+        # arg epsilon = atan2(1e-320, 1e10) underflows to 0, a gauge factor of
+        # 1: the rows are those of the real epsilon 1e10
+        argv = ["--mode", mode, "--T", "1e-10", "--kicks", "3"]
+        argv += ["--cutoff-a", "3", "--cutoff-b", "3"]
+        csvs = []
+        for epsilon in ("1e10+1e-320j", "1e10"):
+            out = tmp_path / f"{epsilon}.csv"
+            assert main(argv + ["--epsilon", epsilon, "--out", str(out)]) == 0
+            assert "Traceback" not in capsys.readouterr().err
+            csvs.append(out.read_text())
+        _, rows = read_rows(tmp_path / "1e10.csv")
+        assert len(rows) == 4 and np.isfinite(np.array(rows, dtype=float)).all()
+        assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize(
         "flag, value", [("--alpha", "nan"), ("--epsilon", "inf"), ("--T", "inf")]
@@ -969,13 +1000,13 @@ class TestMain:
             (["--mode", "analytic", "--T", "1e17", "--alpha", "1e15", "--kicks", "3"],
              "3 * omega1 / sqrt2"),
             (["--mode", "analytic", "--T", "1e12", "--alpha", "1e10"],
-             f"{propagation.BLOCK_KICKS - 1} * omega1 / sqrt2"),
+             "2000 * omega1 / sqrt2"),
             (["--mode", "analytic", "--epsilon", "0", "--alpha", "1e15", "--kicks", "3"],
              "3 * omega1 / sqrt2"),
             (["--mode", "compare", "--T", "1e17", "--alpha", "1e15", "--kicks", "3"],
              "3 * omega1 / sqrt2"),
             (["--mode", "compare", "--T", "1e12", "--alpha", "1e10"],
-             f"{propagation.BLOCK_KICKS - 1} * omega1 / sqrt2"),
+             "2000 * omega1 / sqrt2"),
         ],
     )
     def test_closed_form_phase_roundoff_exit_code(self, tmp_path, capsys, argv, phase):
@@ -1298,13 +1329,16 @@ class TestArgvFuzz:
 
 class TestHandBuiltFuzz:
     """Hypothesis-drawn RunConfigs at cutoffs 3/3 with near-valid and
-    wrong-typed kicks, scan fields and out paths.  Each is refused with a
-    ConfigError when it is built, or its echo re-parses to it and it runs to
-    exit 0 or to an error main maps to a documented exit code."""
+    wrong-typed params, parameters, kicks, scan fields and out paths.  Each
+    is refused with a ConfigError when it is built, or its echo re-parses to
+    it, number for number, and it runs to exit 0 or to an error main maps to
+    a documented exit code."""
 
     NAN = float("nan")
     COUNTS = [-1, 0, 1, 2.5, 3.0, NAN, True, np.int64(2), np.float64(2), "3", None]
-    ENDPOINTS = [0, 1, -1.0, NAN, float("inf"), "0.5", np.float64(0.25), True, None]
+    # float32(0.25) and complex64(0.25) are exact, float32(0.01) is not
+    NARROW = [np.float32(0.25), np.float32(0.01), np.complex64(0.25), np.complex64(0.01)]
+    ENDPOINTS = [0, 1, -1.0, NAN, float("inf"), "0.5", np.float64(0.25), True, None, *NARROW]
     OUTS = [
         "-x.csv", "", "a\0b", " x.csv", "x.csv ", "a#b.csv", "a\nb", "no/run.csv", ".",
         Path("run.csv"), 5, None,
@@ -1315,7 +1349,15 @@ class TestHandBuiltFuzz:
         """A field drawn from valid seven times in eight, else from wrong."""
         return st.sampled_from([valid] * 7 + [st.sampled_from(wrong)]).flatmap(lambda s: s)
 
+    PARAMS = st.builds(
+        SystemParams,
+        alpha=near(st.just(0.04), NARROW),
+        epsilon=near(st.just(0.01), NARROW),
+        T=near(st.just(1.0), [np.float32(1.5), np.float32(1.1)]),
+        dims=st.just(ModeDims(3, 3)),
+    )
     BASE = st.fixed_dictionaries({
+        "params": near(PARAMS, [None, "alpha = 0.04"]),
         "n_kicks": near(st.integers(1, 4), COUNTS),
         "mode": near(st.sampled_from([*cli.MODES, "scan", "scan"]), ["bogus", None]),
         "ordering": near(st.sampled_from([*Ordering][:2]), [Ordering.MID_PULSE, "bogus"]),
@@ -1337,10 +1379,16 @@ class TestHandBuiltFuzz:
         # scan fields go with mode = scan, unless the draw mismatches them
         fields = base | (scan if (base["mode"] == "scan") == matched else {})
         try:
-            config = RunConfig(params=SystemParams(dims=ModeDims(3, 3)), **fields)
+            config = RunConfig(**fields)
         except ConfigError:
             return
-        assert parse_config(echo_config(config)) == config
+        echoed = parse_config(echo_config(config))
+        assert echoed == config
+        # numpy calls a narrow float equal to its parse in the narrow type
+        for spec in cli._KEYS.values():
+            value = attrgetter(spec.field)(config)
+            if isinstance(value, Number):
+                assert complex(value) == complex(attrgetter(spec.field)(echoed)), spec.field
         # a fixture would outlive the example: each run gets its own directory
         with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
             try:

@@ -345,6 +345,18 @@ class TestCouplerHamiltonian:
         with pytest.raises(ValueError, match=field):
             SystemParams(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", "0.04"), ("T", None), ("epsilon", [0.01]), ("dims", (3, 3)), ("dims", None)],
+    )
+    def test_rejects_parameters_of_another_type(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            SystemParams(**{field: value})
+
+    def test_accepts_ints_bools_and_numpy_numbers(self):
+        params = SystemParams(chi_a=1, chi_b=True, alpha=np.float32(0.25), epsilon=np.complex64(0))
+        assert (params.chi_a, params.chi_b, params.alpha, params.epsilon) == (1, 1, 0.25, 0)
+
 
 class TestKickGenerator:
     def test_drive_matrix_elements(self):
