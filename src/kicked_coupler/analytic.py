@@ -12,6 +12,7 @@ calibrate_sampling).
 
 import math
 from dataclasses import replace
+from numbers import Integral
 
 import numpy as np
 
@@ -41,13 +42,15 @@ def kick_frequencies(params: SystemParams) -> tuple[float, float, float]:
     where omega1 is, which needs alpha^2 to underflow too.
 
     Raises ContractViolationError if a frequency is not finite, which
-    happens when |epsilon T| or |alpha| is so large that a square or a sum
-    of squares overflows.
+    happens when |epsilon T| or |alpha| is so large that a modulus, a square
+    or a sum of squares overflows.
     """
-    eps_t = np.float64(abs(params.epsilon) * params.T)
-    alpha = np.float64(abs(params.alpha))
-    # an overflowed square gives inf, and inf / inf in omega2 NaN
+    # an overflowed modulus or square gives inf, and inf / inf in omega2 NaN;
+    # np.hypot gives abs()'s bits, and inf where abs() raises OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
+        eps, alpha = complex(params.epsilon), complex(params.alpha)
+        eps_t = np.hypot(eps.real, eps.imag) * float(params.T)
+        alpha = np.hypot(alpha.real, alpha.imag)
         omega = np.sqrt(eps_t**2 + 4 * alpha**2)
         omega1 = np.sqrt(eps_t**2 + 2 * alpha**2 + eps_t * omega)
         omega2 = 2 * alpha**2 / omega1 if omega1 else 0.0
@@ -73,8 +76,8 @@ def truncated_amplitudes(n_kicks: int, params: SystemParams) -> np.ndarray:
     probabilities of a row sum to 1 only within more than
     CLOSED_FORM_NORM_TOL.
     """
-    if n_kicks < 0:
-        raise ValueError(f"kick count must be nonnegative, got {n_kicks}")
+    if not isinstance(n_kicks, Integral) or n_kicks < 0:
+        raise ValueError(f"kick count must be a nonnegative integer, got {n_kicks!r}")
     return amplitude_rows(0, n_kicks + 1, params)
 
 
@@ -89,9 +92,11 @@ def amplitude_rows(start: int, stop: int, params: SystemParams) -> np.ndarray:
     e^{i (m theta + n phi)}.  Positive real inputs give factors of exactly
     1 + 0j, so their rows keep their values."""
     ks = np.arange(float(start), float(stop))
-    eps_t = abs(params.epsilon) * params.T
-    alpha = abs(params.alpha)
+    # first, so that a modulus abs() cannot take is a contract violation; both
+    # take the moduli in float64, whatever numpy type the parameters have
     om, om1, om2 = kick_frequencies(params)
+    eps_t = abs(complex(params.epsilon)) * float(params.T)
+    alpha = abs(complex(params.alpha))
     # omega2 <= omega1: the largest phase is k * omega1 / sqrt2 at the last k
     check_phase_roundoff((stop - 1) * om1 / _SQRT2, f"{stop - 1} * omega1 / sqrt2")
     amps = np.zeros((len(ks), 4), dtype=complex)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytic import amplitude_rows
 from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
-from .hamiltonians import ModeDims, SystemParams, edge_populations
+from .hamiltonians import ConfigError, ModeDims, SystemParams, edge_populations
 from .numerics import ContractViolationError
 from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks
 
@@ -59,10 +59,6 @@ EDGE_TOL = 1e-6
 # cutoffs 20/20, 30/30 and 40/40, so that no run that fits is refused by
 # _check_fits, the one size refusal, which run applies to every RunConfig
 PEAK_MATRICES = 6.4
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (unknown key, bad value, violated invariant)."""
 
 
 @dataclass(frozen=True)
@@ -307,11 +303,8 @@ def _config_from_items(items: dict) -> RunConfig:
     for key, value in items.items():
         owner, _, name = _KEYS[key].field.rpartition(".")
         fields[owner][name] = value
-    try:
-        dims = replace(SystemParams().dims, **fields["params.dims"])
-        params = SystemParams(dims=dims, **fields["params"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    dims = replace(SystemParams().dims, **fields["params.dims"])
+    params = SystemParams(dims=dims, **fields["params"])
     return RunConfig(params=params, **fields[""])
 
 

@@ -13,9 +13,13 @@ take part in the dynamics.
 
 import cmath
 from dataclasses import dataclass, field
-from numbers import Integral, Number
+from numbers import Integral, Number, Real
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration (unknown key, bad value, violated invariant)."""
 
 
 @dataclass(frozen=True)
@@ -31,9 +35,9 @@ class ModeDims:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.dim_a, Integral) and isinstance(self.dim_b, Integral)):
-            raise ValueError(f"mode dimensions must be integers, got {(self.dim_a, self.dim_b)}")
+            raise ConfigError(f"mode dimensions must be integers, got {(self.dim_a, self.dim_b)}")
         if self.dim_a < 2 or self.dim_b < 2:
-            raise ValueError(f"mode dimensions must be >= 2, got ({self.dim_a}, {self.dim_b})")
+            raise ConfigError(f"mode dimensions must be >= 2, got ({self.dim_a}, {self.dim_b})")
 
     @property
     def joint(self) -> int:
@@ -82,15 +86,16 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.dims, ModeDims):
-            raise ValueError(f"dims must be a ModeDims, got {self.dims!r}")
+            raise ConfigError(f"dims must be a ModeDims, got {self.dims!r}")
         for name in ("chi_a", "chi_b", "epsilon", "alpha", "T"):
             value = getattr(self, name)
-            if not isinstance(value, Number):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            real = name not in ("epsilon", "alpha")
+            if not isinstance(value, Real if real else Number):
+                raise ConfigError(f"{name} must be a {'real ' * real}number, got {value!r}")
             if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.T <= 0:
-            raise ValueError(f"pulse period T must be positive, got {self.T}")
+            raise ConfigError(f"pulse period T must be positive, got {self.T}")
 
 
 def _occupations(dims: ModeDims) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ yields the trajectory in fixed blocks of rows, and `evolve` collects them.
 import functools
 from collections.abc import Iterator
 from enum import StrEnum
+from numbers import Integral
 
 import numpy as np
 
@@ -134,8 +135,8 @@ def evolve_blocks(
     is raised in place of the last block, so a consumer that stops after it
     cannot skip the check.
     """
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be nonnegative, got {n_kicks}")
+    if not isinstance(n_kicks, Integral) or n_kicks < 0:
+        raise ValueError(f"n_kicks must be a nonnegative integer, got {n_kicks!r}")
     dropped = [kind for kind, inputs in UNITARY_INPUTS.items() if scanned in inputs]
     if scanned is not None and not dropped:
         raise ValueError(f"scanned is not a SystemParams field: {scanned!r}")

@@ -91,7 +91,43 @@ def magnitudes(params):
     return replace(params, alpha=abs(params.alpha), epsilon=abs(params.epsilon))
 
 
+def abs_frequencies(params):
+    """kick_frequencies' formula with the moduli taken by Python's abs(),
+    which raises OverflowError where a modulus exceeds the float range."""
+    eps_t = np.float64(abs(params.epsilon) * params.T)
+    alpha = np.float64(abs(params.alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = np.sqrt(eps_t**2 + 4 * alpha**2)
+        omega1 = np.sqrt(eps_t**2 + 2 * alpha**2 + eps_t * omega)
+        omega2 = 2 * alpha**2 / omega1 if omega1 else 0.0
+    return omega, omega1, omega2
+
+
 class TestKickFrequencies:
+    def test_moduli_have_the_bits_of_abs(self):
+        # moduli from 1e-320 to 1e308 at uniform angles, then parts from
+        # 0.9e308 to 1.7e308, whose moduli may exceed the float range
+        rng = np.random.default_rng(43)
+        moduli = 10.0 ** rng.uniform(-320, 308, (3000, 2))
+        values = moduli * np.exp(2j * np.pi * rng.uniform(size=moduli.shape))
+        parts = rng.uniform(0.9e308, 1.7e308, (400, 2, 2)) * rng.choice([-1, 1], (400, 2, 2))
+        values = np.concatenate([values, parts[..., 0] + 1j * parts[..., 1]])
+        raised = 0
+        for epsilon, alpha in values.tolist():
+            params = SystemParams(epsilon=epsilon, alpha=alpha)
+            try:
+                expected = abs_frequencies(params)
+            except OverflowError:
+                expected = (math.inf,)
+                raised += 1
+            if all(map(math.isfinite, expected)):
+                got = kick_frequencies(params)
+                assert list(map(float.hex, got)) == [float(x).hex() for x in expected], params
+            else:
+                with pytest.raises(ContractViolationError, match="frequencies are not finite"):
+                    kick_frequencies(params)
+        assert raised > 50
+
     def test_reference_point(self, default_params):
         # frozen from a direct high-precision evaluation of the definitions
         # at alpha = 1/25, epsilon = 1/100, T = 1
@@ -265,6 +301,37 @@ class TestTruncatedAmplitudes:
     def test_rejects_negative_kick_count(self, default_params):
         with pytest.raises(ValueError):
             truncated_amplitudes(-1, default_params)
+
+    @pytest.mark.parametrize(
+        "field, narrow",
+        [
+            ("T", np.float32(1.5)),
+            ("epsilon", np.complex64(0.25 + 0.25j)),
+            ("alpha", np.float32(0.25)),
+            ("alpha", np.complex64(0.03 + 0.01j)),
+        ],
+    )
+    def test_a_narrow_parameter_gives_the_rows_of_its_value(self, field, narrow):
+        # RunConfig keeps a float32 or complex64 equal to its parse; its rows
+        # were up to 5e-8 off those of the same value as a Python number
+        wide = complex(narrow) if field != "T" else float(narrow)
+        rows = truncated_amplitudes(50, SystemParams(**{field: narrow}))
+        assert rows.tobytes() == truncated_amplitudes(50, SystemParams(**{field: wide})).tobytes()
+
+    @pytest.mark.parametrize("n_kicks", [2.5, 3.0, np.float64(3), "3", None])
+    def test_rejects_a_kick_count_that_is_not_an_integer(self, monkeypatch, n_kicks):
+        # 2.5 gave the four rows k = 0..3; now no row is computed
+        def no_rows(*args):
+            raise AssertionError("amplitude rows were computed")
+
+        monkeypatch.setattr(analytic, "amplitude_rows", no_rows)
+        with pytest.raises(ValueError, match="^kick count must be a nonnegative integer, got "):
+            truncated_amplitudes(n_kicks, SystemParams())
+
+    @pytest.mark.parametrize("n_kicks, rows", [(np.int64(3), 4), (True, 2)])
+    def test_accepts_numpy_integers_and_bools(self, n_kicks, rows):
+        amps = truncated_amplitudes(n_kicks, SystemParams())
+        assert amps.tobytes() == truncated_amplitudes(rows - 1, SystemParams()).tobytes()
 
 
 class TestUncoupledAmplitudes:

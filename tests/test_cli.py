@@ -975,6 +975,25 @@ class TestMain:
         params = cli.config_from_args(argv)[0].params
         assert np.max(np.abs(probs - oracle_probabilities(range(4), params, 400))) < 1e-12
 
+    @pytest.mark.parametrize("mode", ["analytic", "compare"])
+    @pytest.mark.parametrize(
+        "flag, moduli",
+        [
+            ("--epsilon", "|epsilon T| = inf, |alpha| = 0.04"),
+            ("--alpha", "|epsilon T| = 0.01, |alpha| = inf"),
+        ],
+        ids=["epsilon", "alpha"],
+    )
+    def test_overflowing_complex_modulus_exit_code(self, tmp_path, capsys, mode, flag, moduli):
+        # both parts are finite and the modulus is not: abs() raised OverflowError
+        out = tmp_path / "run.csv"
+        argv = ["--mode", mode, flag, "1.5e308+1.5e308j", "--kicks", "3"]
+        assert main(argv + ["--cutoff-a", "3", "--cutoff-b", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical contract violation: kick frequencies are not finite at {moduli}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -1328,11 +1347,11 @@ class TestArgvFuzz:
 
 
 class TestHandBuiltFuzz:
-    """Hypothesis-drawn RunConfigs at cutoffs 3/3 with near-valid and
-    wrong-typed params, parameters, kicks, scan fields and out paths.  Each
-    is refused with a ConfigError when it is built, or its echo re-parses to
-    it, number for number, and it runs to exit 0 or to an error main maps to
-    a documented exit code."""
+    """Hypothesis-drawn RunConfigs at cutoffs near 3/3 with near-valid and
+    wrong-typed params, parameters, cutoffs, kicks, scan fields and out
+    paths.  Each is refused with a ConfigError when it or its SystemParams
+    or ModeDims is built, or its echo re-parses to it, number for number,
+    and it runs to exit 0 or to an error main maps to a documented exit code."""
 
     NAN = float("nan")
     COUNTS = [-1, 0, 1, 2.5, 3.0, NAN, True, np.int64(2), np.float64(2), "3", None]
@@ -1349,13 +1368,15 @@ class TestHandBuiltFuzz:
         """A field drawn from valid seven times in eight, else from wrong."""
         return st.sampled_from([valid] * 7 + [st.sampled_from(wrong)]).flatmap(lambda s: s)
 
-    PARAMS = st.builds(
-        SystemParams,
-        alpha=near(st.just(0.04), NARROW),
-        epsilon=near(st.just(0.01), NARROW),
-        T=near(st.just(1.0), [np.float32(1.5), np.float32(1.1)]),
-        dims=st.just(ModeDims(3, 3)),
-    )
+    # the fields of a SystemParams and its ModeDims, which the test builds
+    # inside its try: a value they refuse is a ConfigError like any other
+    PARAMS = st.fixed_dictionaries({
+        "alpha": near(st.just(0.04), [*NARROW, float("inf")]),
+        "epsilon": near(st.just(0.01), NARROW),
+        "T": near(st.just(1.0), [np.float32(1.5), np.float32(1.1), 0, 1j]),
+        "chi_a": near(st.just(1.0), [1j]),
+        "dims": st.tuples(near(st.just(3), [1, 3.0]), st.just(3)),
+    })
     BASE = st.fixed_dictionaries({
         "params": near(PARAMS, [None, "alpha = 0.04"]),
         "n_kicks": near(st.integers(1, 4), COUNTS),
@@ -1379,6 +1400,9 @@ class TestHandBuiltFuzz:
         # scan fields go with mode = scan, unless the draw mismatches them
         fields = base | (scan if (base["mode"] == "scan") == matched else {})
         try:
+            if isinstance(fields["params"], dict):
+                dims = ModeDims(*fields["params"]["dims"])
+                fields["params"] = SystemParams(**(fields["params"] | {"dims": dims}))
             config = RunConfig(**fields)
         except ConfigError:
             return
@@ -1436,8 +1460,12 @@ class TestModuleEntryPoint:
             (["--mode", "compare"], 0, ""),
             (["--config", "scan.cfg"], 0, ""),
             (["--alpha", "1e200"], 3, "numerical contract violation: phase roundoff "),
+            # an np.hypot overflow outside np.errstate would print a RuntimeWarning traceback
+            (["--mode", "analytic", "--epsilon", "1.5e308+1.5e308j"], 3,
+             "numerical contract violation: kick frequencies are not finite at "
+             "|epsilon T| = inf, |alpha| = 0.04\n"),
         ],
-        ids=["simulate", "analytic", "compare", "scan", "exit-3"],
+        ids=["simulate", "analytic", "compare", "scan", "exit-3", "exit-3-modulus"],
     )
     def test_dev_mode_runs_are_clean(self, tmp_path, argv, code, stderr):
         # development mode reports a descriptor or scratch file left open by

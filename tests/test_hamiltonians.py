@@ -6,8 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
-from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, joint_index
-from kicked_coupler.hamiltonians import basis_state, build_kick_generator, edge_populations
+from kicked_coupler import ModeDims, SystemParams, build_coupler_hamiltonian, cli, joint_index
+from kicked_coupler.hamiltonians import (
+    ConfigError,
+    basis_state,
+    build_kick_generator,
+    edge_populations,
+)
 from kicked_coupler.numerics import hermiticity_defect, unitary_from_generator
 from conftest import annihilation_op, embed_mode_a, embed_mode_b
 
@@ -29,6 +34,31 @@ class TestModeDims:
 
     def test_accepts_numpy_integers(self):
         assert ModeDims(np.int64(3), np.int32(2)).joint == 6
+
+
+class TestRefusalType:
+    """ModeDims and SystemParams refuse with the ConfigError the CLI maps to
+    exit 2; it is defined here, once, and is still a ValueError."""
+
+    def test_one_config_error(self):
+        assert cli.ConfigError is ConfigError
+        assert issubclass(ConfigError, ValueError)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ModeDims(1, 3), "mode dimensions must be >= 2, got (1, 3)"),
+            (lambda: ModeDims(3.0, 3), "mode dimensions must be integers, got (3.0, 3)"),
+            (lambda: SystemParams(T=0), "pulse period T must be positive, got 0"),
+            (lambda: SystemParams(alpha=float("inf")), "alpha must be finite, got inf"),
+            (lambda: SystemParams(alpha="0.04"), "alpha must be a number, got '0.04'"),
+            (lambda: SystemParams(dims=(3, 3)), "dims must be a ModeDims, got (3, 3)"),
+        ],
+    )
+    def test_every_refusal_is_a_config_error(self, build, message):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestAnnihilation:
@@ -356,6 +386,19 @@ class TestCouplerHamiltonian:
     def test_accepts_ints_bools_and_numpy_numbers(self):
         params = SystemParams(chi_a=1, chi_b=True, alpha=np.float32(0.25), epsilon=np.complex64(0))
         assert (params.chi_a, params.chi_b, params.alpha, params.epsilon) == (1, 1, 0.25, 0)
+
+    @pytest.mark.parametrize("field", ["chi_a", "chi_b", "T"])
+    @pytest.mark.parametrize("value", [1j, 1 + 0j, np.complex128(2)])
+    def test_rejects_a_complex_real_parameter(self, field, value):
+        # T = 1j ended in a TypeError at T <= 0, and chi_a = 1j constructed
+        with pytest.raises(ConfigError) as info:
+            SystemParams(**{field: value})
+        assert str(info.value) == f"{field} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [2, True, np.int64(2), np.float32(1.5), np.float64(0.5)])
+    def test_real_parameters_accept_ints_bools_and_numpy_reals(self, value):
+        params = SystemParams(chi_a=value, chi_b=value, T=value)
+        assert (params.chi_a, params.chi_b, params.T) == (value,) * 3
 
 
 class TestKickGenerator:

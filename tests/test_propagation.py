@@ -219,6 +219,23 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(SystemParams(dims=ModeDims(3, 3)), -1)
 
+    @pytest.mark.parametrize("n_kicks", [2.5, 3.0, np.float64(3), "3", None])
+    @pytest.mark.parametrize("call", [evolve, evolve_blocks])
+    def test_rejects_a_kick_count_that_is_not_an_integer(self, monkeypatch, call, n_kicks):
+        # 2.5 built the period matrix, then failed in numpy with a TypeError
+        def no_build(params):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(propagation, "build_coupler_hamiltonian", no_build)
+        monkeypatch.setattr(propagation, "build_kick_generator", no_build)
+        with pytest.raises(ValueError, match="^n_kicks must be a nonnegative integer, got "):
+            call(SystemParams(dims=ModeDims(3, 3)), n_kicks)
+
+    @pytest.mark.parametrize("n_kicks, rows", [(np.int64(3), 4), (True, 2)])
+    def test_accepts_numpy_integers_and_bools(self, n_kicks, rows):
+        params = SystemParams(dims=ModeDims(3, 3))
+        assert evolve(params, n_kicks).tobytes() == evolve(params, rows - 1).tobytes()
+
     def test_midpulse_record_count(self):
         states = evolve(SystemParams(dims=ModeDims(4, 4)), 7, ordering=Ordering.MID_PULSE)
         assert states.shape == (8, 16)
