@@ -38,7 +38,7 @@ from .analytic import amplitude_rows
 from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
 from .hamiltonians import ConfigError, ModeDims, SystemParams, edge_populations
 from .numerics import ContractViolationError
-from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks
+from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks, scan_blocks
 
 SCAN_PARAMS = ("alpha", "epsilon", "T")
 # the full-basis runs record after each whole period; mid-pulse sampling is
@@ -81,7 +81,11 @@ class RunConfig:
         for key, spec in _KEYS.items():
             value = attrgetter(spec.field)(self)
             if value is not None or key not in _SCAN_KEYS:  # else left to the scan checks
-                _parse_value(key, _render(value), held=value)
+                try:
+                    raw = _render(value)
+                except ValueError as exc:  # an int beyond sys.get_int_max_str_digits()
+                    raise ConfigError(f"bad value for '{key}': {exc}")
+                _parse_value(key, raw, held=value)
         if self.n_kicks < 1:
             raise ConfigError(f"kicks must be positive, got {self.n_kicks}")
         scan_keys = sorted(key for key in _SCAN_KEYS if getattr(self, key) is not None)
@@ -137,17 +141,14 @@ def _csv_rows(obs: QubitObservables, first_k: int, *extra: np.ndarray) -> str:
     return "".join(map(line.__mod__, zip(ks, *table.T.tolist())))
 
 
-def _observed_blocks(
-    params: SystemParams, n_kicks: int, ordering: Ordering, edge, cache=None, scanned=None, where=""
-) -> Iterator[tuple[int, QubitObservables]]:
-    """The first kick number and the observables of each block of the
-    run's trajectory (evolve_blocks, which takes cache and scanned).
-    edge[0] keeps the largest population at level dim - 1 of either mode
-    so far, as (value, k, mode, where).  A block of states is dropped once
-    its observables are taken, before the next one is asked for."""
-    for k, block in evolve_blocks(params, n_kicks, ordering=ordering, cache=cache, scanned=scanned):
-        obs = annotate_trajectory(block, params.dims)
-        pops = edge_populations(block, params.dims)
+def _observed_blocks(blocks, dims, edge, where="") -> Iterator[tuple[int, QubitObservables]]:
+    """k and the observables of each (k, block) of states that blocks (evolve_blocks)
+    yields.  edge[0] keeps the largest population at level dim - 1 of either mode so
+    far, as (value, k, mode, where).  A block of states is dropped once its
+    observables are taken, before the next one is asked for."""
+    for k, block in blocks:
+        obs = annotate_trajectory(block, dims)
+        pops = edge_populations(block, dims)
         del block
         row, mode = divmod(int(pops.argmax()), 2)
         edge[0] = max(edge[0], (pops[row, mode], k + row, "ab"[mode], where))
@@ -163,7 +164,8 @@ def _observed_blocks(
 
 def _run_simulate(config: RunConfig, edge: list) -> Iterator[str]:
     yield CSV_HEADER + "\n"
-    for k, obs in _observed_blocks(config.params, config.n_kicks, config.ordering, edge):
+    blocks = evolve_blocks(config.params, config.n_kicks, config.ordering)
+    for k, obs in _observed_blocks(blocks, config.params.dims, edge):
         yield _csv_rows(obs, k)
 
 
@@ -190,7 +192,8 @@ def _run_compare(config: RunConfig, edge: list) -> Iterator[str]:
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
-    for k, obs in _observed_blocks(config.params, config.n_kicks, Ordering.MID_PULSE, edge):
+    blocks = evolve_blocks(config.params, config.n_kicks, Ordering.MID_PULSE)
+    for k, obs in _observed_blocks(blocks, config.params.dims, edge):
         probs = np.abs(amplitude_rows(k, k + len(obs.leakage), config.params)) ** 2
         dp_max = np.max(np.abs(obs.probs - probs), axis=1)
         yield _csv_rows(obs, k, probs, dp_max)
@@ -200,21 +203,19 @@ def _run_scan(config: RunConfig, edge: list) -> Iterator[str]:
     param, start, stop = config.scan_param, config.scan_start, config.scan_stop
     yield SCAN_HEADER + "\n"
     row = f"%s,{_FLOAT},{_FLOAT},%d,{_FLOAT}\n"
-    cache: dict = {}  # the step unitary param does not enter is built once
     div, span = config.scan_steps - 1, stop - start
     step = span / div
-    for j in range(config.scan_steps):
-        # np.linspace(start, stop, steps)[j] bit for bit, numpy's branch for
-        # a step that underflows to 0 included, without the whole array
-        value = j / div * span if step == 0 else j * step
-        value = stop if j == div else value + start
-        params = replace(config.params, **{param: value})
+    # np.linspace(start, stop, steps)[j] bit for bit, numpy's branch for a
+    # step that underflows to 0 included, without the whole array
+    grid = (
+        stop if j == div else (j / div * span if step == 0 else j * step) + start
+        for j in range(config.scan_steps)
+    )
+    for value, blocks in scan_blocks(config.params, param, grid, config.n_kicks, config.ordering):
         max_concurrence = max_leakage = -np.inf
         k_at_max = 0
         where = f", {param} = {_FLOAT % value}"
-        for k, obs in _observed_blocks(
-            params, config.n_kicks, config.ordering, edge, cache, param, where
-        ):
+        for k, obs in _observed_blocks(blocks, config.params.dims, edge, where):
             i = int(np.argmax(obs.concurrence))
             # strict '>': the first maximum wins across blocks, as in argmax
             if obs.concurrence[i] > max_concurrence:

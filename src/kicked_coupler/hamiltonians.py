@@ -92,8 +92,11 @@ class SystemParams:
             real = name not in ("epsilon", "alpha")
             if not isinstance(value, Real if real else Number):
                 raise ConfigError(f"{name} must be a {'real ' * real}number, got {value!r}")
-            if not cmath.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            try:
+                if not cmath.isfinite(value):
+                    raise ConfigError(f"{name} must be finite, got {value}")
+            except OverflowError:  # an int too large for a float, and too long to show
+                raise ConfigError(f"{name} must be finite, got a number too large for a float")
         if self.T <= 0:
             raise ConfigError(f"pulse period T must be positive, got {self.T}")
 

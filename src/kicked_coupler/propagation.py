@@ -12,7 +12,8 @@ yields the trajectory in fixed blocks of rows, and `evolve` collects them.
 """
 
 import functools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from dataclasses import replace
 from enum import StrEnum
 from numbers import Integral
 
@@ -45,9 +46,9 @@ NORM_RTOL = 1e-9
 # Rows per block of a streamed trajectory (evolve_blocks).  The loop keeps
 # no reference to a block once it is yielded, and every CLI mode drops it
 # once its observables are taken, so a run holds its period matrix, the
-# step unitaries its caller caches (a scan keeps one) and one block.  At
-# D = 225 a block of 384 states is 1.71 D x D complex matrices, and a scan's
-# loop holds about 3.94, below the four that building a step unitary needs.
+# step unitaries scan_blocks reuses (one) and one block.  At D = 225 a block
+# of 384 states is 1.71 D x D complex matrices, and a scan's loop holds
+# about 3.94, below the four that building a step unitary needs.
 BLOCK_KICKS = 384
 
 # Largest allowed max |P^+ P v - v| of the period matrix P over the unit
@@ -56,9 +57,9 @@ BLOCK_KICKS = 384
 UNITARITY_TOL = 1e-10
 
 
-# The parameters each step unitary's generator reads.  A cached unitary is
-# reused while these are unchanged; every other field of SystemParams must
-# leave its generator untouched.
+# The parameters each step unitary's generator reads: a scan (scan_blocks)
+# reuses the unitaries whose row does not name its field, and every other
+# field of SystemParams must leave the generator untouched.
 UNITARY_INPUTS = {
     "free": ("chi_a", "chi_b", "epsilon", "T", "dims"),
     "kick": ("alpha", "dims"),
@@ -66,27 +67,20 @@ UNITARY_INPUTS = {
 }
 
 
-def _step_unitary(kind: str, params: SystemParams, cache: dict) -> np.ndarray:
+def _step_unitary(kind: str, params: SystemParams, built: dict) -> np.ndarray:
     """exp(-i H_NL T) for "free", exp(-i G) for "kick", exp(-i G / 2) for
-    "half", taken from the cache while the parameters its generator reads
-    are unchanged."""
-    key = tuple(getattr(params, name) for name in UNITARY_INPUTS[kind])
-    if kind in cache and cache[kind][0] == key:
-        return cache[kind][1]
-    # drop the stale unitary first, so at most one per kind is alive
-    cache.pop(kind, None)
-    if kind == "free":
-        build, t = build_coupler_hamiltonian, params.T
-    else:
-        build, t = build_kick_generator, 1.0 if kind == "kick" else 0.5
-    # the generator is only an argument, so it is freed once decomposed,
-    # before the product allocates its arrays.  An entry that overflows is
-    # reported by the decomposition's finiteness contract, not as a numpy
-    # warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = unitary_from_generator(build(params), t)
-    cache[kind] = (key, u)
-    return u
+    "half", taken from built if it holds kind, else built and put there."""
+    if kind not in built:
+        if kind == "free":
+            build, t = build_coupler_hamiltonian, float(params.T)
+        else:
+            build, t = build_kick_generator, 1.0 if kind == "kick" else 0.5
+        # the generator is only an argument, so it is freed once decomposed, before the
+        # product allocates its arrays.  An entry that overflows is reported by the
+        # decomposition's finiteness contract, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            built[kind] = unitary_from_generator(build(params), t)
+    return built[kind]
 
 
 # The step unitaries one period applies to the state, first applied first
@@ -97,18 +91,14 @@ _PERIOD_STEPS = {
 }
 
 
-def _period_factors(params: SystemParams, ordering: Ordering, cache: dict) -> list:
+def _period_factors(params: SystemParams, ordering: Ordering, built: dict) -> list:
     """The step unitaries of the _PERIOD_STEPS row that an Ordering or its
-    value selects; anything else raises ValueError before one is built."""
-    return [_step_unitary(kind, params, cache) for kind in _PERIOD_STEPS[Ordering(ordering)]]
+    value selects, in step order; anything else raises ValueError before one is built."""
+    return [_step_unitary(kind, params, built) for kind in _PERIOD_STEPS[Ordering(ordering)]]
 
 
 def evolve_blocks(
-    params: SystemParams,
-    n_kicks: int,
-    ordering: Ordering = DEFAULT_ORDERING,
-    cache: dict | None = None,
-    scanned: str | None = None,
+    params: SystemParams, n_kicks: int, ordering: Ordering = DEFAULT_ORDERING
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The trajectory of `evolve`, as consecutive blocks of rows.
 
@@ -122,28 +112,19 @@ def evolve_blocks(
     block, BLOCK_KICKS * D states, whatever n_kicks is.  Each row is the
     period matrix times the row before it, as in `evolve`, bit for bit.
 
-    ``cache``, a dict the caller owns, keeps each step unitary across the
-    calls that share it until a parameter its generator reads
-    (UNITARY_INPUTS) changes: a scan reuses the one its parameter skips.
-    ``scanned``, the SystemParams field a scan varies, names the unitaries
-    no later point reuses: they leave the cache once the period matrix is
-    formed, before the probe and the first block; a name that no generator
-    reads raises ValueError before one is built.
-
     The norm contract is checked against 1, the vacuum's squared norm, once
     the last block is filled, before it is yielded: ContractViolationError
     is raised in place of the last block, so a consumer that stops after it
     cannot skip the check.
     """
+    return _checked_blocks(params, n_kicks, ordering, {})
+
+
+def _checked_blocks(params, n_kicks, ordering, built: dict) -> Iterator[tuple[int, np.ndarray]]:
+    """evolve_blocks, its step unitaries taken from and put in built (_period_factors)."""
     if not isinstance(n_kicks, Integral) or n_kicks < 0:
         raise ValueError(f"n_kicks must be a nonnegative integer, got {n_kicks!r}")
-    dropped = [kind for kind, inputs in UNITARY_INPUTS.items() if scanned in inputs]
-    if scanned is not None and not dropped:
-        raise ValueError(f"scanned is not a SystemParams field: {scanned!r}")
-    cache = {} if cache is None else cache
-    period = functools.reduce(np.matmul, reversed(_period_factors(params, ordering, cache)))
-    for kind in dropped:
-        cache.pop(kind, None)
+    period = functools.reduce(np.matmul, reversed(_period_factors(params, ordering, built)))
     probe = np.exp(1j * np.outer(np.arange(len(period)), np.arange(1, 5))) / len(period) ** 0.5
     # P^+ P v as conj(P^T conj(P v)), without a conjugated copy of P;
     # written so that a NaN defect fails too
@@ -153,6 +134,19 @@ def evolve_blocks(
             f"period matrix is not unitary: max |P^+ P v - v| = {defect:.3e} > {UNITARITY_TOL:g}"
         )
     return _blocks(params.dims, n_kicks, period)
+
+
+def scan_blocks(params, field: str, values: Iterable, n_kicks: int, ordering=DEFAULT_ORDERING):
+    """(value, evolve_blocks of params with field set to value) for each value, a pair
+    formed when it is asked for.  A step unitary whose UNITARY_INPUTS row does not name
+    field is built at the first value and reused; every other one is dropped once its
+    point's period matrix is formed and probed.  A consumer that drops each point's
+    blocks before asking for the next holds those unitaries, one period and one block."""
+    built: dict = {}
+    for value in values:
+        blocks = _checked_blocks(replace(params, **{field: value}), n_kicks, ordering, built)
+        built = {kind: u for kind, u in built.items() if field not in UNITARY_INPUTS[kind]}
+        yield value, blocks
 
 
 def kick_blocks(n_kicks: int) -> Iterator[tuple[int, int]]:

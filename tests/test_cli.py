@@ -39,7 +39,7 @@ from kicked_coupler.cli import (
     run,
 )
 from kicked_coupler.numerics import PHASE_ROUNDOFF_TOL
-from kicked_coupler.propagation import UNITARY_INPUTS
+from kicked_coupler.propagation import scan_blocks
 from conftest import MATRIX_BYTES, off_norm_vacuum, oracle_probabilities, scaled_steps, traced_peak
 
 
@@ -275,6 +275,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^params must be a SystemParams, got "):
             RunConfig(params=params)
 
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            (dict(params=SystemParams(dims=ModeDims(10**5000, 2))), "cutoff_a"),
+            (dict(params=SystemParams(dims=ModeDims(2, 10**5000))), "cutoff_b"),
+            (dict(n_kicks=10**5000), "kicks"),
+            (dict(SCAN_FIELDS, mode="scan", scan_steps=10**5000), "scan_steps"),
+        ],
+        ids=["cutoff_a", "cutoff_b", "kicks", "scan_steps"],
+    )
+    def test_hand_built_int_too_long_to_write_is_refused(self, fields, key):
+        # str() writes no int of more than sys.get_int_max_str_digits()
+        # digits; the refusal names the key and leaves the digits out
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**dict(params=SystemParams()) | fields)
+        assert str(info.value).startswith(f"bad value for '{key}': Exceeds the limit (")
+        assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("name", ["alpha", "epsilon", "T", "chi_a", "chi_b"])
+    def test_hand_built_parameter_beyond_the_floats_is_refused(self, name):
+        # SystemParams refuses it, as the config it would go into
+        with pytest.raises(ConfigError) as info:
+            RunConfig(params=SystemParams(**{name: 10**400}))
+        assert str(info.value) == f"{name} must be finite, got a number too large for a float"
+
     @pytest.mark.parametrize("endpoint", ["scan_start", "scan_stop"])
     def test_nan_scan_endpoint_is_left_to_the_scan_checks(self, endpoint):
         # a NaN is unequal to its parse, yet it is what its text gives
@@ -507,54 +532,52 @@ class TestRunModes:
                 f"scan_stop = {stop}\nscan_steps = 4\nalpha = 0.03+0.01j\n"
             ),
         )
-        calls = []
+        scans, points = [], []
 
-        def recording_evolve_blocks(params, n_kicks, **kwargs):
-            blocks = list(evolve_blocks(params, n_kicks, **kwargs))
-            states = np.concatenate([block for _, block in blocks])
-            calls.append((params, states, kwargs["cache"]))
-            return iter(blocks)
+        def recording_scan_blocks(*args):
+            scans.append(args)
+            for value, blocks in scan_blocks(*args):
+                blocks = list(blocks)
+                points.append((value, np.concatenate([block for _, block in blocks])))
+                yield value, iter(blocks)
 
-        monkeypatch.setattr(cli, "evolve_blocks", recording_evolve_blocks)
+        monkeypatch.setattr(cli, "scan_blocks", recording_scan_blocks)
         assert run(config) == 0
         _, rows = read_rows(tmp_path / "o.csv")
-        assert len(calls) == len(rows) == 4
-        for (params, states, _), row in zip(calls, rows):
+        # one scan_blocks call for the whole scan, which reuses the step
+        # unitary its field does not enter
+        assert len(scans) == 1
+        assert scans[0][:2] == (config.params, param)
+        assert scans[0][3:] == (config.n_kicks, config.ordering)
+        assert len(points) == len(rows) == 4
+        for (value, states), row in zip(points, rows):
+            params = replace(config.params, **{param: value})
             fresh = evolve(params, config.n_kicks, ordering=config.ordering)
             assert np.array_equal(states, fresh)
             obs = annotate_trajectory(fresh, params.dims)
             k = int(np.argmax(obs.concurrence))
-            value = getattr(params, param)
             assert row == [
                 param, fmt(value), fmt(obs.concurrence[k]), str(k), fmt(obs.leakage.max())
             ]
-        # one cache for the whole scan, holding only the unitary the scan
-        # reuses: the scanned one is in the period matrix and no later point
-        # uses it
-        caches = {id(cache) for _, _, cache in calls}
-        assert len(caches) == 1
-        cache, last = calls[-1][2], calls[-1][0]
-        assert set(cache) == ({"free"} if param == "alpha" else {"kick"})
-        for kind, (key, _) in cache.items():
-            assert key == tuple(getattr(last, f) for f in UNITARY_INPUTS[kind])
 
-    def test_each_scan_has_its_own_cache(self, tmp_path, monkeypatch):
+    def test_each_scan_makes_its_own_scan_blocks(self, tmp_path, monkeypatch):
+        # the reuse lives in the generator one scan makes, so no unitary of
+        # one run reaches the next
         config = self.small_config(
             tmp_path,
             extra="mode = scan\nscan_param = alpha\nscan_start = 0.02\n"
             "scan_stop = 0.04\nscan_steps = 2\n",
         )
-        caches = []
+        scans = []
 
-        def recording_evolve_blocks(params, n_kicks, **kwargs):
-            caches.append(kwargs["cache"])
-            return evolve_blocks(params, n_kicks, **kwargs)
+        def recording_scan_blocks(*args):
+            scans.append(scan_blocks(*args))
+            return scans[-1]
 
-        monkeypatch.setattr(cli, "evolve_blocks", recording_evolve_blocks)
+        monkeypatch.setattr(cli, "scan_blocks", recording_scan_blocks)
         run(config)
         run(replace(config, params=replace(config.params, epsilon=0.02)))
-        assert caches[0] is caches[1] and caches[2] is caches[3]
-        assert caches[0] is not caches[2]
+        assert len(scans) == 2 and scans[0] is not scans[1]
 
 
 class TestMain:
@@ -1210,6 +1233,7 @@ class TestMain:
         monkeypatch.setattr(cli, "_physical_memory", lambda: 10_000)
         calls = []
         monkeypatch.setattr(cli, "evolve_blocks", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cli, "scan_blocks", lambda *args, **kwargs: calls.append(args))
         argv = ["--kicks", "3"] + SMALL + ["--out", str(tmp_path / "run.csv")]
         if mode == "scan":
             cfg = tmp_path / "scan.cfg"
@@ -1354,7 +1378,7 @@ class TestHandBuiltFuzz:
     and it runs to exit 0 or to an error main maps to a documented exit code."""
 
     NAN = float("nan")
-    COUNTS = [-1, 0, 1, 2.5, 3.0, NAN, True, np.int64(2), np.float64(2), "3", None]
+    COUNTS = [-1, 0, 1, 2.5, 3.0, NAN, True, np.int64(2), np.float64(2), "3", None, 10**5000]
     # float32(0.25) and complex64(0.25) are exact, float32(0.01) is not
     NARROW = [np.float32(0.25), np.float32(0.01), np.complex64(0.25), np.complex64(0.01)]
     ENDPOINTS = [0, 1, -1.0, NAN, float("inf"), "0.5", np.float64(0.25), True, None, *NARROW]
@@ -1371,11 +1395,11 @@ class TestHandBuiltFuzz:
     # the fields of a SystemParams and its ModeDims, which the test builds
     # inside its try: a value they refuse is a ConfigError like any other
     PARAMS = st.fixed_dictionaries({
-        "alpha": near(st.just(0.04), [*NARROW, float("inf")]),
-        "epsilon": near(st.just(0.01), NARROW),
-        "T": near(st.just(1.0), [np.float32(1.5), np.float32(1.1), 0, 1j]),
-        "chi_a": near(st.just(1.0), [1j]),
-        "dims": st.tuples(near(st.just(3), [1, 3.0]), st.just(3)),
+        "alpha": near(st.just(0.04), [*NARROW, float("inf"), 10**400]),
+        "epsilon": near(st.just(0.01), [*NARROW, 10**400]),
+        "T": near(st.just(1.0), [np.float32(1.5), np.float32(1.1), 0, 1j, 10**400]),
+        "chi_a": near(st.just(1.0), [1j, 10**400]),
+        "dims": st.tuples(near(st.just(3), [1, 3.0, 10**5000]), st.just(3)),
     })
     BASE = st.fixed_dictionaries({
         "params": near(PARAMS, [None, "alpha = 0.04"]),
@@ -1681,11 +1705,12 @@ class TestStreamedRuns:
     def test_scan_values_equal_linspace(self, tmp_path, monkeypatch, param, start, stop, steps):
         values = []
 
-        def recording_evolve_blocks(params, n_kicks, **kwargs):
-            values.append(getattr(params, param))
-            return evolve_blocks(params, n_kicks, **kwargs)
+        def recording_scan_blocks(params, field, grid, *args):
+            for value, blocks in scan_blocks(params, field, grid, *args):
+                values.append(value)
+                yield value, blocks
 
-        monkeypatch.setattr(cli, "evolve_blocks", recording_evolve_blocks)
+        monkeypatch.setattr(cli, "scan_blocks", recording_scan_blocks)
         config = parse_config(
             f"mode = scan\nkicks = 1\ncutoff_a = 2\ncutoff_b = 2\nout = {tmp_path / 'o.csv'}\n"
             f"scan_param = {param}\nscan_start = {start!r}\nscan_stop = {stop!r}\n"
@@ -1708,6 +1733,9 @@ class TestStreamedRuns:
             np.full((1, 4), 0.25), np.array([0.25]), np.array([0.5]), np.full((1, 4), 0.25)
         )
         monkeypatch.setattr(cli, "_observed_blocks", lambda *args: iter([(1, obs)]))
+        monkeypatch.setattr(
+            cli, "scan_blocks", lambda params, field, grid, *args: ((x, None) for x in grid)
+        )
         peaks = []
         for steps in (2000, 30000):
             config = parse_config(
@@ -1751,16 +1779,20 @@ class TestStreamedRuns:
         assert peak <= 4 * MATRIX_BYTES + 128 * 1024, peak / MATRIX_BYTES
 
     @pytest.mark.parametrize(
-        "ordering, cache",
-        [*((ordering, None) for ordering in Ordering), (Ordering.KICK_THEN_FREE, {})],
-        ids=[*(ordering.value for ordering in Ordering), "shared-cache"],
+        "ordering, scanned",
+        [*((ordering, False) for ordering in Ordering), (Ordering.KICK_THEN_FREE, True)],
+        ids=[*(ordering.value for ordering in Ordering), "scan"],
     )
-    def test_observed_blocks_hold_one_block(self, ordering, cache):
-        # the first next() builds the step unitaries before tracing starts;
-        # the rest of the run then holds one block of states at a time
+    def test_observed_blocks_hold_one_block(self, ordering, scanned):
+        # the step unitaries are built before tracing starts; the rest of
+        # the run then holds one block of states at a time
         params = SystemParams()
         b = propagation.BLOCK_KICKS
-        observed = cli._observed_blocks(params, 3 * b, ordering, [(-np.inf, 0, "", "")], cache)
+        if scanned:
+            [(_, blocks)] = scan_blocks(params, "alpha", [params.alpha], 3 * b, ordering)
+        else:
+            blocks = evolve_blocks(params, 3 * b, ordering)
+        observed = cli._observed_blocks(blocks, params.dims, [(-np.inf, 0, "", "")])
         next(observed)
         block_bytes = b * params.dims.joint * 16
 

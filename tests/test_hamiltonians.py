@@ -53,6 +53,12 @@ class TestRefusalType:
             (lambda: SystemParams(alpha=float("inf")), "alpha must be finite, got inf"),
             (lambda: SystemParams(alpha="0.04"), "alpha must be a number, got '0.04'"),
             (lambda: SystemParams(dims=(3, 3)), "dims must be a ModeDims, got (3, 3)"),
+            # an int beyond the float range is refused without its digits
+            *(
+                (lambda name=name: SystemParams(**{name: 10**400}),
+                 f"{name} must be finite, got a number too large for a float")
+                for name in ("alpha", "epsilon", "T", "chi_a")
+            ),
         ],
     )
     def test_every_refusal_is_a_config_error(self, build, message):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from kicked_coupler import (
 )
 from kicked_coupler import propagation
 from kicked_coupler.hamiltonians import basis_state, build_kick_generator
-from kicked_coupler.propagation import UNITARY_INPUTS, kick_blocks
+from kicked_coupler.propagation import UNITARY_INPUTS, kick_blocks, scan_blocks
 from conftest import MATRIX_BYTES, off_norm_vacuum, scaled_steps, traced_peak
 
 
@@ -104,6 +105,12 @@ def two_factor_loop(params, n_kicks, ordering):
 
 
 class TestMapStep:
+    def test_fraction_period_gives_the_float_period_rows(self):
+        # the free step runs for float(T), as the closed forms do
+        dims = ModeDims(4, 3)
+        rows = evolve(SystemParams(T=Fraction(1, 2), dims=dims), 3)
+        assert rows.tobytes() == evolve(SystemParams(T=0.5, dims=dims), 3).tobytes()
+
     def test_vacuum_stationary_without_drive(self):
         params = SystemParams(alpha=0.0)
         psi = basis_state(0, 0, params.dims)
@@ -291,11 +298,15 @@ class TestEvolveBlocks:
     PARAMS = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(4, 3))
 
     @pytest.mark.parametrize("ordering", list(Ordering))
-    @pytest.mark.parametrize("shared_cache", [False, True])
-    def test_blocks_concatenate_to_evolve(self, ordering, shared_cache):
-        cache = {} if shared_cache else None
+    @pytest.mark.parametrize("scanned", [False, True])
+    def test_blocks_concatenate_to_evolve(self, ordering, scanned):
         for n in (0, 1, B - 1, B, B + 1, 3 * B + 5):
-            blocks = list(evolve_blocks(self.PARAMS, n, ordering=ordering, cache=cache))
+            if scanned:
+                # a one-point scan yields the blocks of that point
+                [(_, blocks)] = scan_blocks(self.PARAMS, "alpha", [self.PARAMS.alpha], n, ordering)
+            else:
+                blocks = evolve_blocks(self.PARAMS, n, ordering=ordering)
+            blocks = list(blocks)
             # each block's start is the first kick of its kick_blocks range
             assert [start for start, _ in blocks] == [start for start, _ in kick_blocks(n)]
             assert np.array_equal(
@@ -372,22 +383,25 @@ class TestLoopPeakMemory:
         peak = traced_peak(consume)
         assert peak < 1.5 * block_bytes, peak / block_bytes
 
-    def test_an_alpha_scan_loop_holds_below_four_matrices(self):
-        # each point's loop holds the cached free step, the period matrix
-        # and one block (3.72 matrices at 384 rows); the kick unitary of the
-        # point, were it kept for a later point, would add one more (4.71)
-        cache, peaks = {}, []
+    @pytest.mark.parametrize(
+        "field, values", [("alpha", (0.03, 0.04, 0.05)), ("epsilon", (0.0, 0.01, -0.02j)),
+                          ("T", (0.5, 1.0, 1.5))]
+    )
+    def test_a_scan_loop_holds_below_four_matrices(self, field, values):
+        # each point's loop holds the reused step unitary, the period matrix
+        # and one block (3.72 matrices at 384 rows); the varied unitary of
+        # the point, were it kept for a later point, would add one more (4.71)
+        peaks = []
 
         def scan():
-            for alpha in (0.03, 0.04, 0.05):
-                params = SystemParams(alpha=alpha)
-                blocks = evolve_blocks(params, 2 * B + 1, cache=cache, scanned="alpha")
+            for _, blocks in scan_blocks(SystemParams(), field, values, 2 * B + 1):
                 tracemalloc.reset_peak()
                 for _, block in blocks:
                     del block
                 peaks.append(tracemalloc.get_traced_memory()[1])
 
         traced_peak(scan)
+        assert len(peaks) == 3
         assert max(peaks) <= 4 * MATRIX_BYTES, [peak / MATRIX_BYTES for peak in peaks]
 
 
@@ -431,101 +445,90 @@ class TestBlasThreads:
         assert hashes[0] == hashes[1]
 
 
-def evolve_cached(params, n_kicks, cache, **kwargs):
-    """evolve's array, with the step unitaries taken from a shared cache."""
-    return concatenated(evolve_blocks(params, n_kicks, cache=cache, **kwargs))
+def counted_builds(monkeypatch):
+    """The names of the generators built from now on, in build order."""
+    built = []
+    for name in ("build_coupler_hamiltonian", "build_kick_generator"):
+        original = getattr(propagation, name)
+
+        def counted(params, _name=name, _original=original):
+            built.append(_name)
+            return _original(params)
+
+        monkeypatch.setattr(propagation, name, counted)
+    return built
 
 
-class TestUnitaryCache:
+class TestScanBlocks:
     BASE = SystemParams(alpha=0.05 + 0.01j, epsilon=0.02, dims=ModeDims(5, 4))
-    # a scan of each parameter, then a change of both generators at once
-    SEQUENCE = [
-        BASE,
-        replace(BASE, alpha=0.03),
-        replace(BASE, alpha=0.07),
-        replace(BASE, alpha=0.07, epsilon=0.01),
-        replace(BASE, alpha=0.07, epsilon=-0.015j),
-        replace(BASE, alpha=0.07, epsilon=-0.015j, T=1.7),
-        replace(BASE, chi_a=0.3),
-        replace(BASE, dims=ModeDims(4, 4)),
-        BASE,
-    ]
+    # three values of each field a scan may vary
+    SCANS = {
+        "alpha": (0.05 + 0.01j, 0.03, 0.07),
+        "epsilon": (0.02, -0.015j, 0.01),
+        "T": (1.0, 1.7, 0.4),
+        "chi_a": (1.0, 0.3, 0.0),
+        "chi_b": (1.0, 0.3, 2.0),
+        "dims": (ModeDims(5, 4), ModeDims(4, 4), ModeDims(3, 5)),
+    }
 
     @pytest.mark.parametrize("ordering", list(Ordering))
-    def test_shared_cache_gives_the_uncached_states(self, ordering):
-        cache = {}
-        for params in self.SEQUENCE:
-            assert np.array_equal(
-                evolve_cached(params, 30, cache, ordering=ordering),
-                evolve(params, 30, ordering=ordering),
-            )
-
-    @pytest.mark.parametrize("ordering", list(Ordering))
-    def test_at_most_one_unitary_per_kind(self, ordering):
-        cache = {}
-        for params in self.SEQUENCE:
-            evolve_cached(params, 3, cache, ordering=ordering)
-            assert set(cache) <= set(UNITARY_INPUTS)
-            for kind, (key, u) in cache.items():
-                assert key == tuple(getattr(params, f) for f in UNITARY_INPUTS[kind])
-                assert u.shape == (params.dims.joint, params.dims.joint)
+    @pytest.mark.parametrize("field", list(SCANS))
+    def test_every_point_gives_the_uncached_states(self, ordering, field):
+        values = self.SCANS[field]
+        points = list(scan_blocks(self.BASE, field, values, 30, ordering))
+        assert [value for value, _ in points] == list(values)
+        for value, blocks in points:
+            params = replace(self.BASE, **{field: value})
+            assert np.array_equal(concatenated(blocks), evolve(params, 30, ordering=ordering))
 
     @pytest.mark.parametrize("ordering", list(Ordering))
     @pytest.mark.parametrize(
-        "scanned, kept",
-        [("alpha", {"free"}), ("epsilon", {"kick"}), ("T", {"kick"}), (None, {"free", "kick"})],
+        "field, reused",
+        [("alpha", "build_coupler_hamiltonian"), ("epsilon", "build_kick_generator"),
+         ("T", "build_kick_generator"), ("dims", None)],
     )
-    def test_scanned_unitary_leaves_the_cache(self, ordering, scanned, kept):
-        # the kick kind is the half kick under mid-pulse sampling
-        if ordering == Ordering.MID_PULSE:
-            kept = {"half" if kind == "kick" else kind for kind in kept}
-        cache = {}
-        states = evolve_cached(self.BASE, 3, cache, ordering=ordering, scanned=scanned)
-        assert set(cache) == kept
-        assert np.array_equal(states, evolve(self.BASE, 3, ordering=ordering))
+    def test_builds_the_generator_a_field_skips_once(self, monkeypatch, ordering, field, reused):
+        # an alpha scan builds H once and G once per point (the half kick
+        # once per mid-pulse period), an epsilon or T scan the reverse
+        built = counted_builds(monkeypatch)
+        points = scan_blocks(self.BASE, field, self.SCANS[field], 2, ordering)
+        assert built == []  # a pair is formed only when it is asked for
+        per_point = []
+        for _, blocks in points:
+            per_point.append(sorted(built))
+            built.clear()
+            list(blocks)
+        both = ["build_coupler_hamiltonian", "build_kick_generator"]
+        varied = [name for name in both if name != reused]
+        assert per_point == [both] + [varied] * (len(self.SCANS[field]) - 1)
 
-    @pytest.mark.parametrize("scanned", ["Alpha", "eps", "", "kick"])
-    def test_scanned_must_name_a_field(self, monkeypatch, scanned):
-        # a misspelt field would drop nothing and leave the stale unitary in
-        # the cache; it is refused before a generator is built
-        def no_build(params):
-            raise AssertionError("a generator was built")
-
-        monkeypatch.setattr(propagation, "build_coupler_hamiltonian", no_build)
-        monkeypatch.setattr(propagation, "build_kick_generator", no_build)
-        cache = {}
-        with pytest.raises(ValueError, match=f"not a SystemParams field: {scanned!r}"):
-            evolve_blocks(self.BASE, 3, cache=cache, scanned=scanned)
-        assert cache == {}
-        # the names accepted are those UNITARY_INPUTS lists, so a field that no
-        # generator reads would be refused: every field must be listed
+    @pytest.mark.parametrize("field", ["Alpha", "eps", "", "kick"])
+    def test_field_must_name_a_field(self, monkeypatch, field):
+        # a misspelt field is refused before a generator is built
+        built = counted_builds(monkeypatch)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument {field!r}"):
+            next(scan_blocks(self.BASE, field, [0.03], 3))
+        assert built == []
+        # the generators read no field beyond those UNITARY_INPUTS lists
+        # (below), and every field is listed in some row
         listed = set().union(*UNITARY_INPUTS.values())
         assert listed == {f.name for f in fields(SystemParams)}
 
-    def test_rebuilds_only_the_generator_a_change_enters(self, monkeypatch):
-        built = []
-        for name in ("build_coupler_hamiltonian", "build_kick_generator"):
-            original = getattr(propagation, name)
+    def test_values_are_drawn_as_pairs_are_asked_for(self):
+        drawn = []
 
-            def counted(params, _name=name, _original=original):
-                built.append(_name)
-                return _original(params)
+        def values():
+            for value in (0.03, 0.05, 0.07):
+                drawn.append(value)
+                yield value
 
-            monkeypatch.setattr(propagation, name, counted)
-        cache = {}
-        evolve_cached(self.BASE, 2, cache)
-        assert sorted(built) == ["build_coupler_hamiltonian", "build_kick_generator"]
-        for change, rebuilt in [
-            ({"alpha": 0.02}, ["build_kick_generator"]),
-            ({"epsilon": 0.03}, ["build_coupler_hamiltonian"]),
-            ({"T": 0.8}, ["build_coupler_hamiltonian"]),
-            ({}, []),
-        ]:
-            built.clear()
-            evolve_cached(replace(self.BASE, **change), 2, cache)
-            assert built == rebuilt
-            evolve_cached(self.BASE, 2, cache)
+        points = scan_blocks(self.BASE, "alpha", values(), 3)
+        assert drawn == []
+        assert next(points)[0] == 0.03
+        assert drawn == [0.03]
 
+
+class TestUnitaryCache:
     @pytest.mark.parametrize(
         "kind, build",
         [("free", build_coupler_hamiltonian), ("kick", build_kick_generator)],
