@@ -169,14 +169,7 @@ def _run_simulate(config: RunConfig, edge: list) -> Iterator[str]:
         yield _csv_rows(obs, k)
 
 
-def _check_closed_forms(config: RunConfig) -> None:
-    """Refuse a closed-form run bound to fail before its first row: check its last
-    kick, whose phases are the largest; every other contract is the same at each k."""
-    amplitude_rows(config.n_kicks, config.n_kicks + 1, config.params)
-
-
 def _run_analytic(config: RunConfig, edge: list) -> Iterator[str]:
-    _check_closed_forms(config)
     yield CSV_HEADER + "\n"
     for start, stop in kick_blocks(config.n_kicks):
         block = amplitude_rows(start, stop, config.params)
@@ -188,7 +181,6 @@ def _run_analytic(config: RunConfig, edge: list) -> Iterator[str]:
 
 
 def _run_compare(config: RunConfig, edge: list) -> Iterator[str]:
-    _check_closed_forms(config)
     yield CSV_HEADER + "," + COMPARE_EXTRA + "\n"
     # mid-pulse sampling: the convention under which the closed forms match
     # the kicked dynamics to highest order
@@ -403,15 +395,19 @@ def _check_fits(dims: ModeDims) -> None:
 def run(config: RunConfig) -> int:
     """Execute a config and write its CSV. Returns the exit status.
 
-    Its one check is _check_fits, applied first to a full-basis run: the
-    RunConfig checked its invariants when it was built.  The output is opened
-    next, so an unwritable path fails before any computation, and each
-    block of rows is written as it is computed.  A run that succeeds with
-    more than EDGE_TOL at level dim - 1 of a mode says so in one stderr
+    The RunConfig checked its invariants when it was built.  The refusals that
+    need no trajectory come first, before anything is opened: _check_fits for a
+    full-basis run, then a closed-form run's closed forms at its last kick.  The
+    output is opened next, so an unwritable path fails before any computation,
+    and each block of rows is written as it is computed.  A run that succeeds
+    with more than EDGE_TOL at level dim - 1 of a mode says so in one stderr
     line: its largest value, with its k and mode.
     """
     if config.mode != "analytic":
         _check_fits(config.params.dims)
+    if config.mode in ("analytic", "compare"):
+        # its last kick decides every block: tests/test_analytic.py::TestLastKickDecides
+        amplitude_rows(config.n_kicks, config.n_kicks + 1, config.params)
     edge = [(-np.inf, 0, "", "")]
     with _output(config.out) as fh:
         fh.writelines(_RUNNERS[config.mode](config, edge))

@@ -931,6 +931,28 @@ class TestMain:
         blocks = list(propagation.kick_blocks(300))
         assert calls == [(300, 301)] + blocks
 
+    # at alpha 1000 the phase roundoff of the last kick, 6e9 * 2^-52, is past its bound
+    PHASE_REFUSAL = "numerical contract violation: phase roundoff 6000000 * omega1 / sqrt2 * 2^-52"
+
+    @pytest.mark.parametrize("mode", ["analytic", "compare"])
+    def test_closed_form_refusal_opens_nothing(self, tmp_path, capsys, monkeypatch, mode):
+        # run refuses it before the output is opened, as it refuses a run too large
+        monkeypatch.setattr(cli, "_output", lambda path: pytest.fail(f"opened {path}"))
+        argv = ["--mode", mode, "--alpha", "1000", "--kicks", "6000000"]
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 3
+        assert capsys.readouterr().err.startswith(self.PHASE_REFUSAL)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["analytic", "compare"])
+    def test_closed_form_refusal_wins_over_an_unwritable_output(self, tmp_path, capsys, mode):
+        out = tmp_path / "missing" / "run.csv"
+        argv = ["--mode", mode, "--alpha", "1000", "--kicks", "6000000", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(self.PHASE_REFUSAL) and err.count("\n") == 1
+        assert "i/o error" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mode", ["analytic", "compare"])
     def test_underflowing_gauge_phase_runs(self, tmp_path, capsys, mode):
         # arg epsilon = atan2(1e-320, 1e10) underflows to 0, a gauge factor of
