@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytic import amplitude_rows
 from .entanglement import QubitObservables, annotate_trajectory, bell_fidelities, concurrence_pure
-from .hamiltonians import ConfigError, ModeDims, SystemParams, edge_populations
+from .hamiltonians import ConfigError, ModeDims, SystemParams, edge_populations, quoted
 from .numerics import ContractViolationError
 from .propagation import DEFAULT_ORDERING, Ordering, evolve_blocks, kick_blocks, scan_blocks
 
@@ -77,7 +77,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.params, SystemParams):
-            raise ConfigError(f"params must be a SystemParams, got {self.params!r}")
+            raise ConfigError(f"params must be a SystemParams, got {quoted(self.params)}")
         for key, spec in _KEYS.items():
             value = attrgetter(spec.field)(self)
             if value is not None or key not in _SCAN_KEYS:  # else left to the scan checks
@@ -87,7 +87,7 @@ class RunConfig:
                     raise ConfigError(f"bad value for '{key}': {exc}")
                 _parse_value(key, raw, held=value)
         if self.n_kicks < 1:
-            raise ConfigError(f"kicks must be positive, got {self.n_kicks}")
+            raise ConfigError(f"kicks must be positive, got {quoted(self.n_kicks, str)}")
         scan_keys = sorted(key for key in _SCAN_KEYS if getattr(self, key) is not None)
         if self.mode != "scan":
             if scan_keys:
@@ -98,9 +98,10 @@ class RunConfig:
             raise ConfigError(f"mode = scan requires keys: {', '.join(sorted(missing))}")
         start, stop = self.scan_start, self.scan_stop
         if self.scan_steps < 2:
-            raise ConfigError(f"scan_steps must be >= 2, got {self.scan_steps}")
+            raise ConfigError(f"scan_steps must be >= 2, got {quoted(self.scan_steps, str)}")
         if not start < stop:
-            raise ConfigError(f"scan_start must be < scan_stop, got {start} >= {stop}")
+            ends = f"{quoted(start, str)} >= {quoted(stop, str)}"
+            raise ConfigError(f"scan_start must be < scan_stop, got {ends}")
         # every scanned value lies between the endpoints if their difference,
         # the span of _run_scan, is finite (else the values are NaN), so checking
         # both rejects a non-finite or nonpositive-period scan before it runs
@@ -283,10 +284,11 @@ def _parse_value(key: str, raw: str, where: str = "", held=None):
         value = spec.parse(raw)
         if not where and ((value != held or type(value)(held) != value) and held == held
                           or spec.parse is int and not isinstance(held, Integral)):
-            raise ValueError(f"given as {held!r}, not as its parse {value!r}")
+            raise ValueError(f"given as {quoted(held)}, not as its parse {quoted(value)}")
         return value
     except ValueError as exc:
-        raise ConfigError(f"{where}bad value for '{key}': {raw!r} ({exc})")
+        # the reason may quote raw again, as float's does
+        raise ConfigError(f"{where}bad value for '{key}': {quoted(raw)} ({quoted(exc, str, 100)})")
 
 
 def _config_from_items(items: dict) -> RunConfig:
@@ -309,10 +311,10 @@ def _parse_items(text: str) -> dict:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {quoted(line)}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
-            raise ConfigError(f"line {line_no}: unknown key '{key}'")
+            raise ConfigError(f"line {line_no}: unknown key '{quoted(key, str)}'")
         items[key] = _parse_value(key, raw, f"line {line_no}: ")
     return items
 
@@ -384,7 +386,8 @@ def _check_fits(dims: ModeDims) -> None:
     matrices, is more than this machine's memory where os.sysconf tells it.
     The index test comes first and keeps the memory test's floats finite."""
     matrix, have = 16 * dims.joint**2, _physical_memory()
-    size = f"too large for this machine: cutoffs {dims.dim_a} x {dims.dim_b} (D = {dims.joint})"
+    cutoffs = f"cutoffs {dims.dim_a} x {dims.dim_b} (D = {quoted(dims.joint, str)})"
+    size = f"too large for this machine: {cutoffs}"
     if matrix > np.iinfo(np.intp).max:
         raise ConfigError(f"{size}: a D x D complex matrix is more than numpy's largest array")
     need = PEAK_MATRICES * matrix
@@ -453,7 +456,8 @@ def config_from_args(argv: list[str] | None = None) -> tuple[RunConfig | None, s
         head, eq, value = ("--help" if token == "-h" else token).partition("=")
         named = [f for f in _FLAGS if f.startswith(head) and len(head) > 2]
         if len(named) != 1:
-            raise ConfigError(f"ambiguous flag {head!r}" if named else f"not a flag: {token!r}")
+            refusal = f"ambiguous flag {quoted(head)}" if named else f"not a flag: {quoted(token)}"
+            raise ConfigError(refusal)
         flag = named[0]
         if flag in _SWITCHES and eq:
             raise ConfigError(f"{flag} takes no value")

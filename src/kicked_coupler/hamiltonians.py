@@ -22,6 +22,16 @@ class ConfigError(ValueError):
     """Invalid run configuration (unknown key, bad value, violated invariant)."""
 
 
+def quoted(value, form=repr, width: int = 50) -> str:
+    """form(value) for a refusal's text, cut to width characters and '...', or its type
+    where form raises (str() of an int past sys.get_int_max_str_digits())."""
+    try:
+        text = form(value)
+    except Exception:
+        return f"<{type(value).__name__} that {form.__name__}() cannot write>"
+    return text if len(text) <= width else text[:width] + "..."
+
+
 @dataclass(frozen=True)
 class ModeDims:
     """Fock-space truncation: number of levels kept per mode (vacuum included).
@@ -35,9 +45,11 @@ class ModeDims:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.dim_a, Integral) and isinstance(self.dim_b, Integral)):
-            raise ConfigError(f"mode dimensions must be integers, got {(self.dim_a, self.dim_b)}")
+            dims = f"({quoted(self.dim_a)}, {quoted(self.dim_b)})"
+            raise ConfigError(f"mode dimensions must be integers, got {dims}")
         if self.dim_a < 2 or self.dim_b < 2:
-            raise ConfigError(f"mode dimensions must be >= 2, got ({self.dim_a}, {self.dim_b})")
+            dims = f"({quoted(self.dim_a, str)}, {quoted(self.dim_b, str)})"
+            raise ConfigError(f"mode dimensions must be >= 2, got {dims}")
 
     @property
     def joint(self) -> int:
@@ -86,19 +98,19 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.dims, ModeDims):
-            raise ConfigError(f"dims must be a ModeDims, got {self.dims!r}")
+            raise ConfigError(f"dims must be a ModeDims, got {quoted(self.dims)}")
         for name in ("chi_a", "chi_b", "epsilon", "alpha", "T"):
             value = getattr(self, name)
             real = name not in ("epsilon", "alpha")
             if not isinstance(value, Real if real else Number):
-                raise ConfigError(f"{name} must be a {'real ' * real}number, got {value!r}")
+                raise ConfigError(f"{name} must be a {'real ' * real}number, got {quoted(value)}")
             try:
                 if not cmath.isfinite(value):
-                    raise ConfigError(f"{name} must be finite, got {value}")
+                    raise ConfigError(f"{name} must be finite, got {quoted(value, str)}")
             except OverflowError:  # an int too large for a float, and too long to show
                 raise ConfigError(f"{name} must be finite, got a number too large for a float")
         if self.T <= 0:
-            raise ConfigError(f"pulse period T must be positive, got {self.T}")
+            raise ConfigError(f"pulse period T must be positive, got {quoted(self.T, str)}")
 
 
 def _occupations(dims: ModeDims) -> tuple[np.ndarray, np.ndarray]:

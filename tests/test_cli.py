@@ -1202,6 +1202,46 @@ class TestMain:
         assert err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == ([cfg] if mode == "scan" else [])
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["--cutoff-a", "-" + "9" * 4000], "mode dimensions must be >= 2, got (-999"),
+            (["--cutoff-a", "1" + "9" * 8000], "--cutoff-a: bad value for 'cutoff_a': '1999"),
+            (["--T", "x" * 8000], "--T: bad value for 'T': 'xxx"),
+            (["--" + "x" * 8000], "not a flag: '--xxx"),
+        ],
+        ids=["4000-digit cutoff", "8001-digit cutoff", "long float", "long flag"],
+    )
+    def test_a_long_value_is_refused_in_one_short_line(self, tmp_path, capsys, argv, prefix):
+        # the refusal quotes the value by its first characters
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 2
+        err = capsys.readouterr().err
+        message = err.removeprefix("configuration error: ")
+        assert message.startswith(prefix) and err.count("\n") == 1
+        assert len(message) < 200
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "document, prefix",
+        [("x" * 8000 + "\n", "line 1: expected 'key = value', got 'xxx"),
+         ("x" * 8000 + " = 1\n", "line 1: unknown key 'xxx")],
+        ids=["line", "key"],
+    )
+    def test_a_long_config_line_is_refused_in_one_short_line(self, document, prefix):
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        assert str(info.value).startswith(prefix) and len(str(info.value)) < 200
+
+    def test_cutoffs_whose_dimension_str_cannot_write_exit_2(self, tmp_path, capsys):
+        # D = 10^6000 has more digits than str() writes; the refusal says so
+        cutoff = "1" + "0" * 3000
+        argv = ["--cutoff-a", cutoff, "--cutoff-b", cutoff, "--out", str(tmp_path / "run.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: too large for this machine: cutoffs {cutoff}")
+        assert "(D = <int that str() cannot write>)" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mode", ["simulate", "compare", "scan"])
     def test_unparsed_config_beyond_numpy_index_range_is_refused(
         self, tmp_path, monkeypatch, mode

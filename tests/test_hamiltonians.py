@@ -2,6 +2,7 @@
 checked against the dense ladder-operator references of conftest.py."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kicked_coupler.hamiltonians import (
     basis_state,
     build_kick_generator,
     edge_populations,
+    quoted,
 )
 from kicked_coupler.numerics import hermiticity_defect, unitary_from_generator
 from conftest import annihilation_op, embed_mode_a, embed_mode_b
@@ -59,12 +61,57 @@ class TestRefusalType:
                  f"{name} must be finite, got a number too large for a float")
                 for name in ("alpha", "epsilon", "T", "chi_a")
             ),
+            # a huge value is quoted by its first digits, or by its type where
+            # str() cannot write it
+            (lambda: ModeDims(-10**5000, 2),
+             "mode dimensions must be >= 2, got (<int that str() cannot write>, 2)"),
+            (lambda: ModeDims(-10**400, 2), f"mode dimensions must be >= 2, got (-1{'0' * 48}..., 2)"),
+            (lambda: SystemParams(T=-10**300), f"pulse period T must be positive, got -1{'0' * 48}..."),
         ],
     )
     def test_every_refusal_is_a_config_error(self, build, message):
         with pytest.raises(ConfigError) as info:
             build()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build, prefix",
+        [
+            (lambda: ModeDims(2, -10**400), "mode dimensions must be >= 2, got (2, -1000"),
+            (lambda: ModeDims(Fraction(10**5000, 3), 2),
+             "mode dimensions must be integers, got (<Fraction "),
+            (lambda: SystemParams(alpha="0" * 5000), "alpha must be a number, got '0000"),
+            (lambda: SystemParams(dims=(10**5000,)), "dims must be a ModeDims, got <tuple "),
+            (lambda: cli.RunConfig(params=10**5000), "params must be a SystemParams, got <int "),
+            (lambda: cli.RunConfig(params=SystemParams(), n_kicks=-10**4000),
+             "kicks must be positive, got -1000"),
+            (lambda: cli.RunConfig(params=SystemParams(alpha=10**300)),
+             "bad value for 'alpha': '1000"),
+            (lambda: cli.RunConfig(
+                params=SystemParams(), mode="scan", scan_param="alpha", scan_start=0.01,
+                scan_stop=0.05, scan_steps=-10**4000,
+            ), "scan_steps must be >= 2, got -1000"),
+            (lambda: cli.RunConfig(
+                params=SystemParams(), mode="scan", scan_param="alpha", scan_start=2**1000,
+                scan_stop=0.05, scan_steps=3,
+            ), "scan_start must be < scan_stop, got 1071"),
+        ],
+    )
+    def test_a_huge_value_is_quoted_short(self, build, prefix):
+        # the limit test_hand_built_int_too_long_to_write_is_refused sets
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value).startswith(prefix)
+        assert len(str(info.value)) < 200
+
+    def test_quoted_never_raises(self):
+        class Unwritable:
+            def __repr__(self):
+                raise RuntimeError("no text")
+
+        assert quoted(Unwritable()) == "<Unwritable that repr() cannot write>"
+        assert quoted("x" * 60, str) == "x" * 50 + "..."
+        assert quoted(3.0) == "3.0" and quoted("3") == "'3'"
 
 
 class TestAnnihilation:
